@@ -43,14 +43,17 @@ int main() {
 
       int64_t burst_drops = 0;
       topo.sw(net).set_drop_hook([&](const Packet& pkt, tm::DropReason reason) {
-        if (pkt.flow_id == 2 && reason != tm::DropReason::kExpelled) ++burst_drops;
+        if (pkt.flow_id == net::Network::kOpenLoopFlowIdBase + 2 &&
+            reason != tm::DropReason::kExpelled) {
+          ++burst_drops;
+        }
       });
 
       workload::OpenLoopConfig lived;
       lived.src = topo.hosts[0];
       lived.dst = topo.hosts[2];
       lived.rate = Bandwidth::Gbps(100);
-      lived.flow_id = 1;
+      lived.flow_id = net::Network::kOpenLoopFlowIdBase + 1;
       lived.stop = Milliseconds(1);
       workload::OpenLoopSender long_lived(&net, lived);
       long_lived.Start();
@@ -59,7 +62,7 @@ int main() {
       burst.src = topo.hosts[1];
       burst.dst = topo.hosts[3];
       burst.rate = Bandwidth::Gbps(100);
-      burst.flow_id = 2;
+      burst.flow_id = net::Network::kOpenLoopFlowIdBase + 2;
       burst.start = Microseconds(400);
       burst.total_bytes = 600 * 1000;
       workload::OpenLoopSender burst_sender(&net, burst);

@@ -28,14 +28,14 @@ void RunCase(const char* label, Bandwidth burst_rate) {
 
   int64_t burst_drops = 0;
   s.sw().set_drop_hook([&](const Packet& pkt, tm::DropReason) {
-    if (pkt.flow_id == 2) ++burst_drops;
+    if (pkt.flow_id == net::Network::kOpenLoopFlowIdBase + 2) ++burst_drops;
   });
 
   workload::OpenLoopConfig lived;
   lived.src = s.topo.hosts[0];
   lived.dst = s.topo.hosts[2];
   lived.rate = Bandwidth::Gbps(12);  // modest overload of the 10G port
-  lived.flow_id = 1;
+  lived.flow_id = net::Network::kOpenLoopFlowIdBase + 1;
   lived.stop = Milliseconds(3);
   workload::OpenLoopSender long_lived(&s.net, lived);
   long_lived.Start();
@@ -44,7 +44,7 @@ void RunCase(const char* label, Bandwidth burst_rate) {
   burst.src = s.topo.hosts[1];
   burst.dst = s.topo.hosts[3];
   burst.rate = burst_rate;
-  burst.flow_id = 2;
+  burst.flow_id = net::Network::kOpenLoopFlowIdBase + 2;
   burst.start = Milliseconds(1);
   burst.stop = Milliseconds(3);
   workload::OpenLoopSender burst_sender(&s.net, burst);

@@ -80,7 +80,7 @@ void ChokingCase() {
         cfg.dst = s.topo.hosts[0];
         cfg.rate = Bandwidth::Mbps(3300);  // 14 x 3.3G = 46G > 40G port
         cfg.traffic_class = static_cast<uint8_t>(1 + (i % 7));
-        cfg.flow_id = 900 + static_cast<uint64_t>(i);
+        cfg.flow_id = net::Network::kOpenLoopFlowIdBase + static_cast<uint64_t>(i);
         cfg.stop = Milliseconds(500);
         lp.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
         lp.back()->Start();
@@ -113,7 +113,7 @@ void InterPortCase() {
         cfg.src = s.topo.hosts[static_cast<size_t>(5 + i)];
         cfg.dst = s.topo.hosts[7];
         cfg.rate = Bandwidth::Gbps(23);  // 46G total > 40G port
-        cfg.flow_id = 900 + static_cast<uint64_t>(i);
+        cfg.flow_id = net::Network::kOpenLoopFlowIdBase + static_cast<uint64_t>(i);
         cfg.stop = Milliseconds(500);
         bg.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
         bg.back()->Start();

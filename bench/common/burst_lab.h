@@ -96,8 +96,8 @@ inline StarSpec MakeBurstLabStarSpec(const BurstLabSpec& spec) {
   return star;
 }
 
-inline constexpr uint64_t kBurstLabLongFlow = 1;
-inline constexpr uint64_t kBurstLabBurstFlow = 2;
+inline constexpr uint64_t kBurstLabLongFlow = net::Network::kOpenLoopFlowIdBase + 1;
+inline constexpr uint64_t kBurstLabBurstFlow = net::Network::kOpenLoopFlowIdBase + 2;
 
 // Counts losses of the measured burst and the long-lived flow into
 // `result`. In a sharded run the hook fires on the dropping partition's

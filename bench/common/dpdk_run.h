@@ -177,7 +177,7 @@ inline std::vector<workload::OpenLoopConfig> MakeDpdkLpConfigs(
     cfg.rate = Bandwidth::Mbps(static_cast<int64_t>(
         run.bg_load * 10000.0 * 1.2 / streams));  // 1.2x oversubscription
     cfg.traffic_class = static_cast<uint8_t>(1 + (i % lp_classes));
-    cfg.flow_id = 900 + static_cast<uint64_t>(i);
+    cfg.flow_id = net::Network::kOpenLoopFlowIdBase + static_cast<uint64_t>(i);
     cfg.stop = duration + Milliseconds(50);
     configs.push_back(cfg);
   }

@@ -177,6 +177,7 @@ void CollectFabricSwitchStats(Scenario& s, FabricRunResult& result) {
     auto& sw = static_cast<net::SwitchNode&>(s.net.node(sw_id));
     result.drops += sw.TotalDrops();
     for (int p = 0; p < sw.num_partitions(); ++p) {
+      result.expelled += sw.partition(p).stats().expelled_packets;
       result.peak_occupancy_bytes =
           std::max(result.peak_occupancy_bytes,
                    sw.partition(p).shared_buffer().peak_occupancy_bytes());

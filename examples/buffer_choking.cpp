@@ -40,7 +40,7 @@ double RunOnce(Scheme scheme, bool with_low_priority) {
       cfg.dst = s.topo.hosts[0];
       cfg.rate = Bandwidth::Mbps(1700);
       cfg.traffic_class = static_cast<uint8_t>(1 + i);
-      cfg.flow_id = 900 + static_cast<uint64_t>(i);
+      cfg.flow_id = net::Network::kOpenLoopFlowIdBase + static_cast<uint64_t>(i);
       cfg.stop = Milliseconds(100);
       low_priority.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
       low_priority.back()->Start();

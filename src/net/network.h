@@ -302,8 +302,17 @@ class Network {
   using DrainProbe = std::function<void(Time deliver_time, Time dst_shard_now)>;
   void set_drain_probe(DrainProbe probe) { drain_probe_ = std::move(probe); }
 
-  // Fresh unique ids for flows/queries created on this network.
-  uint64_t NextFlowId() { return next_flow_id_++; }
+  // Flow ids from here up are reserved for open-loop streams
+  // (workload::OpenLoopSender); transport flows stay below. FlowManager
+  // dispatches arrivals by flow id alone, so an open-loop stream sharing a
+  // transport id would be ACKed as that flow's data.
+  static constexpr uint64_t kOpenLoopFlowIdBase = uint64_t{1} << 62;
+
+  // Fresh unique transport ids for flows/queries created on this network.
+  uint64_t NextFlowId() {
+    OCCAMY_CHECK(next_flow_id_ < kOpenLoopFlowIdBase) << "transport flow ids exhausted";
+    return next_flow_id_++;
+  }
 
   // Installs the fault hook (fault::FaultInjector::Arm). Must happen before
   // the run; the hook must outlive the network's last delivery.

@@ -34,6 +34,8 @@ uint64_t FlowManager::StartFlow(FlowParams params) {
   OCCAMY_CHECK(!net_->sharded_run_active())
       << "StartFlow during a sharded run; pre-generate the schedule instead";
   if (params.id == 0) params.id = net_->NextFlowId();
+  OCCAMY_CHECK(params.id < net::Network::kOpenLoopFlowIdBase)
+      << "flow id " << params.id << " is in the open-loop range";
   OCCAMY_CHECK(connections_.find(params.id) == connections_.end())
       << "duplicate flow id " << params.id;
   OCCAMY_CHECK(params.src != params.dst) << "flow to self";

@@ -9,6 +9,7 @@
 #include "src/net/network.h"
 #include "src/sim/shard_checks.h"
 #include "src/util/bandwidth.h"
+#include "src/util/check.h"
 
 namespace occamy::workload {
 
@@ -22,7 +23,10 @@ struct OpenLoopConfig {
   int64_t total_bytes = 0;
   Time stop = 0;
   uint8_t traffic_class = 0;
-  uint64_t flow_id = 0;  // stamped on every packet (for drop accounting)
+  // Stamped on every packet (for drop accounting). Must lie in the range
+  // net::Network reserves for open-loop streams, so no transport flow can
+  // claim the same id.
+  uint64_t flow_id = net::Network::kOpenLoopFlowIdBase;
 };
 
 class OpenLoopSender {
@@ -32,7 +36,10 @@ class OpenLoopSender {
   // open-loop injection is safe in sharded runs without pre-generation (it
   // is open loop: nothing outside the source shard feeds back into it).
   OpenLoopSender(net::Network* net, OpenLoopConfig config)
-      : net_(net), sim_(&net->sim_of(config.src)), config_(config) {}
+      : net_(net), sim_(&net->sim_of(config.src)), config_(config) {
+    OCCAMY_CHECK(config_.flow_id >= net::Network::kOpenLoopFlowIdBase)
+        << "open-loop flow id " << config_.flow_id << " is outside the open-loop range";
+  }
 
   void Start() {
     sim_->At(std::max(config_.start, sim_->now()), [this] { InjectNext(); });

@@ -4,6 +4,7 @@
 // system-wide conservation invariants.
 #include <gtest/gtest.h>
 
+#include "bench/common/dpdk_run.h"
 #include "bench/common/scenarios.h"
 #include "src/workload/open_loop.h"
 
@@ -35,7 +36,8 @@ BurstResult RunBurst(Scheme scheme, double alpha, int64_t burst_bytes) {
   spec.alphas = {alpha};
   StarScenario s(spec);
 
-  constexpr uint64_t kLongFlow = 1000, kBurstFlow = 2000;
+  constexpr uint64_t kLongFlow = net::Network::kOpenLoopFlowIdBase + 1;
+  constexpr uint64_t kBurstFlow = net::Network::kOpenLoopFlowIdBase + 2;
   BurstResult result;
   s.sw().set_drop_hook([&](const Packet& pkt, tm::DropReason) {
     if (pkt.flow_id == kBurstFlow) ++result.burst_drops;
@@ -116,7 +118,7 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
     lived.src = s.topo.hosts[0];
     lived.dst = s.topo.hosts[2];
     lived.rate = Bandwidth::Gbps(100);
-    lived.flow_id = 1;
+    lived.flow_id = net::Network::kOpenLoopFlowIdBase + 1;
     lived.stop = Milliseconds(2);
     workload::OpenLoopSender sender(&s.net, lived);
     sender.Start();
@@ -124,7 +126,7 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
     workload::OpenLoopConfig second = lived;
     second.src = s.topo.hosts[1];
     second.dst = s.topo.hosts[3];
-    second.flow_id = 2;
+    second.flow_id = net::Network::kOpenLoopFlowIdBase + 2;
     workload::OpenLoopSender sender2(&s.net, second);
     sender2.Start();
     s.sim.RunUntil(Milliseconds(2));
@@ -167,7 +169,7 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
         cfg.dst = s.topo.hosts[0];
         cfg.rate = Bandwidth::Mbps(1700);
         cfg.traffic_class = static_cast<uint8_t>(1 + i);
-        cfg.flow_id = 900 + static_cast<uint64_t>(i);
+        cfg.flow_id = net::Network::kOpenLoopFlowIdBase + static_cast<uint64_t>(i);
         cfg.stop = Milliseconds(100);
         lp.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
         lp.back()->Start();
@@ -205,6 +207,58 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
   EXPECT_GT(dt_degradation, 3.0);
   EXPECT_LT(occ_degradation, 1.5);
   EXPECT_LT(occ_with, dt_with / 2.0);
+}
+
+// Packets dequeued from an LP class (1-7) on any port but the query
+// client's (port 0). Every LP stream targets the client, so only a
+// transport ACK of an LP packet can leave through another port in an LP
+// class.
+int64_t LpDequeuesOffClientPort(net::SwitchNode& sw) {
+  int64_t dequeued = 0;
+  for (int port = 1; port < sw.num_ports(); ++port) {
+    auto& part = sw.partition_for_port(port);
+    for (int cls = 1; cls < part.queues_per_port(); ++cls) {
+      dequeued += static_cast<int64_t>(
+          part.queue_delay_hist(part.QueueIndex(sw.local_port(port), cls)).count());
+    }
+  }
+  return dequeued;
+}
+
+// The choking layout (Fig. 15) at query load 0.5 for 20 ms: enough incast
+// flows that transport ids would pass the LP streams' ids if the two shared
+// one id range.
+TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
+  for (const uint64_t seed : {1, 5, 9}) {
+    DpdkRunSpec run;
+    run.scheme = Scheme::kOccamy;
+    run.queues_per_port = 8;
+    run.scheduler = tm::SchedulerKind::kStrictPriority;
+    run.alphas = {8.0, 1, 1, 1, 1, 1, 1, 1};
+    run.bg = DpdkRunSpec::Bg::kSaturatingLp;
+    run.bg_load = 1.0;
+    run.query_bytes = run.buffer_bytes * 2;
+    run.query_load = 0.5;
+    run.duration = run.max_duration = Milliseconds(20);
+    run.min_queries = 0;
+    run.seed = seed;
+    const StarSpec star = MakeDpdkStarSpec(run);
+    const Time duration = DpdkDuration(run, star, BenchScale::kDefault);
+    ShardedStarScenario s(star, /*shards=*/1, /*use_threads=*/false);
+    std::vector<std::unique_ptr<workload::OpenLoopSender>> lp;
+    for (const auto& cfg : MakeDpdkLpConfigs(run, s.topo.hosts, duration)) {
+      lp.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
+      lp.back()->Start();
+    }
+    const workload::PregeneratedIncast incast = workload::PregenerateIncast(
+        MakeDpdkQueryConfig(run, s.topo.hosts, star, duration, s.IdealFn(), nullptr));
+    // Transport ids must run past 906, the LP streams' ids before the
+    // reserved range, for the run to show a collision.
+    ASSERT_GT(incast.flows.size(), 906u) << "seed " << seed;
+    for (const auto& params : incast.flows) s.manager->StartFlow(params);
+    s.ssim.RunUntil(duration + DpdkDrain());
+    EXPECT_EQ(LpDequeuesOffClientPort(s.sw()), 0) << "seed " << seed;
+  }
 }
 
 TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {

@@ -5,6 +5,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
+#include "src/workload/open_loop.h"
 
 namespace occamy::transport {
 namespace {
@@ -220,6 +221,27 @@ TEST(TransportTest, CompletionHookFires) {
   h.Flow(0, 1, 12345);
   h.sim.Run();
   EXPECT_EQ(hooks, 1);
+}
+
+// Transport flows and open-loop streams share the network's flow-id space
+// (FlowManager dispatches by id alone), so each side checks its range.
+TEST(FlowIdRangeDeathTest, TransportFlowInOpenLoopRangeDies) {
+  Harness h;
+  FlowParams p;
+  p.id = net::Network::kOpenLoopFlowIdBase;
+  p.src = h.topo.hosts[0];
+  p.dst = h.topo.hosts[1];
+  p.size_bytes = 1000;
+  EXPECT_DEATH(h.manager->StartFlow(p), "is in the open-loop range");
+}
+
+TEST(FlowIdRangeDeathTest, OpenLoopStreamWithTransportIdDies) {
+  Harness h;
+  workload::OpenLoopConfig ol;
+  ol.src = h.topo.hosts[0];
+  ol.dst = h.topo.hosts[1];
+  ol.flow_id = 900;
+  EXPECT_DEATH(workload::OpenLoopSender(&h.net, ol), "outside the open-loop range");
 }
 
 TEST(TransportTest, SlowdownUsesIdealDuration) {
