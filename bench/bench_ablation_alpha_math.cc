@@ -10,13 +10,14 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench/common/burst_lab.h"
 #include "bench/common/table.h"
 #include "src/bm/dynamic_threshold.h"
+#include "src/exp/burst_lab.h"
 #include "src/tm/traffic_manager.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 
@@ -77,7 +78,7 @@ int main() {
     const BurstLabResult r = RunBurstLab(adjusted);
     ineq.AddRow({Table::Fmt("%lld", static_cast<long long>(gbps)),
                  Table::Fmt("%.3f", r.BurstLossRate()),
-                 Table::Fmt("%lld", static_cast<long long>(r.expelled)),
+                 Table::Fmt("%lld", static_cast<long long>(r.telemetry.expelled)),
                  r.BurstLossRate() < 0.01 ? "yes" : "no"});
   }
   ineq.Print();

@@ -10,12 +10,13 @@
 // TDT (traffic-aware DT), and QPO (quasi-pushout).
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/dpdk_run.h"
 #include "bench/common/table.h"
+#include "src/exp/burst_lab.h"
+#include "src/exp/dpdk_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kDt,  Scheme::kEdt,     Scheme::kTdt,

@@ -9,13 +9,14 @@
 // grows, both schemes over-admit/over-reject around the threshold.
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/scenarios.h"
 #include "bench/common/table.h"
+#include "src/exp/burst_lab.h"
+#include "src/exp/scenarios.h"
 #include "src/workload/open_loop.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   PrintHeader("Stale-statistics ablation: burst loss rate vs SYNC interval");

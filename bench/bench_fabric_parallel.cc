@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/parallel_gate.h"
+#include "src/exp/fabric_run.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 struct BenchConfig {
@@ -30,9 +30,7 @@ FabricRunSpec MakeSpec(const BenchConfig& cfg, int shards, int window_batch) {
   run.bg_fixed_size = 256 * 1024;
   run.duration = FromSeconds(cfg.duration_ms / 1000.0);
   run.seed = 1;
-  run.scale = cfg.scale == "smoke"   ? BenchScale::kSmoke
-              : cfg.scale == "full"  ? BenchScale::kFull
-                                     : BenchScale::kDefault;
+  run.scale = ScaleByName(cfg.scale).value_or(BenchScale::kDefault);
   run.shards = shards;
   run.window_batch = window_batch;
   return run;
@@ -53,21 +51,22 @@ bool Identical(const FabricRunResult& a, const FabricRunResult& b, std::string& 
         static_cast<double>(b.queries_completed));
   check("bg_flows_completed", static_cast<double>(a.bg_flows_completed),
         static_cast<double>(b.bg_flows_completed));
-  check("drops", static_cast<double>(a.drops), static_cast<double>(b.drops));
+  check("drops", static_cast<double>(a.telemetry.drops), static_cast<double>(b.telemetry.drops));
   check("delivered_bytes", static_cast<double>(a.delivered_bytes),
         static_cast<double>(b.delivered_bytes));
-  check("peak_occupancy_bytes", static_cast<double>(a.peak_occupancy_bytes),
-        static_cast<double>(b.peak_occupancy_bytes));
-  check("sim_events", static_cast<double>(a.sim_events),
-        static_cast<double>(b.sim_events));
+  check("peak_occupancy_bytes", static_cast<double>(a.telemetry.peak_occupancy_bytes),
+        static_cast<double>(b.telemetry.peak_occupancy_bytes));
+  check("sim_events", static_cast<double>(a.telemetry.sim_events),
+        static_cast<double>(b.telemetry.sim_events));
   return diff.empty();
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp
 
 int main(int argc, char** argv) {
   using namespace occamy::bench;
+  using namespace occamy::exp;
 
   BenchConfig cfg;
   // --scale is this bench's extra flag; strip it before the shared parser.
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
         }
         return true;
       },
-      [](const FabricRunResult& r) { return r.sim_events; },
-      [](const FabricRunResult& r) { return r.parallel_efficiency; },
-      [](const FabricRunResult& r) { return r.windows_run; });
+      [](const FabricRunResult& r) { return r.telemetry.sim_events; },
+      [](const FabricRunResult& r) { return r.telemetry.parallel_efficiency; },
+      [](const FabricRunResult& r) { return r.telemetry.windows_run; });
 }

@@ -7,11 +7,12 @@
 // receiving its deserved buffer.
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
 #include "bench/common/table.h"
+#include "src/exp/burst_lab.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

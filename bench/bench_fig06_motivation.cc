@@ -11,13 +11,14 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench/common/scenarios.h"
 #include "bench/common/table.h"
+#include "src/exp/scenarios.h"
 #include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

@@ -8,13 +8,14 @@
 // i.e. utilization ~62% — redundant bandwidth exists for expulsion.
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
+#include "src/exp/fabric_run.h"
 #include "src/workload/flow_size_dist.h"
 #include "src/workload/incast.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

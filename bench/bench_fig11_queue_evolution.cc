@@ -6,11 +6,12 @@
 // release the buffer in time and the burst drops packets first.
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
 #include "bench/common/table.h"
+#include "src/exp/burst_lab.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 
@@ -37,7 +38,7 @@ void RunCase(Scheme scheme, double alpha) {
   table.Print();
   std::printf("burst: %lld pkts sent, %lld dropped (loss %.1f%%), %lld expelled from q1\n",
               static_cast<long long>(r.burst_packets), static_cast<long long>(r.burst_drops),
-              100.0 * r.BurstLossRate(), static_cast<long long>(r.expelled));
+              100.0 * r.BurstLossRate(), static_cast<long long>(r.telemetry.expelled));
 }
 
 }  // namespace

@@ -6,11 +6,12 @@
 // buffer efficiency) while DT gets worse (smaller reserve it depends on).
 #include <cstdio>
 
-#include "bench/common/burst_lab.h"
 #include "bench/common/table.h"
+#include "src/exp/burst_lab.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   for (double alpha : {1.0, 2.0, 4.0}) {

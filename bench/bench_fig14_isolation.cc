@@ -6,11 +6,12 @@
 // separate), inflating p99 QCT; Occamy stays close to Pushout.
 #include <cstdio>
 
-#include "bench/common/dpdk_run.h"
 #include "bench/common/table.h"
+#include "src/exp/dpdk_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kOccamy, Scheme::kAbm, Scheme::kDt, Scheme::kPushout};

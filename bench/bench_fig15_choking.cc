@@ -7,11 +7,12 @@
 // Pushout — the background barely affects the queries.
 #include <cstdio>
 
-#include "bench/common/dpdk_run.h"
 #include "bench/common/table.h"
+#include "src/exp/dpdk_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kOccamy, Scheme::kDt, Scheme::kAbm, Scheme::kPushout};

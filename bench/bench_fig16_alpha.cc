@@ -8,11 +8,12 @@
 // recommendation.
 #include <cstdio>
 
-#include "bench/common/dpdk_run.h"
 #include "bench/common/table.h"
+#include "src/exp/dpdk_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

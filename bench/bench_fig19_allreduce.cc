@@ -6,11 +6,12 @@
 // background p99 FCT by up to ~73%.
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
+#include "src/exp/fabric_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kOccamy, Scheme::kAbm, Scheme::kDt, Scheme::kPushout};

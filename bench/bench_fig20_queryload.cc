@@ -7,11 +7,12 @@
 // background traffic is essentially unaffected by the BM choice.
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
+#include "src/exp/fabric_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kOccamy, Scheme::kAbm, Scheme::kDt, Scheme::kPushout};

@@ -6,11 +6,12 @@
 // why the expensive Maximum Finder is unnecessary.
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
+#include "src/exp/fabric_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   Table qct_avg({"Query(%B)", "RR-drop", "Longest-drop", "diff"});

@@ -6,11 +6,12 @@
 // better than DT at 3.44KB and ~40.3% at 9.6KB).
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
 #include "bench/common/table.h"
+#include "src/exp/fabric_run.h"
 
 using namespace occamy;
 using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   const Scheme schemes[] = {Scheme::kOccamy, Scheme::kAbm, Scheme::kDt, Scheme::kPushout};

@@ -13,10 +13,10 @@
 // records the hardware so the tracked ratio is interpretable.
 #include <string>
 
-#include "bench/common/dpdk_run.h"
 #include "bench/common/parallel_gate.h"
+#include "src/exp/dpdk_run.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 DpdkRunSpec MakeSpec(double duration_ms, int shards, int window_batch) {
@@ -51,22 +51,25 @@ bool Identical(const DpdkRunResult& a, const DpdkRunResult& b, std::string& diff
   check("fct_small_p99_ms", a.fct_small_p99_ms, b.fct_small_p99_ms);
   check("queries", static_cast<double>(a.queries), static_cast<double>(b.queries));
   check("rtos", static_cast<double>(a.rtos), static_cast<double>(b.rtos));
-  check("drops", static_cast<double>(a.drops), static_cast<double>(b.drops));
-  check("expelled", static_cast<double>(a.expelled), static_cast<double>(b.expelled));
+  check("drops", static_cast<double>(a.telemetry.drops),
+        static_cast<double>(b.telemetry.drops));
+  check("expelled", static_cast<double>(a.telemetry.expelled),
+        static_cast<double>(b.telemetry.expelled));
   check("delivered_bytes", static_cast<double>(a.delivered_bytes),
         static_cast<double>(b.delivered_bytes));
-  check("peak_occupancy_bytes", static_cast<double>(a.peak_occupancy_bytes),
-        static_cast<double>(b.peak_occupancy_bytes));
-  check("sim_events", static_cast<double>(a.sim_events),
-        static_cast<double>(b.sim_events));
+  check("peak_occupancy_bytes", static_cast<double>(a.telemetry.peak_occupancy_bytes),
+        static_cast<double>(b.telemetry.peak_occupancy_bytes));
+  check("sim_events", static_cast<double>(a.telemetry.sim_events),
+        static_cast<double>(b.telemetry.sim_events));
   return diff.empty();
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp
 
 int main(int argc, char** argv) {
   using namespace occamy::bench;
+  using namespace occamy::exp;
 
   ParallelGateOptions opts;
   double duration_ms = 40;
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
         }
         return true;
       },
-      [](const DpdkRunResult& r) { return r.sim_events; },
-      [](const DpdkRunResult& r) { return r.parallel_efficiency; },
-      [](const DpdkRunResult& r) { return r.windows_run; });
+      [](const DpdkRunResult& r) { return r.telemetry.sim_events; },
+      [](const DpdkRunResult& r) { return r.telemetry.parallel_efficiency; },
+      [](const DpdkRunResult& r) { return r.telemetry.windows_run; });
 }

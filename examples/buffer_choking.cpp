@@ -12,12 +12,12 @@
 #include <memory>
 #include <vector>
 
-#include "bench/common/scenarios.h"
+#include "src/exp/scenarios.h"
 #include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 

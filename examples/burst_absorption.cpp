@@ -11,10 +11,10 @@
 #include <memory>
 #include <string>
 
-#include "bench/common/burst_lab.h"
+#include "src/exp/burst_lab.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 namespace {
 
@@ -43,7 +43,7 @@ void Run(Scheme scheme) {
   std::printf("burst: %lld sent, %lld dropped (%.1f%%), %lld pkts expelled from q_long\n",
               static_cast<long long>(r.burst_packets),
               static_cast<long long>(r.burst_drops), 100.0 * r.BurstLossRate(),
-              static_cast<long long>(r.expelled));
+              static_cast<long long>(r.telemetry.expelled));
 }
 
 }  // namespace

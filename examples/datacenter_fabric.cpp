@@ -7,10 +7,10 @@
 //   $ OCCAMY_BENCH_SCALE=smoke ./build/examples/datacenter_fabric
 #include <cstdio>
 
-#include "bench/common/fabric_run.h"
+#include "src/exp/fabric_run.h"
 
 using namespace occamy;
-using namespace occamy::bench;
+using namespace occamy::exp;
 
 int main() {
   std::printf("Leaf-spine fabric, web-search background @ 90%% load, incast queries\n");
@@ -26,7 +26,8 @@ int main() {
     const FabricRunResult r = RunFabric(spec);
     std::printf("%-12s %9.1fx %9.1fx %11.1fx %11.1fx %9lld %9lld\n", SchemeName(scheme),
                 r.qct_avg_slow, r.qct_p99_slow, r.fct_avg_slow, r.fct_small_p99_slow,
-                static_cast<long long>(r.drops), static_cast<long long>(r.expelled));
+                static_cast<long long>(r.telemetry.drops),
+                static_cast<long long>(r.telemetry.expelled));
   }
   std::printf("\n(values are slowdowns: completion time / unloaded-network ideal)\n");
   return 0;

@@ -17,7 +17,7 @@
 #include "src/net/topology.h"
 #include "src/util/check.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 
 // Fault universe of a star testbed: the switch is sw0, hosts keep their
 // port order.
@@ -52,4 +52,4 @@ inline void ArmFaultsOrDie(std::optional<fault::FaultInjector>& injector, net::N
   OCCAMY_CHECK(!arm_err) << *arm_err;
 }
 
-}  // namespace occamy::bench
+}  // namespace occamy::exp

@@ -1,38 +1,18 @@
 #include "src/exp/scenario_runner.h"
 
-#include <chrono>
 #include <cstdio>
+#include <initializer_list>
+#include <utility>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/dpdk_run.h"
-#include "bench/common/fabric_run.h"
+#include "src/exp/burst_lab.h"
+#include "src/exp/dpdk_run.h"
+#include "src/exp/fabric_run.h"
+#include "src/exp/telemetry.h"
 #include "src/fault/fault_plan.h"
 
 namespace occamy::exp {
 
 namespace {
-
-using bench::BenchScale;
-using bench::Scheme;
-
-using PerfClock = std::chrono::steady_clock;
-
-struct SchemeEntry {
-  const char* name;
-  Scheme scheme;
-};
-
-constexpr SchemeEntry kSchemes[] = {
-    {"dt", Scheme::kDt},
-    {"abm", Scheme::kAbm},
-    {"pushout", Scheme::kPushout},
-    {"occamy", Scheme::kOccamy},
-    {"occamy_lqd", Scheme::kOccamyLongestDrop},
-    {"cs", Scheme::kCompleteSharing},
-    {"edt", Scheme::kEdt},
-    {"tdt", Scheme::kTdt},
-    {"qpo", Scheme::kQpo},
-};
 
 const std::vector<ScenarioInfo>& ScenarioTable() {
   static const std::vector<ScenarioInfo> kTable = {
@@ -48,21 +28,32 @@ const std::vector<ScenarioInfo>& ScenarioTable() {
   return kTable;
 }
 
-// Delivered application bytes over the whole simulated window (traffic +
-// drain): flows completing in the drain tail are counted in the numerator,
-// so the denominator must include the tail too or goodput can exceed line
-// rate.
-double GoodputGbps(int64_t delivered_bytes, double duration_ms, double drain_ms) {
+// Traffic window, drain tail and delivered volume of a star or fabric run.
+// Goodput spans the whole simulated window: flows completing in the drain
+// tail are counted in the numerator, so the denominator must include the
+// tail too or goodput can exceed line rate.
+void AddVolumeFields(Metrics& m, double duration_ms, double drain_ms, int64_t delivered_bytes) {
+  m.Set("duration_ms", duration_ms);
+  m.Set("drain_ms", drain_ms);
+  m.Set("delivered_bytes", delivered_bytes);
   const double total_ms = duration_ms + drain_ms;
-  if (total_ms <= 0) return 0.0;
-  return static_cast<double>(delivered_bytes) * 8.0 / (total_ms * 1e6);
+  const double goodput_gbps =
+      total_ms > 0 ? static_cast<double>(delivered_bytes) * 8.0 / (total_ms * 1e6) : 0.0;
+  m.Set("goodput_gbps", goodput_gbps);
 }
 
-// Error for a knob that was set but has no effect on this scenario; silent
-// acceptance would make sweep grids lie about what they varied.
-std::string KnobError(const char* knob, const ScenarioInfo& entry) {
-  return std::string(knob) + " does not apply to scenario '" + entry.name +
-         "' (platform " + entry.platform + ")";
+// Error for the first of `knobs` (name, was set) that was set although it
+// has no effect on this scenario, or "" if none was; silent acceptance would
+// make sweep grids lie about what they varied.
+std::string KnobError(const ScenarioInfo& entry,
+                      std::initializer_list<std::pair<const char*, bool>> knobs) {
+  for (const auto& [knob, set] : knobs) {
+    if (set) {
+      return std::string(knob) + " does not apply to scenario '" + entry.name +
+             "' (platform " + entry.platform + ")";
+    }
+  }
+  return "";
 }
 
 // The effective fault schedule of a point: the explicit `faults` string
@@ -81,15 +72,9 @@ std::string ComposeFaults(const PointSpec& spec) {
 
 void AddCommonFields(Metrics& m, const ScenarioInfo& entry, const PointSpec& spec,
                      BenchScale scale, const std::string& faults) {
-  // Schema v8: the self-healing fault model adds four counters on every
-  // platform (reroutes, flushed_bytes_restart, burst_loss_packets,
-  // cp_stalled_steps — see AddObsFields). v7 added the base fault-injection
-  // counters (faults_injected, packets_lost_injected, packets_corrupted,
-  // blackhole_drops, link_down_drops) plus the `faults` schedule /
-  // `loss_rate` knob when set. v6 added the counter-registry fields
-  // (per-queue queueing-delay percentiles, per-queue drop and mailbox
-  // counters). v5 added the `shards` engine field on every platform plus
-  // parallel_efficiency on sharded runs.
+  // Schema v8. The telemetry keys each version added are noted in
+  // AddTelemetryFields; v7 also added the `faults` schedule / `loss_rate`
+  // echo below, when set.
   m.Set("schema_version", int64_t{8});
   m.Set("scenario", entry.name);
   m.Set("platform", entry.platform);
@@ -98,78 +83,6 @@ void AddCommonFields(Metrics& m, const ScenarioInfo& entry, const PointSpec& spe
   m.Set("seed", spec.seed);
   if (!faults.empty()) m.Set("faults", faults);
   if (spec.loss_rate > 0) m.Set("loss_rate", spec.loss_rate);
-}
-
-// Schema v4/v5: which engine ran the point (0 = single-threaded) and, for
-// sharded runs, the wall-clock-derived worker utilization (volatile like
-// wall_ms; the CSV summary excludes it) plus the adaptive window planner's
-// telemetry. The window fields are deterministic for a given
-// --window-batch setting but differ across settings, so — like shards —
-// they are excluded from the golden/differential fingerprint
-// (tests/differential.h VolatileMetricKeys), which is what lets every
-// batch setting map onto the same golden file.
-void AddEngineFields(Metrics& m, int shards, double parallel_efficiency,
-                     int window_batch, uint64_t windows_run,
-                     uint64_t windows_executed, uint64_t max_window_batch) {
-  m.Set("shards", int64_t{shards});
-  if (shards >= 1) {
-    m.Set("parallel_efficiency", parallel_efficiency);
-    m.Set("window_batch", int64_t{window_batch});
-    m.Set("windows_run", static_cast<int64_t>(windows_run));
-    m.Set("windows_executed", static_cast<int64_t>(windows_executed));
-    m.Set("max_window_batch", static_cast<int64_t>(max_window_batch));
-  }
-}
-
-// Perf telemetry appended to every point (schema v3): the deterministic
-// simulator event count, plus wall-clock-derived throughput. wall_ms and
-// events_per_sec vary run to run and machine to machine — the JSONL sink
-// carries them per run, but the CSV summary excludes them (see sinks.cc) so
-// sweep output stays byte-reproducible.
-void AddPerfFields(Metrics& m, int64_t sim_events, PerfClock::time_point start) {
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(PerfClock::now() - start).count();
-  m.Set("sim_events", sim_events);
-  m.Set("wall_ms", wall_ms);
-  m.Set("events_per_sec", wall_ms > 0 ? static_cast<double>(sim_events) / wall_ms * 1e3
-                                      : 0.0);
-}
-
-// Schema v6 counter-registry fields: per-queue queueing-delay percentiles
-// (from the PdQueue enqueue timestamps, simulated time, reported in ns),
-// worst-single-queue drop/delay counters, and the sharded engine's
-// cross-shard mailbox traffic. Every value is an exact integer produced by
-// commutative folds (obs::BufferObs / obs::CounterRegistry), so it is
-// byte-identical for any shard count >= 1 — the fields participate in the
-// golden and differential fingerprints.
-void AddObsFields(Metrics& m, const obs::BufferObs& obs, uint64_t mailbox_staged,
-                  uint64_t mailbox_drained, const fault::FaultCounters& faults) {
-  obs::CounterRegistry reg;
-  reg.Add("mailbox_staged_events", static_cast<int64_t>(mailbox_staged));
-  reg.Add("mailbox_drained_events", static_cast<int64_t>(mailbox_drained));
-  // Schema v7 fault counters: exact integers from the injector's per-shard
-  // slots, byte-identical for any shard count — always present (0 when the
-  // run is healthy) so the fingerprint shape does not depend on the plan.
-  reg.Add("faults_injected", faults.faults_injected);
-  reg.Add("packets_lost_injected", faults.packets_lost);
-  reg.Add("packets_corrupted", faults.packets_corrupted);
-  reg.Add("blackhole_drops", faults.blackhole_drops);
-  reg.Add("link_down_drops", faults.link_down_drops);
-  // Schema v8 self-healing counters, same contract (always present).
-  reg.Add("reroutes", faults.reroutes);
-  reg.Add("flushed_bytes_restart", faults.flushed_bytes_restart);
-  reg.Add("burst_loss_packets", faults.burst_loss_packets);
-  reg.Add("cp_stalled_steps", faults.cp_stalled_steps);
-  reg.Add("queue_delay_samples", static_cast<int64_t>(obs.all_delays.count()));
-  reg.Add("queues_with_drops", static_cast<int64_t>(obs.queues_with_drops));
-  reg.SetMax("queue_drops_max", static_cast<int64_t>(obs.queue_drops_max));
-  reg.SetMax("queue_delay_p50_ns", obs.all_delays.Quantile(0.5) / kNanosecond);
-  reg.SetMax("queue_delay_p99_ns", obs.all_delays.Quantile(0.99) / kNanosecond);
-  reg.SetMax("queue_delay_max_ns", obs.all_delays.max() / kNanosecond);
-  reg.SetMax("worst_queue_delay_p99_ns", obs.worst_queue_p99_ps / kNanosecond);
-  // The registry keeps entries name-sorted, so emission order (and thus the
-  // JSON text) is deterministic no matter how the fields above are added.
-  for (const auto& e : reg.entries()) m.Set(e.name, e.value);
 }
 
 void AddOccupancy(Metrics& m, int64_t buffer_bytes, int64_t peak_bytes) {
@@ -184,20 +97,12 @@ void AddOccupancy(Metrics& m, int64_t buffer_bytes, int64_t peak_bytes) {
 PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& spec,
                      BenchScale scale, const std::string& faults) {
   PointResult result;
-  if (spec.bg_load != 0) {
-    result.error = KnobError("bg_load", entry);
-    return result;
-  }
-  if (spec.query_bytes != 0) {
-    result.error = KnobError("query_bytes", entry);
-    return result;
-  }
-  if (spec.bg_flow_bytes != 0) {
-    result.error = KnobError("bg_flow_bytes", entry);
-    return result;
-  }
+  result.error = KnobError(entry, {{"bg_load", spec.bg_load != 0},
+                                   {"query_bytes", spec.query_bytes != 0},
+                                   {"bg_flow_bytes", spec.bg_flow_bytes != 0}});
+  if (!result.error.empty()) return result;
 
-  bench::BurstLabSpec run;
+  BurstLabSpec run;
   run.scheme = scheme;
   if (!spec.alphas.empty()) run.alpha = spec.alphas.front();
   if (spec.burst_bytes > 0) run.burst_bytes = spec.burst_bytes;
@@ -209,7 +114,7 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   run.faults = faults;
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::BurstLabResult r = bench::RunBurstLab(run);
+  const BurstLabResult r = RunBurstLab(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
@@ -220,12 +125,9 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   m.Set("burst_drops", r.burst_drops);
   m.Set("burst_loss_rate", r.BurstLossRate());
   m.Set("long_lived_drops", r.long_lived_drops);
-  m.Set("expelled", r.expelled);
+  m.Set("expelled", r.telemetry.expelled);
   m.Set("buffer_bytes", run.buffer_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
+  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
   result.ok = true;
   return result;
 }
@@ -233,16 +135,13 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
 PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& spec,
                     BenchScale scale, const std::string& faults) {
   PointResult result;
-  if (spec.bg_flow_bytes != 0) {
-    result.error = KnobError("bg_flow_bytes", entry);
-    return result;
-  }
-  if (spec.burst_bytes != 0) {
-    result.error = KnobError("burst_bytes", entry);
-    return result;
-  }
+  const std::string name = entry.name;
+  result.error = KnobError(entry, {{"bg_flow_bytes", spec.bg_flow_bytes != 0},
+                                   {"burst_bytes", spec.burst_bytes != 0},
+                                   {"bg_load", name == "incast" && spec.bg_load != 0}});
+  if (!result.error.empty()) return result;
 
-  bench::DpdkRunSpec run;
+  DpdkRunSpec run;
   run.scheme = scheme;
   run.alphas = spec.alphas;
   run.seed = spec.seed;
@@ -252,21 +151,16 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   run.faults = faults;
   if (spec.buffer_bytes > 0) run.buffer_bytes = spec.buffer_bytes;
 
-  const std::string name = entry.name;
   if (name == "incast") {
-    if (spec.bg_load != 0) {
-      result.error = KnobError("bg_load", entry);
-      return result;
-    }
-    run.bg = bench::DpdkRunSpec::Bg::kNone;
+    run.bg = DpdkRunSpec::Bg::kNone;
   } else if (name == "burst_absorption") {
-    run.bg = bench::DpdkRunSpec::Bg::kWebSearchDctcp;
+    run.bg = DpdkRunSpec::Bg::kWebSearchDctcp;
     run.bg_load = 0.5;
   } else if (name == "isolation") {
     // Fig. 14: queries and CUBIC background in separate DRR queues.
     run.queues_per_port = 2;
     run.scheduler = tm::SchedulerKind::kDrr;
-    run.bg = bench::DpdkRunSpec::Bg::kWebSearchCubic;
+    run.bg = DpdkRunSpec::Bg::kWebSearchCubic;
     run.bg_load = 0.4;
     run.bg_tc = 1;
     run.query_tc = 0;
@@ -275,7 +169,7 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     run.queues_per_port = 8;
     run.scheduler = tm::SchedulerKind::kStrictPriority;
     if (run.alphas.empty()) run.alphas = {8.0, 1, 1, 1, 1, 1, 1, 1};
-    run.bg = bench::DpdkRunSpec::Bg::kSaturatingLp;
+    run.bg = DpdkRunSpec::Bg::kSaturatingLp;
     run.bg_load = 1.0;
     run.query_tc = 0;
     run.query_bytes = run.buffer_bytes * 2;
@@ -288,30 +182,24 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   }
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::DpdkRunResult r = bench::RunDpdk(run);
+  const DpdkRunResult r = RunDpdk(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
-  m.Set("bg_load", run.bg == bench::DpdkRunSpec::Bg::kNone ? 0.0 : run.bg_load);
+  m.Set("bg_load", run.bg == DpdkRunSpec::Bg::kNone ? 0.0 : run.bg_load);
   m.Set("query_bytes", run.query_bytes);
-  m.Set("duration_ms", r.duration_ms);
-  m.Set("drain_ms", r.drain_ms);
-  m.Set("delivered_bytes", r.delivered_bytes);
-  m.Set("goodput_gbps", GoodputGbps(r.delivered_bytes, r.duration_ms, r.drain_ms));
+  AddVolumeFields(m, r.duration_ms, r.drain_ms, r.delivered_bytes);
   m.Set("queries_completed", r.queries);
   m.Set("qct_avg_ms", r.qct_avg_ms);
   m.Set("qct_p99_ms", r.qct_p99_ms);
   m.Set("fct_avg_ms", r.fct_avg_ms);
   m.Set("fct_small_p99_ms", r.fct_small_p99_ms);
   m.Set("rtos", r.rtos);
-  m.Set("drops", r.drops);
-  m.Set("expelled", r.expelled);
-  AddOccupancy(m, r.buffer_bytes, r.peak_occupancy_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
-  result.delivered_by_ms = r.delivered_by_ms;
+  m.Set("drops", r.telemetry.drops);
+  m.Set("expelled", r.telemetry.expelled);
+  AddOccupancy(m, r.buffer_bytes, r.telemetry.peak_occupancy_bytes);
+  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
+  result.delivered_by_ms = r.telemetry.delivered_by_ms;
   result.ok = true;
   return result;
 }
@@ -320,20 +208,15 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
                               const PointSpec& spec, BenchScale scale,
                               const std::string& faults) {
   PointResult result;
-  if (spec.query_bytes != 0) {
-    result.error = KnobError("query_bytes", entry);
-    return result;
-  }
-  if (spec.buffer_bytes != 0) {
-    result.error = KnobError("buffer_bytes", entry);
-    return result;
-  }
-  if (spec.burst_bytes != 0) {
-    result.error = KnobError("burst_bytes", entry);
-    return result;
-  }
+  const std::string name = entry.name;
+  result.error =
+      KnobError(entry, {{"query_bytes", spec.query_bytes != 0},
+                        {"buffer_bytes", spec.buffer_bytes != 0},
+                        {"burst_bytes", spec.burst_bytes != 0},
+                        {"bg_flow_bytes", name == "websearch" && spec.bg_flow_bytes != 0}});
+  if (!result.error.empty()) return result;
 
-  bench::FabricRunSpec run;
+  FabricRunSpec run;
   run.scheme = scheme;
   run.alphas = spec.alphas;
   run.seed = spec.seed;
@@ -342,21 +225,16 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   run.window_batch = spec.window_batch;
   run.faults = faults;
 
-  const std::string name = entry.name;
   if (name == "alltoall") {
-    run.pattern = bench::BgPattern::kAllToAll;
+    run.pattern = BgPattern::kAllToAll;
     run.bg_load = 0.6;
     run.bg_fixed_size = 256 * 1024;  // midpoint of the Fig. 18 sweep
   } else if (name == "allreduce") {
-    run.pattern = bench::BgPattern::kAllReduce;
+    run.pattern = BgPattern::kAllReduce;
     run.bg_load = 0.6;
     run.bg_fixed_size = 256 * 1024;
   } else {  // websearch
-    if (spec.bg_flow_bytes != 0) {
-      result.error = KnobError("bg_flow_bytes", entry);
-      return result;
-    }
-    run.pattern = bench::BgPattern::kWebSearch;
+    run.pattern = BgPattern::kWebSearch;
     run.bg_load = 0.9;
   }
   if (spec.bg_load > 0) run.bg_load = spec.bg_load;
@@ -364,18 +242,15 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   if (spec.duration_ms > 0) run.duration = FromSeconds(spec.duration_ms / 1000.0);
 
   const PerfClock::time_point start = PerfClock::now();
-  const bench::FabricRunResult r = bench::RunFabric(run);
+  const FabricRunResult r = RunFabric(run);
 
   Metrics& m = result.metrics;
   AddCommonFields(m, entry, spec, scale, faults);
   m.Set("bg_load", run.bg_load);
-  if (run.pattern != bench::BgPattern::kWebSearch) {
+  if (run.pattern != BgPattern::kWebSearch) {
     m.Set("bg_flow_bytes", run.bg_fixed_size);
   }
-  m.Set("duration_ms", r.duration_ms);
-  m.Set("drain_ms", r.drain_ms);
-  m.Set("delivered_bytes", r.delivered_bytes);
-  m.Set("goodput_gbps", GoodputGbps(r.delivered_bytes, r.duration_ms, r.drain_ms));
+  AddVolumeFields(m, r.duration_ms, r.drain_ms, r.delivered_bytes);
   m.Set("queries_completed", r.queries_completed);
   m.Set("bg_flows_completed", r.bg_flows_completed);
   m.Set("qct_avg_ms", r.qct_avg_ms);
@@ -385,14 +260,11 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   m.Set("fct_avg_slowdown", r.fct_avg_slow);
   m.Set("fct_p99_slowdown", r.fct_p99_slow);
   m.Set("fct_small_p99_slowdown", r.fct_small_p99_slow);
-  m.Set("drops", r.drops);
-  m.Set("expelled", r.expelled);
-  AddOccupancy(m, r.buffer_bytes, r.peak_occupancy_bytes);
-  AddObsFields(m, r.obs, r.mailbox_staged, r.mailbox_drained, r.faults);
-  AddPerfFields(m, r.sim_events, start);
-  AddEngineFields(m, r.shards, r.parallel_efficiency, spec.window_batch,
-                  r.windows_run, r.windows_executed, r.max_window_batch);
-  result.delivered_by_ms = r.delivered_by_ms;
+  m.Set("drops", r.telemetry.drops);
+  m.Set("expelled", r.telemetry.expelled);
+  AddOccupancy(m, r.buffer_bytes, r.telemetry.peak_occupancy_bytes);
+  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
+  result.delivered_by_ms = r.telemetry.delivered_by_ms;
   result.ok = true;
   return result;
 }
@@ -414,35 +286,6 @@ std::vector<std::string> ScenarioNames() {
   std::vector<std::string> names;
   for (const auto& e : ScenarioTable()) names.emplace_back(e.name);
   return names;
-}
-
-std::optional<Scheme> SchemeByName(const std::string& name) {
-  for (const auto& e : kSchemes) {
-    if (name == e.name) return e.scheme;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> SchemeNames() {
-  std::vector<std::string> names;
-  for (const auto& e : kSchemes) names.emplace_back(e.name);
-  return names;
-}
-
-std::optional<BenchScale> ScaleByName(const std::string& name) {
-  if (name == "smoke") return BenchScale::kSmoke;
-  if (name == "default") return BenchScale::kDefault;
-  if (name == "full") return BenchScale::kFull;
-  return std::nullopt;
-}
-
-const char* ScaleName(BenchScale scale) {
-  switch (scale) {
-    case BenchScale::kSmoke: return "smoke";
-    case BenchScale::kFull: return "full";
-    case BenchScale::kDefault: break;
-  }
-  return "default";
 }
 
 // ---------------- point execution ----------------
@@ -484,7 +327,7 @@ PointResult RunPoint(const PointSpec& spec) {
       return result;
     }
   }
-  const BenchScale scale = spec.scale.value_or(bench::GetBenchScale());
+  const BenchScale scale = spec.scale.value_or(GetBenchScale());
   const std::string platform = entry->platform;
   if (platform == "p4") return RunBurst(*entry, *scheme, spec, scale, faults);
   if (platform == "star") return RunStar(*entry, *scheme, spec, scale, faults);

@@ -12,9 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/scenarios.h"
-#include "bench/common/scheme.h"
 #include "src/exp/metrics.h"
+#include "src/exp/scenarios.h"
 
 namespace occamy::exp {
 
@@ -31,12 +30,6 @@ const std::vector<ScenarioInfo>& Scenarios();
 const ScenarioInfo* ScenarioByName(const std::string& name);
 std::vector<std::string> ScenarioNames();
 
-std::optional<bench::Scheme> SchemeByName(const std::string& name);
-std::vector<std::string> SchemeNames();
-
-std::optional<bench::BenchScale> ScaleByName(const std::string& name);
-const char* ScaleName(bench::BenchScale scale);
-
 // ---------------- point execution ----------------
 
 struct PointSpec {
@@ -44,7 +37,7 @@ struct PointSpec {
   std::string bm = "occamy";
   uint64_t seed = 1;
   // nullopt = fall back to OCCAMY_BENCH_SCALE (read once, at run start).
-  std::optional<bench::BenchScale> scale;
+  std::optional<BenchScale> scale;
   double duration_ms = 0;      // 0 = scenario default
   std::vector<double> alphas;  // per-class override; empty = scheme default
 

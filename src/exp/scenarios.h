@@ -13,11 +13,13 @@
 // loads, query size as a fraction of buffer). See DESIGN.md §5.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/common/scheme.h"
+#include "src/exp/scheme.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "src/util/env.h"
@@ -26,18 +28,61 @@
 #include "src/workload/open_loop.h"
 #include "src/workload/poisson_flows.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 
 // ---------------- scale ----------------
 
 enum class BenchScale { kSmoke, kDefault, kFull };
 
-inline BenchScale GetBenchScale() {
-  const std::string s = GetEnvOr("OCCAMY_BENCH_SCALE", "default");
-  if (s == "smoke") return BenchScale::kSmoke;
-  if (s == "full") return BenchScale::kFull;
-  return BenchScale::kDefault;
+struct ScaleInfo {
+  BenchScale scale;
+  const char* name;
+};
+
+inline constexpr ScaleInfo kScaleTable[] = {
+    {BenchScale::kSmoke, "smoke"},
+    {BenchScale::kDefault, "default"},
+    {BenchScale::kFull, "full"},
+};
+
+inline std::optional<BenchScale> ScaleByName(const std::string& name) {
+  for (const auto& e : kScaleTable) {
+    if (name == e.name) return e.scale;
+  }
+  return std::nullopt;
 }
+
+inline const char* ScaleName(BenchScale scale) {
+  for (const auto& e : kScaleTable) {
+    if (e.scale == scale) return e.name;
+  }
+  return "default";
+}
+
+// OCCAMY_BENCH_SCALE, for callers without an explicit scale; unset or
+// unknown means default.
+inline BenchScale GetBenchScale() {
+  return ScaleByName(GetEnvOr("OCCAMY_BENCH_SCALE", "default")).value_or(BenchScale::kDefault);
+}
+
+// ---------------- run settings every runner takes ----------------
+
+struct RunSettings {
+  uint64_t seed = 1;
+  // Fault schedule (src/fault grammar); empty = healthy run. Parsed and
+  // validated upstream; armed on both engines before any workload starts.
+  std::string faults;
+  // 0 = legacy single-threaded engine; >= 1 = partition-parallel engine
+  // with that many shards (1 is the deterministic single-shard oracle).
+  int shards = 0;
+  // Sharded engine only: run shards on worker threads (off = same windowed
+  // algorithm inline; byte-identical either way — a determinism test knob).
+  bool shard_threads = true;
+  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
+  // at every setting.
+  int window_batch = 0;
+};
 
 // ---------------- DPDK-style star testbed (§6.2) ----------------
 
@@ -98,8 +143,6 @@ struct StarScenario {
     topo = net::BuildStar(net, MakeStarConfig(spec));
     manager = std::make_unique<transport::FlowManager>(&net);
     for (auto h : topo.hosts) manager->AttachHost(h);
-    host_rate = spec.host_rate;
-    base_rtt = 4 * spec.link_propagation;
   }
 
   // Ideal duration of a `bytes` transfer on the unloaded star.
@@ -116,8 +159,6 @@ struct StarScenario {
   net::Network net;
   net::StarTopology topo;
   std::unique_ptr<transport::FlowManager> manager;
-  Bandwidth host_rate;
-  Time base_rtt = 0;
 };
 
 // The same star testbed on the partition-parallel engine: the switch is
@@ -134,7 +175,14 @@ struct ShardedStarScenario {
   ShardedStarScenario(const StarSpec& spec, int shards, bool use_threads = true)
       : spec_(spec),
         cfg(MakeStarConfig(spec)),
-        ssim(MakeOptions(spec, shards, use_threads)),
+        // Conservative window: the star's (uniform) link propagation — every
+        // host<->switch delivery carries exactly this delay, so it is the
+        // tightest legal lookahead (not the leaf-spine 10us constant).
+        ssim({.shards = shards,
+              .lookahead = spec.link_propagation,
+              .seed = spec.seed,
+              .use_threads = use_threads,
+              .window_batch = spec.window_batch}),
         net(&ssim,
             [this, shards](net::NodeId id) { return net::StarShardOf(cfg, shards, id); },
             [shards](net::NodeId, int lane) { return net::StarLaneShardOf(shards, lane); }) {
@@ -157,21 +205,6 @@ struct ShardedStarScenario {
   net::Network net;
   net::StarTopology topo;
   std::unique_ptr<transport::FlowManager> manager;
-
- private:
-  static sim::ShardedSimulator::Options MakeOptions(const StarSpec& spec, int shards,
-                                                    bool use_threads) {
-    sim::ShardedSimulator::Options opts;
-    opts.shards = shards;
-    // Conservative window: the star's (uniform) link propagation — every
-    // host<->switch delivery carries exactly this delay, so it is the
-    // tightest legal lookahead (not the leaf-spine 10us constant).
-    opts.lookahead = spec.link_propagation;
-    opts.seed = spec.seed;
-    opts.use_threads = use_threads;
-    opts.window_batch = spec.window_batch;
-    return opts;
-  }
 };
 
 // ---------------- Leaf-spine fabric (§6.4) ----------------
@@ -293,12 +326,16 @@ struct FabricScenario {
 // its hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead
 // is the fabric's uniform link propagation, and all workload arrivals are
 // pre-generated (src/workload/pregen.h) so no live generator mutates shared
-// state while shards run. See bench/common/fabric_run.h for the runner.
+// state while shards run. See src/exp/fabric_run.h for the runner.
 struct ShardedFabricScenario {
   ShardedFabricScenario(const FabricSpec& spec, BenchScale scale, int shards,
                         bool use_threads = true)
       : cfg(MakeFabricLeafSpineConfig(spec, scale, buffer_per_partition)),
-        ssim(MakeOptions(cfg, spec, shards, use_threads)),
+        ssim({.shards = shards,
+              .lookahead = cfg.link_propagation,
+              .seed = spec.seed,
+              .use_threads = use_threads,
+              .window_batch = spec.window_batch}),
         net(&ssim, [this, shards](net::NodeId id) {
           return net::LeafSpineShardOf(cfg, shards, id);
         }) {
@@ -323,19 +360,6 @@ struct ShardedFabricScenario {
   net::Network net;
   net::LeafSpineTopology topo;
   std::unique_ptr<transport::FlowManager> manager;
-
- private:
-  static sim::ShardedSimulator::Options MakeOptions(const net::LeafSpineConfig& cfg,
-                                                    const FabricSpec& spec, int shards,
-                                                    bool use_threads) {
-    sim::ShardedSimulator::Options opts;
-    opts.shards = shards;
-    opts.lookahead = cfg.link_propagation;
-    opts.seed = spec.seed;
-    opts.use_threads = use_threads;
-    opts.window_batch = spec.window_batch;
-    return opts;
-  }
 };
 
-}  // namespace occamy::bench
+}  // namespace occamy::exp

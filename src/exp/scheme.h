@@ -1,10 +1,12 @@
-// Shared scheme selection for benches, examples, and integration tests:
+// Scheme selection for the scenario runners, benches, examples and tests:
 // maps a scheme kind to (BM factory + TM tweaks), with the alpha settings
 // used throughout the paper's evaluation (§6.2): DT alpha=1, ABM alpha=2,
 // Occamy alpha=8; Pushout needs none.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,7 @@
 #include "src/net/switch.h"
 #include "src/tm/traffic_manager.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 
 enum class Scheme {
   kDt,
@@ -33,19 +35,44 @@ enum class Scheme {
   kQpo,
 };
 
+// The one scheme table: CLI name (occamy_sim --bm, sweep grids) and the
+// display name benches and examples print.
+struct SchemeInfo {
+  Scheme scheme;
+  const char* name;
+  const char* display_name;
+};
+
+inline constexpr SchemeInfo kSchemeTable[] = {
+    {Scheme::kDt, "dt", "DT"},
+    {Scheme::kAbm, "abm", "ABM"},
+    {Scheme::kPushout, "pushout", "Pushout"},
+    {Scheme::kOccamy, "occamy", "Occamy"},
+    {Scheme::kOccamyLongestDrop, "occamy_lqd", "Occamy-LQD"},
+    {Scheme::kCompleteSharing, "cs", "CS"},
+    {Scheme::kEdt, "edt", "EDT"},
+    {Scheme::kTdt, "tdt", "TDT"},
+    {Scheme::kQpo, "qpo", "QPO"},
+};
+
 inline const char* SchemeName(Scheme s) {
-  switch (s) {
-    case Scheme::kDt: return "DT";
-    case Scheme::kAbm: return "ABM";
-    case Scheme::kPushout: return "Pushout";
-    case Scheme::kOccamy: return "Occamy";
-    case Scheme::kOccamyLongestDrop: return "Occamy-LQD";
-    case Scheme::kCompleteSharing: return "CS";
-    case Scheme::kEdt: return "EDT";
-    case Scheme::kTdt: return "TDT";
-    case Scheme::kQpo: return "QPO";
+  for (const auto& e : kSchemeTable) {
+    if (e.scheme == s) return e.display_name;
   }
   return "?";
+}
+
+inline std::optional<Scheme> SchemeByName(const std::string& name) {
+  for (const auto& e : kSchemeTable) {
+    if (name == e.name) return e.scheme;
+  }
+  return std::nullopt;
+}
+
+inline std::vector<std::string> SchemeNames() {
+  std::vector<std::string> names;
+  for (const auto& e : kSchemeTable) names.emplace_back(e.name);
+  return names;
 }
 
 inline double DefaultAlpha(Scheme s) {
@@ -104,4 +131,4 @@ inline void ApplyScheme(tm::TmConfig& tm, Scheme s, std::vector<double> alphas =
                             : core::DropPolicy::kRoundRobin;
 }
 
-}  // namespace occamy::bench
+}  // namespace occamy::exp

@@ -14,7 +14,7 @@
 #include "src/stats/completion_stats.h"
 #include "src/workload/pregen.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 
 // Post-run QCT derivation: a query completes when its last member flow
 // does. The live engine counts down a completion listener; here the same
@@ -71,4 +71,4 @@ inline stats::CompletionCollector DeriveIncastQct(
   return qct;
 }
 
-}  // namespace occamy::bench
+}  // namespace occamy::exp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/exp/telemetry.h"
 #include "src/util/json.h"
 
 namespace occamy::exp {
@@ -14,8 +15,7 @@ bool IsBookkeepingMetric(const std::string& key) {
   // aggregating it would make summary.csv non-reproducible (the determinism
   // contract in sweep_runner.h). It stays per-run in the JSONL stream; the
   // deterministic sim_events metric IS aggregated.
-  return key == "wall_ms" || key == "events_per_sec" ||
-         key == "parallel_efficiency";
+  return TelemetryKeyVolatility(key) == KeyVolatility::kWallClock;
 }
 
 stats::Summary* FindMetric(CellSummary& cell, const std::string& key) {

@@ -23,7 +23,7 @@ struct SweepSpec {
   std::vector<std::string> bms;        // required, validated against registry
   int seeds = 1;                       // runs seeds base_seed..base_seed+seeds-1
   uint64_t base_seed = 1;
-  std::optional<bench::BenchScale> scale;  // nullopt = env fallback
+  std::optional<BenchScale> scale;  // nullopt = env fallback
   double duration_ms = 0;                  // 0 = scenario default
 
   // Sweep dimensions. An empty vector means "scenario default" (one grid

@@ -7,7 +7,7 @@
 // execution needs: every flow start can be bound to its source host's shard
 // before the run, so no workload object mutates shared state while shards
 // execute concurrently. Query completion times (QCT) are then derived after
-// the run from the merged flow-completion records (see bench/common/
+// the run from the merged flow-completion records (see src/exp/
 // fabric_run.h), replacing the live completion-listener countdown.
 //
 // Draw order mirrors the live generators exactly (pair/client first, then

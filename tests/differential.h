@@ -21,34 +21,26 @@
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
-#include <set>
 #include <sstream>
 #include <string>
 
 #include "src/exp/scenario_runner.h"
+#include "src/exp/telemetry.h"
 
 namespace occamy::testing {
 
-// Metric keys that legitimately vary run to run or engine to engine: wall
-// clock and its derivatives, the engine-id fields themselves, and the
-// window-batching telemetry (barrier rounds depend on the --window-batch
-// setting; the determinism contract is that nothing else does).
-inline const std::set<std::string>& VolatileMetricKeys() {
-  static const std::set<std::string> kKeys = {
-      "wall_ms",      "events_per_sec", "parallel_efficiency",
-      "shards",       "window_batch",   "windows_run",
-      "windows_executed", "max_window_batch"};
-  return kKeys;
-}
-
 // Canonical textual form of every deterministic metric, one "key=value" per
-// line in insertion order. Doubles print with %.17g (round-trip exact), so
-// two fingerprints are equal iff the metrics are bit-identical.
+// line in insertion order. Keys that legitimately vary run to run or engine
+// setting to engine setting (exp::TelemetryKeyVolatility) are left out.
+// Doubles print with %.17g (round-trip exact), so two fingerprints are
+// equal iff the metrics are bit-identical.
 inline std::string DeterministicFingerprint(const exp::Metrics& metrics) {
   std::ostringstream out;
   char buf[64];
   for (const auto& entry : metrics.entries()) {
-    if (VolatileMetricKeys().count(entry.key) > 0) continue;
+    if (exp::TelemetryKeyVolatility(entry.key) != exp::KeyVolatility::kDeterministic) {
+      continue;
+    }
     out << entry.key << '=';
     switch (entry.value.kind) {
       case exp::Metrics::Kind::kInt:

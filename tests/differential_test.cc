@@ -8,9 +8,9 @@
 // seed-dependent nondeterminism surfaces before merge.
 #include "tests/differential.h"
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/dpdk_run.h"
-#include "bench/common/fabric_run.h"
+#include "src/exp/burst_lab.h"
+#include "src/exp/dpdk_run.h"
+#include "src/exp/fabric_run.h"
 
 namespace occamy {
 namespace {
@@ -20,7 +20,7 @@ exp::PointSpec SmokePoint(const std::string& scenario, const std::string& bm,
   exp::PointSpec spec;
   spec.scenario = scenario;
   spec.bm = bm;
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = duration_ms;
   spec.seed = testing::ShiftedSeed(seed);
   return spec;
@@ -83,24 +83,24 @@ TEST(DifferentialTest, SeedSweepShardCountInvariant) {
 
 // Worker threads on/off run the identical windowed algorithm: star engine.
 TEST(DifferentialTest, StarThreadedAndInlineExecutionMatch) {
-  bench::DpdkRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::DpdkRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = run.max_duration = Milliseconds(2);
   run.min_queries = 0;
   run.seed = testing::ShiftedSeed(1);
   run.shards = 4;
   run.shard_threads = true;
-  const bench::DpdkRunResult threaded = bench::RunDpdk(run);
+  const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
-  const bench::DpdkRunResult inline_run = bench::RunDpdk(run);
+  const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
   EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
   EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
-  EXPECT_EQ(threaded.drops, inline_run.drops);
+  EXPECT_EQ(threaded.telemetry.drops, inline_run.telemetry.drops);
   EXPECT_EQ(threaded.rtos, inline_run.rtos);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
+  EXPECT_EQ(threaded.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_GT(threaded.telemetry.sim_events, 0);
 }
 
 // ---- window batching (adaptive drain scheduling) ----
@@ -149,52 +149,52 @@ TEST(DifferentialTest, ShardCountInvariantAtFixedBatch) {
 // Threads on/off at a fixed batch > 1 run the identical batched protocol
 // (the inline path calls the same PlanBatch/StepBatch at the same points).
 TEST(DifferentialTest, StarThreadedAndInlineBatchedExecutionMatch) {
-  bench::DpdkRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::DpdkRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = run.max_duration = Milliseconds(2);
   run.min_queries = 0;
   run.seed = testing::ShiftedSeed(1);
   run.shards = 4;
   run.window_batch = 4;
   run.shard_threads = true;
-  const bench::DpdkRunResult threaded = bench::RunDpdk(run);
+  const exp::DpdkRunResult threaded = exp::RunDpdk(run);
   run.shard_threads = false;
-  const bench::DpdkRunResult inline_run = bench::RunDpdk(run);
+  const exp::DpdkRunResult inline_run = exp::RunDpdk(run);
   EXPECT_EQ(threaded.qct_avg_ms, inline_run.qct_avg_ms);
   EXPECT_EQ(threaded.fct_avg_ms, inline_run.fct_avg_ms);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
-  EXPECT_EQ(threaded.drops, inline_run.drops);
+  EXPECT_EQ(threaded.telemetry.drops, inline_run.telemetry.drops);
   EXPECT_EQ(threaded.rtos, inline_run.rtos);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
+  EXPECT_EQ(threaded.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_GT(threaded.telemetry.sim_events, 0);
   // The batch schedule itself is part of the determinism contract: both
   // paths must plan the same barrier rounds, not just the same metrics.
-  EXPECT_EQ(threaded.windows_run, inline_run.windows_run);
-  EXPECT_EQ(threaded.windows_executed, inline_run.windows_executed);
-  EXPECT_EQ(threaded.max_window_batch, inline_run.max_window_batch);
+  EXPECT_EQ(threaded.telemetry.windows_run, inline_run.telemetry.windows_run);
+  EXPECT_EQ(threaded.telemetry.windows_executed, inline_run.telemetry.windows_executed);
+  EXPECT_EQ(threaded.telemetry.max_window_batch, inline_run.telemetry.max_window_batch);
 }
 
 // Fabric twin of the above, at the adaptive setting.
 TEST(DifferentialTest, FabricThreadedAndInlineBatchedExecutionMatch) {
-  bench::FabricRunSpec run;
-  run.scheme = bench::Scheme::kOccamy;
-  run.scale = bench::BenchScale::kSmoke;
+  exp::FabricRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
   run.duration = Milliseconds(2);
   run.seed = testing::ShiftedSeed(1);
   run.shards = 2;
   run.window_batch = 0;  // adaptive
   run.shard_threads = true;
-  const bench::FabricRunResult threaded = bench::RunFabric(run);
+  const exp::FabricRunResult threaded = exp::RunFabric(run);
   run.shard_threads = false;
-  const bench::FabricRunResult inline_run = bench::RunFabric(run);
+  const exp::FabricRunResult inline_run = exp::RunFabric(run);
   EXPECT_EQ(threaded.delivered_bytes, inline_run.delivered_bytes);
-  EXPECT_EQ(threaded.drops, inline_run.drops);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
-  EXPECT_EQ(threaded.windows_run, inline_run.windows_run);
-  EXPECT_EQ(threaded.windows_executed, inline_run.windows_executed);
-  EXPECT_EQ(threaded.max_window_batch, inline_run.max_window_batch);
+  EXPECT_EQ(threaded.telemetry.drops, inline_run.telemetry.drops);
+  EXPECT_EQ(threaded.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_GT(threaded.telemetry.sim_events, 0);
+  EXPECT_EQ(threaded.telemetry.windows_run, inline_run.telemetry.windows_run);
+  EXPECT_EQ(threaded.telemetry.windows_executed, inline_run.telemetry.windows_executed);
+  EXPECT_EQ(threaded.telemetry.max_window_batch, inline_run.telemetry.max_window_batch);
 }
 
 // Property: with faults armed (reroute via link_down + gilbert loss), the
@@ -256,25 +256,25 @@ TEST(DifferentialTest, MailboxStagedEqualsDrained) {
 
 // Same for the P4 burst lab, plus the engine-id fields.
 TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
-  bench::BurstLabSpec spec;
-  spec.scheme = bench::Scheme::kOccamy;
+  exp::BurstLabSpec spec;
+  spec.scheme = exp::Scheme::kOccamy;
   spec.horizon = Milliseconds(1);
   spec.seed = testing::ShiftedSeed(1);
   spec.shards = 2;
   spec.shard_threads = true;
-  const bench::BurstLabResult threaded = bench::RunBurstLab(spec);
+  const exp::BurstLabResult threaded = exp::RunBurstLab(spec);
   spec.shard_threads = false;
-  const bench::BurstLabResult inline_run = bench::RunBurstLab(spec);
+  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
   EXPECT_EQ(threaded.burst_packets, inline_run.burst_packets);
   EXPECT_EQ(threaded.burst_drops, inline_run.burst_drops);
   EXPECT_EQ(threaded.long_lived_drops, inline_run.long_lived_drops);
-  EXPECT_EQ(threaded.expelled, inline_run.expelled);
-  EXPECT_EQ(threaded.sim_events, inline_run.sim_events);
-  EXPECT_GT(threaded.sim_events, 0);
-  EXPECT_EQ(threaded.shards, 2);
-  EXPECT_GT(threaded.parallel_efficiency, 0.0);
-  const bench::BurstLabResult legacy = bench::RunBurstLab(bench::BurstLabSpec{});
-  EXPECT_EQ(legacy.shards, 0);
+  EXPECT_EQ(threaded.telemetry.expelled, inline_run.telemetry.expelled);
+  EXPECT_EQ(threaded.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_GT(threaded.telemetry.sim_events, 0);
+  EXPECT_EQ(threaded.telemetry.shards, 2);
+  EXPECT_GT(threaded.telemetry.parallel_efficiency, 0.0);
+  const exp::BurstLabResult legacy = exp::RunBurstLab(exp::BurstLabSpec{});
+  EXPECT_EQ(legacy.telemetry.shards, 0);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ SweepSpec SmallRealSpec() {
   spec.scenarios = {"burst", "incast"};
   spec.bms = {"dt", "occamy"};
   spec.seeds = 2;
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = BenchScale::kSmoke;
   spec.duration_ms = 8;  // incast queries start at t=5ms, so keep a tail
   return spec;
 }
@@ -281,7 +281,7 @@ TEST(SweepJobsCap, RunSweepWarnsWhenCapping) {
   SweepSpec spec;
   spec.scenarios = {"websearch"};
   spec.bms = {"dt"};
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = BenchScale::kSmoke;
   spec.duration_ms = 1;
   spec.shards = 4;
   std::vector<SweepPoint> points;

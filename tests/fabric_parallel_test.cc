@@ -9,10 +9,10 @@
 // cannot express (thread on/off knob, engine-id fields).
 #include <gtest/gtest.h>
 
-#include "bench/common/fabric_run.h"
+#include "src/exp/fabric_run.h"
 #include "tests/differential.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 exp::PointSpec FabricPoint(const std::string& scenario, uint64_t seed = 1) {
@@ -66,11 +66,11 @@ void ExpectIdentical(const FabricRunResult& a, const FabricRunResult& b,
   EXPECT_EQ(a.fct_small_p99_slow, b.fct_small_p99_slow) << label;
   EXPECT_EQ(a.queries_completed, b.queries_completed) << label;
   EXPECT_EQ(a.bg_flows_completed, b.bg_flows_completed) << label;
-  EXPECT_EQ(a.drops, b.drops) << label;
-  EXPECT_EQ(a.expelled, b.expelled) << label;
+  EXPECT_EQ(a.telemetry.drops, b.telemetry.drops) << label;
+  EXPECT_EQ(a.telemetry.expelled, b.telemetry.expelled) << label;
   EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << label;
-  EXPECT_EQ(a.peak_occupancy_bytes, b.peak_occupancy_bytes) << label;
-  EXPECT_EQ(a.sim_events, b.sim_events) << label;
+  EXPECT_EQ(a.telemetry.peak_occupancy_bytes, b.telemetry.peak_occupancy_bytes) << label;
+  EXPECT_EQ(a.telemetry.sim_events, b.telemetry.sim_events) << label;
 }
 
 TEST(FabricParallelTest, ThreadedAndInlineExecutionMatch) {
@@ -87,13 +87,13 @@ TEST(FabricParallelTest, ShardedResultCarriesEngineFields) {
   FabricRunSpec run = SmokeSpec(BgPattern::kWebSearch);
   run.shards = 2;
   const FabricRunResult r = RunFabric(run);
-  EXPECT_EQ(r.shards, 2);
-  EXPECT_GT(r.parallel_efficiency, 0.0);
+  EXPECT_EQ(r.telemetry.shards, 2);
+  EXPECT_GT(r.telemetry.parallel_efficiency, 0.0);
   run.shards = 0;  // legacy engine reports itself as such
   const FabricRunResult legacy = RunFabric(run);
-  EXPECT_EQ(legacy.shards, 0);
+  EXPECT_EQ(legacy.telemetry.shards, 0);
   EXPECT_GT(legacy.queries_completed, 0);
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp

@@ -22,9 +22,9 @@
 #include <optional>
 #include <string>
 
-#include "bench/common/burst_lab.h"
-#include "bench/common/fault_setup.h"
 #include "src/bm/dynamic_threshold.h"
+#include "src/exp/burst_lab.h"
+#include "src/exp/fault_setup.h"
 #include "src/exp/sweep.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/injector.h"
@@ -339,7 +339,7 @@ struct FaultHarness {
       return std::make_unique<bm::DynamicThreshold>();
     };
     topo = net::BuildStar(net, cfg);
-    bench::ArmFaultsOrDie(injector, net, spec, bench::StarFaultTopology(topo));
+    exp::ArmFaultsOrDie(injector, net, spec, exp::StarFaultTopology(topo));
     manager = std::make_unique<transport::FlowManager>(&net, config);
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
@@ -439,9 +439,9 @@ TEST(FaultTransport, InFlightPacketsSurviveEcmpRehashWithoutDuplicateCompletion)
   // Sever leaf0's uplink to spine0 (port hosts_per_leaf + 0 = 2) mid-run
   // with rerouting: cross-rack flows re-hash onto the surviving uplink.
   std::optional<fault::FaultInjector> injector;
-  bench::ArmFaultsOrDie(injector, net,
+  exp::ArmFaultsOrDie(injector, net,
                         "link_down:t=1ms,dur=2ms,node=sw0,port=2,reroute=1",
-                        bench::FabricFaultTopology(topo));
+                        exp::FabricFaultTopology(topo));
 
   transport::FlowManager manager(&net, {});
   for (auto h : topo.hosts) manager.AttachHost(h);
@@ -480,7 +480,7 @@ exp::Metrics RunSmokePoint(const char* scenario, const char* faults,
   exp::PointSpec spec;
   spec.scenario = scenario;
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = duration_ms;
   spec.seed = 1;
   if (faults != nullptr) spec.faults = faults;
@@ -533,7 +533,7 @@ TEST(FaultCounters, FreezeDegradesQct) {
   exp::PointSpec spec;
   spec.scenario = "incast";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 8.0;
   const exp::Metrics healthy = testing::RunPointOrFail(spec);
   // Star incast queries only start at t=5ms (the workload lets the
@@ -591,7 +591,7 @@ TEST(FaultCounters, LossRateKnobComposesIntoSchedule) {
   exp::PointSpec spec;
   spec.scenario = "incast";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.loss_rate = 0.02;
   const exp::Metrics m = testing::RunPointOrFail(spec);
@@ -656,7 +656,7 @@ TEST(FaultRecovery, RerouteHealsFabricLinkDownToNinetyPercentOfHealthyTwin) {
   exp::PointSpec spec;
   spec.scenario = "websearch";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.seed = 1;
   spec.shards = 2;
   spec.faults = "link_down:t=2ms,dur=3ms,node=sw0,port=4,reroute=1";
@@ -708,7 +708,7 @@ TEST(FaultDifferentialTest, BurstLinkFlapShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "burst";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 1.0;
   spec.seed = testing::ShiftedSeed(1);
   spec.faults = "link_down:t=500us,dur=300us,node=sw0,port=2";
@@ -719,7 +719,7 @@ TEST(FaultDifferentialTest, WebsearchLossShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "websearch";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(1);
   spec.faults = "loss:rate=0.01,seed=7";
@@ -730,7 +730,7 @@ TEST(FaultDifferentialTest, StarLossCorruptFreezeShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "burst_absorption";
   spec.bm = "dt";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(2);
   spec.faults =
@@ -743,7 +743,7 @@ TEST(FaultDifferentialTest, RerouteShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "websearch";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(3);
   spec.faults = "link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1";
@@ -754,7 +754,7 @@ TEST(FaultDifferentialTest, RestartShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "burst";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(4);
   spec.faults = "restart:t=1ms,node=sw0";
@@ -765,7 +765,7 @@ TEST(FaultDifferentialTest, CpFreezeAndDelayShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "burst_absorption";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(5);
   spec.faults =
@@ -778,7 +778,7 @@ TEST(FaultDifferentialTest, GilbertBurstLossShardInvariant) {
   exp::PointSpec spec;
   spec.scenario = "websearch";
   spec.bm = "occamy";
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = 2.0;
   spec.seed = testing::ShiftedSeed(6);
   spec.faults = "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5";
@@ -788,40 +788,40 @@ TEST(FaultDifferentialTest, GilbertBurstLossShardInvariant) {
 // ---------------- determinism: threads vs inline ----------------
 
 TEST(FaultDifferentialTest, ThreadsAndInlineShardingAgreeUnderFaults) {
-  bench::BurstLabSpec spec;
+  exp::BurstLabSpec spec;
   spec.shards = 2;
   spec.faults = "link_down:t=500us,dur=300us,node=sw0,port=2";
   spec.horizon = Milliseconds(1);
 
   spec.shard_threads = true;
-  const bench::BurstLabResult threads = bench::RunBurstLab(spec);
+  const exp::BurstLabResult threads = exp::RunBurstLab(spec);
   spec.shard_threads = false;
-  const bench::BurstLabResult inline_run = bench::RunBurstLab(spec);
+  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
 
   EXPECT_EQ(threads.burst_drops, inline_run.burst_drops);
   EXPECT_EQ(threads.long_lived_drops, inline_run.long_lived_drops);
-  EXPECT_EQ(threads.sim_events, inline_run.sim_events);
-  EXPECT_EQ(threads.faults.link_down_drops, inline_run.faults.link_down_drops);
-  EXPECT_EQ(threads.faults.faults_injected, inline_run.faults.faults_injected);
-  EXPECT_GT(threads.faults.link_down_drops, 0);
+  EXPECT_EQ(threads.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_EQ(threads.telemetry.faults.link_down_drops, inline_run.telemetry.faults.link_down_drops);
+  EXPECT_EQ(threads.telemetry.faults.faults_injected, inline_run.telemetry.faults.faults_injected);
+  EXPECT_GT(threads.telemetry.faults.link_down_drops, 0);
 }
 
 TEST(FaultDifferentialTest, ThreadsAndInlineShardingAgreeUnderRestart) {
-  bench::BurstLabSpec spec;
+  exp::BurstLabSpec spec;
   spec.shards = 2;
   spec.faults = "restart:t=500us,node=sw0";
   spec.horizon = Milliseconds(1);
 
   spec.shard_threads = true;
-  const bench::BurstLabResult threads = bench::RunBurstLab(spec);
+  const exp::BurstLabResult threads = exp::RunBurstLab(spec);
   spec.shard_threads = false;
-  const bench::BurstLabResult inline_run = bench::RunBurstLab(spec);
+  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
 
   EXPECT_EQ(threads.burst_drops, inline_run.burst_drops);
-  EXPECT_EQ(threads.sim_events, inline_run.sim_events);
-  EXPECT_EQ(threads.faults.flushed_bytes_restart,
-            inline_run.faults.flushed_bytes_restart);
-  EXPECT_GT(threads.faults.flushed_bytes_restart, 0);
+  EXPECT_EQ(threads.telemetry.sim_events, inline_run.telemetry.sim_events);
+  EXPECT_EQ(threads.telemetry.faults.flushed_bytes_restart,
+            inline_run.telemetry.faults.flushed_bytes_restart);
+  EXPECT_GT(threads.telemetry.faults.flushed_bytes_restart, 0);
 }
 
 }  // namespace

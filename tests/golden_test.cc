@@ -77,7 +77,7 @@ void CheckGolden(const GoldenCase& c) {
   exp::PointSpec spec;
   spec.scenario = c.scenario;
   spec.bm = c.bm;
-  spec.scale = bench::BenchScale::kSmoke;
+  spec.scale = exp::BenchScale::kSmoke;
   spec.duration_ms = c.duration_ms;
   spec.seed = 1;  // pinned: goldens are fixed-point, not seed-shifted
   spec.shards = c.shards;

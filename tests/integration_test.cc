@@ -4,11 +4,11 @@
 // system-wide conservation invariants.
 #include <gtest/gtest.h>
 
-#include "bench/common/dpdk_run.h"
-#include "bench/common/scenarios.h"
+#include "src/exp/dpdk_run.h"
+#include "src/exp/scenarios.h"
 #include "src/workload/open_loop.h"
 
-namespace occamy::bench {
+namespace occamy::exp {
 namespace {
 
 // P4-testbed shape (§6.1): 2 fast senders, 2 slow receivers, one shared
@@ -245,11 +245,7 @@ TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
     const StarSpec star = MakeDpdkStarSpec(run);
     const Time duration = DpdkDuration(run, star, BenchScale::kDefault);
     ShardedStarScenario s(star, /*shards=*/1, /*use_threads=*/false);
-    std::vector<std::unique_ptr<workload::OpenLoopSender>> lp;
-    for (const auto& cfg : MakeDpdkLpConfigs(run, s.topo.hosts, duration)) {
-      lp.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
-      lp.back()->Start();
-    }
+    const auto lp = StartDpdkLpStreams(run, s, duration);
     const workload::PregeneratedIncast incast = workload::PregenerateIncast(
         MakeDpdkQueryConfig(run, s.topo.hosts, star, duration, s.IdealFn(), nullptr));
     // Transport ids must run past 906, the LP streams' ids before the
@@ -301,4 +297,4 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
 }
 
 }  // namespace
-}  // namespace occamy::bench
+}  // namespace occamy::exp

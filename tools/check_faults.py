@@ -2,7 +2,7 @@
 """Validator for occamy_sim JSON output under fault injection.
 
 Checks the schema v8 fault-counter contract the scenario runner promises
-(src/exp/scenario_runner.cc, AddObsFields):
+(src/exp/telemetry.cc, AddTelemetryFields):
 
   - the output is one flat JSON object with schema_version >= 8;
   - all nine fault counters are present as non-negative integers

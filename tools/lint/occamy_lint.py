@@ -40,6 +40,10 @@ make it hold *statically*, on every build, as named file-scoped rules:
                         direct obs:: call would survive the gate and tax
                         the zero-overhead guarantee BENCH_core.json's
                         trace_off_events_per_sec metric protects.
+  layering              An include of a bench/ header under src/. The
+                        library sits below the benches: benches, examples
+                        and tests call into src/, never the reverse, so
+                        every runner a library caller needs lives in src/exp.
 
 Escape hatch: a finding is suppressed by an inline annotation on the same
 line, or on a comment-only line immediately above:
@@ -63,7 +67,7 @@ import re
 import sys
 
 # Directories scanned for the file-scoped rules (relative to --root).
-SCAN_DIRS = ["src", "bench/common"]
+SCAN_DIRS = ["src"]
 SOURCE_EXTS = (".h", ".cc")
 
 # raw-random applies where seeded determinism is load-bearing. src/fault is
@@ -79,6 +83,8 @@ HOT_PATH_DIRS = ("src/sim", "src/core", "src/buffer")
 # trace-macro-only applies to the engine dirs the OCCAMY_TRACE_* macros
 # instrument (src/tm and src/obs itself legitimately use obs:: types).
 TRACE_MACRO_DIRS = ("src/sim", "src/net", "src/buffer")
+# layering applies to the whole library.
+LAYERING_DIRS = ("src/",)
 
 ALLOW_RE = re.compile(r"//\s*occamy-lint:\s*allow\(([^)]*)\)")
 UNORDERED_DECL_RE = re.compile(
@@ -91,6 +97,7 @@ RULES = [
     "hot-path-indirection",
     "pointer-keyed-order",
     "trace-macro-only",
+    "layering",
 ]
 
 
@@ -328,6 +335,26 @@ def check_trace_macro_only(relpath, code_lines):
     return findings
 
 
+BENCH_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"bench/')
+
+
+def check_layering(relpath, raw_lines, code_lines):
+    """Flags src/ files including bench/ headers. The path is matched on the
+    raw line (code_lines blanks string literals), the directive on the
+    blanked one, so commented-out includes stay quiet."""
+    findings = []
+    if not relpath.startswith(LAYERING_DIRS):
+        return findings
+    for i, (raw, code) in enumerate(zip(raw_lines, code_lines), start=1):
+        if code.lstrip().startswith("#") and BENCH_INCLUDE_RE.search(raw):
+            findings.append(Finding(
+                "layering", relpath, i,
+                "src/ includes a bench/ header: the library sits below the "
+                "benches; move the code it needs into src/",
+                raw))
+    return findings
+
+
 def lint_source(relpath, raw_text, extra_decl_text=""):
     """Lints one file's raw text. `extra_decl_text` supplies blanked source
     of directly-included repo headers so member declarations in a .h are
@@ -343,6 +370,7 @@ def lint_source(relpath, raw_text, extra_decl_text=""):
     findings += check_hot_path(relpath, code_lines)
     findings += check_pointer_keyed(relpath, code_lines)
     findings += check_trace_macro_only(relpath, code_lines)
+    findings += check_layering(relpath, raw_lines, code_lines)
 
     kept = []
     for f in findings:
@@ -405,6 +433,7 @@ def self_test(fixtures_dir):
             "hot-path-indirection": ["src/core/fixture.cc"],
             "pointer-keyed-order": ["src/net/fixture.cc"],
             "trace-macro-only": ["src/buffer/fixture.cc"],
+            "layering": ["src/exp/fixture.cc"],
         }[rule]
 
         for scoped_path in scoped_paths:
