@@ -1,5 +1,5 @@
-// Shared harness for the parallel-engine determinism + speedup gate
-// benches (bench_fabric_parallel, bench_star_parallel).
+// Shared harness for the parallel-engine determinism + speedup gate bench
+// (bench_fabric_parallel).
 //
 // Each bench runs its scenario three ways — single shard at the legacy
 // one-window-per-drain schedule (the oracle), N shards at the requested
@@ -58,6 +58,19 @@ inline bool ParseGateDouble(const char* text, double& out) {
   return true;
 }
 
+// Strict integer parse for gate flags: at most two digits (no sign, no
+// trailing garbage — atoi would read "4x" and "+4" as 4), within [lo, hi].
+inline bool ParseGateInt(const std::string& text, int lo, int hi, int& out) {
+  if (text.empty() || text.size() > 2 ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  const int v = std::atoi(text.c_str());
+  if (v < lo || v > hi) return false;
+  out = v;
+  return true;
+}
+
 // Parses the flags shared by every gate bench (--json, --shards,
 // --window-batch, --min-speedup, --min-speedup-per-core, --quick). Returns
 // false on a bad/unknown argument; `on_quick` applies the bench's own
@@ -70,8 +83,7 @@ bool ParseParallelGateArgs(int argc, char** argv, ParallelGateOptions& opts,
     if (arg.rfind("--json=", 0) == 0) {
       opts.json_path = arg.substr(7);
     } else if (arg.rfind("--shards=", 0) == 0) {
-      opts.shards = std::atoi(arg.c_str() + 9);
-      if (opts.shards < 2 || opts.shards > 64) {
+      if (!ParseGateInt(arg.substr(9), 2, 64, opts.shards)) {
         std::fprintf(stderr, "bad --shards (want 2..64)\n");
         return false;
       }
@@ -79,18 +91,9 @@ bool ParseParallelGateArgs(int argc, char** argv, ParallelGateOptions& opts,
       const std::string value = arg.substr(15);
       if (value == "auto") {
         opts.window_batch = 0;
-      } else {
-        if (value.empty() ||
-            value.find_first_not_of("0123456789") != std::string::npos ||
-            value.size() > 2) {
-          std::fprintf(stderr, "bad --window-batch (want auto|1..16)\n");
-          return false;
-        }
-        opts.window_batch = std::atoi(value.c_str());
-        if (opts.window_batch < 1 || opts.window_batch > 16) {
-          std::fprintf(stderr, "bad --window-batch (want auto|1..16)\n");
-          return false;
-        }
+      } else if (!ParseGateInt(value, 1, 16, opts.window_batch)) {
+        std::fprintf(stderr, "bad --window-batch (want auto|1..16)\n");
+        return false;
       }
     } else if (arg.rfind("--min-speedup=", 0) == 0) {
       if (!ParseGateDouble(arg.c_str() + 14, opts.min_speedup)) {

@@ -3,12 +3,9 @@
 // burst to receiver B, both open-loop (Pktgen substitute).
 //
 // One body (RunBurstLabOn) runs both engines: shards == 0 is the legacy
-// single-threaded engine, shards >= 1 the intra-switch partition-parallel
-// one (ShardedStarScenario). The open-loop senders are shard-confined (each
-// lives on its source host's shard), so both engines inject live. Results
-// are byte-identical for any shards >= 1. Queue-length traces
-// (sample_every) read cross-shard switch state mid-run and are therefore a
-// single-threaded-engine feature.
+// single-threaded engine, shards == 1 the one-shard partition-parallel one
+// (ShardedStarScenario). Both engines inject the open-loop senders live.
+// Queue-length traces (sample_every) are a single-threaded-engine feature.
 #pragma once
 
 #include <functional>
@@ -80,9 +77,8 @@ BurstLabResult RunBurstLabOn(const BurstLabSpec& spec, Scenario& s, Engine& engi
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, spec.faults, StarFaultTopology(s.topo));
 
-  // Counts losses of the measured burst and the long-lived flow. In a
-  // sharded run the hook fires on the dropping partition's shard — one
-  // shard here (single partition), read after the join.
+  // Counts losses of the measured burst and the long-lived flow; read after
+  // the run.
   BurstLabResult result;
   s.sw().set_drop_hook([&result](const Packet& pkt, tm::DropReason reason) {
     // Expulsions of the long-lived queue are deliberate reclamation; count
@@ -136,9 +132,10 @@ BurstLabResult RunBurstLabOn(const BurstLabSpec& spec, Scenario& s, Engine& engi
 inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
   const StarSpec star = MakeBurstLabStarSpec(spec);
   if (spec.shards >= 1) {
+    OCCAMY_CHECK_EQ(spec.shards, 1) << "P4 runs take one shard";
     OCCAMY_CHECK(spec.sample_every == 0)
         << "queue-length traces need the single-threaded engine (shards=0)";
-    ShardedStarScenario s(star, spec.shards, spec.shard_threads);
+    ShardedStarScenario s(star, spec.shard_threads);
     return RunBurstLabOn(spec, s, s.ssim);
   }
   StarScenario s(star);

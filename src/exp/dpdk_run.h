@@ -3,12 +3,11 @@
 // plus a configurable background, reporting QCT / FCT statistics.
 //
 // One body (RunDpdkOn) runs both engines. shards == 0 is the legacy
-// single-threaded engine with live workload generators. shards >= 1 is the
-// intra-switch partition-parallel engine (ShardedStarScenario): Poisson and
-// incast arrivals are pre-generated, the saturating-LP streams inject live
-// (open loop is shard-confined), and QCT is derived from the canonically
-// merged completion records. Results are byte-identical for any shards >= 1
-// but need not match the legacy engine (flow ids follow pre-generation
+// single-threaded engine with live workload generators. shards == 1 is the
+// one-shard partition-parallel engine (ShardedStarScenario): Poisson and
+// incast arrivals are pre-generated, the saturating-LP streams inject live,
+// and QCT is derived from the canonically merged completion records.
+// Results need not match the legacy engine (flow ids follow pre-generation
 // order rather than arrival order).
 #pragma once
 
@@ -35,11 +34,6 @@ struct DpdkRunSpec : RunSettings {
   int queues_per_port = 1;
   tm::SchedulerKind scheduler = tm::SchedulerKind::kFifo;
   int64_t buffer_bytes = 410 * 1000;  // 5.12KB/port/Gbps x 8 x 10G
-
-  // Geometry overrides (bench_star_parallel's big multi-partition star);
-  // the paper testbed keeps the defaults: 8 hosts, one shared buffer.
-  int num_hosts = 8;
-  int ports_per_partition = 0;  // 0 = one buffer across every port
 
   enum class Bg {
     kNone,
@@ -79,7 +73,6 @@ struct DpdkRunResult {
 
 inline StarSpec MakeDpdkStarSpec(const DpdkRunSpec& run) {
   StarSpec star;
-  star.num_hosts = run.num_hosts;
   star.host_rate = Bandwidth::Gbps(10);
   star.buffer_bytes = run.buffer_bytes;
   star.ecn_threshold_bytes = 65 * 1500;  // 65 packets (§6.2)
@@ -88,7 +81,6 @@ inline StarSpec MakeDpdkStarSpec(const DpdkRunSpec& run) {
   star.scheme = run.scheme;
   star.alphas = run.alphas;
   star.seed = run.seed;
-  star.ports_per_partition = run.ports_per_partition;
   star.window_batch = run.window_batch;
   return star;
 }
@@ -283,7 +275,8 @@ DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& 
 inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
   const StarSpec star = MakeDpdkStarSpec(run);
   if (run.shards >= 1) {
-    ShardedStarScenario s(star, run.shards, run.shard_threads);
+    OCCAMY_CHECK_EQ(run.shards, 1) << "star runs take one shard";
+    ShardedStarScenario s(star, run.shard_threads);
     return RunDpdkOn(run, star, s, s.ssim);
   }
   StarScenario s(star);

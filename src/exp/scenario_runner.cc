@@ -288,6 +288,12 @@ std::vector<std::string> ScenarioNames() {
   return names;
 }
 
+std::string ShardsError(const ScenarioInfo& entry, int shards) {
+  if (shards <= 1 || std::string(entry.platform) == "fabric") return "";
+  return "shards=" + std::to_string(shards) + " does not apply to scenario '" + entry.name +
+         "' (platform " + entry.platform + " runs on one shard)";
+}
+
 // ---------------- point execution ----------------
 
 PointResult RunPoint(const PointSpec& spec) {
@@ -306,6 +312,8 @@ PointResult RunPoint(const PointSpec& spec) {
     result.error = "shards out of range (want 0..64): " + std::to_string(spec.shards);
     return result;
   }
+  result.error = ShardsError(*entry, spec.shards);
+  if (!result.error.empty()) return result;
   if (spec.window_batch < 0 ||
       spec.window_batch > sim::ShardedSimulator::kMaxWindowBatch) {
     result.error =

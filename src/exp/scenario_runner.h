@@ -30,6 +30,11 @@ const std::vector<ScenarioInfo>& Scenarios();
 const ScenarioInfo* ScenarioByName(const std::string& name);
 std::vector<std::string> ScenarioNames();
 
+// The usage error for running `entry` on `shards` shards, or "" when it
+// may. Star and P4 scenarios model one shared-memory switch and take at
+// most one shard; fabric scenarios take any count.
+std::string ShardsError(const ScenarioInfo& entry, int shards);
+
 // ---------------- point execution ----------------
 
 struct PointSpec {
@@ -57,10 +62,10 @@ struct PointSpec {
   double loss_rate = 0;  // 0 = none; must be < 1
 
   // 0 = single-threaded engine, >= 1 = partition-parallel engine with that
-  // many shards: node-affinity sharding on the fabric, intra-switch
-  // partition sharding on the star/p4 testbeds. Results are byte-identical
-  // for any value >= 1 (the determinism contract of sim::ShardedSimulator),
-  // so this is an execution knob, not a sweep dimension.
+  // many shards (node-affinity sharding; above 1 on fabric scenarios only,
+  // see ShardsError). Results are byte-identical for any value >= 1 (the
+  // determinism contract of sim::ShardedSimulator), so this is an
+  // execution knob, not a sweep dimension.
   int shards = 0;
   // Sharded engine only: windows per plan barrier. 0 = adaptive, 1 = the
   // legacy one-window-per-drain schedule, N = fixed batch of N windows

@@ -74,6 +74,7 @@ struct RunSettings {
   std::string faults;
   // 0 = legacy single-threaded engine; >= 1 = partition-parallel engine
   // with that many shards (1 is the deterministic single-shard oracle).
+  // Star and P4 runs take at most one shard (ShardedStarScenario).
   int shards = 0;
   // Sharded engine only: run shards on worker threads (off = same windowed
   // algorithm inline; byte-identical either way — a determinism test knob).
@@ -103,12 +104,6 @@ struct StarSpec {
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
-  // Ports per buffer partition; 0 = every port shares one buffer (the
-  // testbeds' single shared-memory domain, `buffer_bytes` total). A smaller
-  // value splits the switch Tomahawk-style into num_hosts/ports_per_partition
-  // partitions of `buffer_bytes` each — which is also the shard boundary of
-  // the intra-switch-parallel engine (ShardedStarScenario).
-  int ports_per_partition = 0;
 };
 
 inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
@@ -117,8 +112,9 @@ inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
   cfg.host_rate = spec.host_rate;
   cfg.host_rates = spec.host_rates;
   cfg.link_propagation = spec.link_propagation;
-  cfg.switch_config.ports_per_partition =
-      spec.ports_per_partition > 0 ? spec.ports_per_partition : spec.num_hosts;
+  // One shared buffer across every port (the testbeds' single
+  // shared-memory domain, `buffer_bytes` total).
+  cfg.switch_config.ports_per_partition = spec.num_hosts;
   cfg.switch_config.tm.buffer_bytes = spec.buffer_bytes;
   cfg.switch_config.tm.ecn_threshold_bytes = spec.ecn_threshold_bytes;
   cfg.switch_config.tm.queues_per_port = spec.queues_per_port;
@@ -161,32 +157,24 @@ struct StarScenario {
   std::unique_ptr<transport::FlowManager> manager;
 };
 
-// The same star testbed on the partition-parallel engine: the switch is
-// sharded *internally* along its TmPartitions (each partition and the hosts
-// whose egress ports it owns form one lane, net::StarShardOf /
-// net::StarLaneShardOf), the conservative lookahead is the star's uniform
-// link propagation, and — as for the sharded fabric — all workload arrivals
-// must be pre-generated (src/workload/pregen.h) before RunUntil. With the
-// testbeds' single shared buffer every lane lands on shard 0 and extra
-// shards idle at the barriers; splitting the switch (ports_per_partition)
-// is what buys parallel speedup. Metrics are byte-identical for any shard
-// count either way (shards=1 is the single-threaded oracle).
+// The same star testbed on the partition-parallel engine, on one shard:
+// the testbeds have one shared buffer, so the switch and every host sit on
+// shard 0. The conservative lookahead is the star's uniform link
+// propagation, and — as for the sharded fabric — all workload arrivals
+// must be pre-generated (src/workload/pregen.h) before RunUntil.
 struct ShardedStarScenario {
-  ShardedStarScenario(const StarSpec& spec, int shards, bool use_threads = true)
+  explicit ShardedStarScenario(const StarSpec& spec, bool use_threads = true)
       : spec_(spec),
-        cfg(MakeStarConfig(spec)),
         // Conservative window: the star's (uniform) link propagation — every
         // host<->switch delivery carries exactly this delay, so it is the
         // tightest legal lookahead (not the leaf-spine 10us constant).
-        ssim({.shards = shards,
+        ssim({.shards = 1,
               .lookahead = spec.link_propagation,
               .seed = spec.seed,
               .use_threads = use_threads,
               .window_batch = spec.window_batch}),
-        net(&ssim,
-            [this, shards](net::NodeId id) { return net::StarShardOf(cfg, shards, id); },
-            [shards](net::NodeId, int lane) { return net::StarLaneShardOf(shards, lane); }) {
-    topo = net::BuildStar(net, cfg);
+        net(&ssim, [](net::NodeId) { return 0; }) {
+    topo = net::BuildStar(net, MakeStarConfig(spec));
     manager = std::make_unique<transport::FlowManager>(&net);
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
@@ -200,7 +188,6 @@ struct ShardedStarScenario {
   net::SwitchNode& sw() { return topo.sw(net); }
 
   StarSpec spec_;
-  net::StarConfig cfg;
   sim::ShardedSimulator ssim;
   net::Network net;
   net::StarTopology topo;

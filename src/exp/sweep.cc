@@ -39,7 +39,10 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
   if (spec.bms.empty()) return "sweep needs at least one BM scheme";
   if (spec.seeds <= 0) return "sweep needs seeds >= 1";
   for (const auto& s : spec.scenarios) {
-    if (ScenarioByName(s) == nullptr) return "unknown scenario: " + s;
+    const ScenarioInfo* entry = ScenarioByName(s);
+    if (entry == nullptr) return "unknown scenario: " + s;
+    std::string shards_error = ShardsError(*entry, spec.shards);
+    if (!shards_error.empty()) return shards_error;
   }
   for (const auto& b : spec.bms) {
     if (!SchemeByName(b).has_value()) return "unknown BM scheme: " + b;
@@ -66,10 +69,8 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                     p.spec.duration_ms = spec.duration_ms;
                     p.spec.faults = spec.faults;
                     p.spec.seed = spec.base_seed + static_cast<uint64_t>(si);
-                    // Execution knob, not a sweep dimension: every platform
-                    // has a sharded engine (node-affinity on the fabric,
-                    // intra-switch partition sharding on star/p4), and
-                    // results are byte-identical for any shard count.
+                    // Execution knob, not a sweep dimension: results are
+                    // byte-identical for any shard count.
                     if (spec.shards > 0) p.spec.shards = spec.shards;
                     if (spec.window_batch > 0) {
                       p.spec.window_batch = spec.window_batch;

@@ -46,9 +46,8 @@ struct SweepSpec {
 
   // Execution knob, not a grid axis (sharded runs are byte-identical to
   // single-shard runs, so it cannot change any result): every point runs on
-  // the partition-parallel engine with this many shards — node-affinity
-  // sharding on the fabric, intra-switch partition sharding on star/p4.
-  // 0 = single-threaded engine.
+  // the partition-parallel engine with this many shards. Above 1 it applies
+  // to fabric scenarios only (see ShardsError). 0 = single-threaded engine.
   int shards = 0;
   // Second execution knob, same contract: windows per plan barrier on the
   // sharded engine (0 = adaptive, 1 = legacy, N = fixed batch). Metrics
@@ -69,8 +68,9 @@ struct SweepPoint {
 size_t GridSize(const SweepSpec& spec);
 
 // Expands the grid in deterministic order (scenario-major, seed-minor).
-// Returns an error message for unknown scenario/scheme names or a
-// non-positive seed count; on success fills `out`.
+// Returns an error message for unknown scenario/scheme names, a shard count
+// a scenario does not take, or a non-positive seed count; on success fills
+// `out`.
 std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                                        std::vector<SweepPoint>& out);
 

@@ -57,8 +57,8 @@ std::optional<std::string> FaultInjector::ResolveNode(const std::string& name,
   return std::nullopt;
 }
 
-std::optional<std::string> FaultInjector::ResolveLink(const FaultEvent& ev, Endpoint* a,
-                                                      Endpoint* b) const {
+std::optional<std::string> FaultInjector::ResolveLink(const FaultEvent& ev, net::LinkEnd* a,
+                                                      net::LinkEnd* b) const {
   net::NodeId id = 0;
   if (auto err = ResolveNode(ev.node, &id)) return err;
   net::Node& n = net_->node(id);
@@ -70,9 +70,8 @@ std::optional<std::string> FaultInjector::ResolveLink(const FaultEvent& ev, Endp
       return "fault spec: node '" + ev.node + "' port " + std::to_string(ev.port) +
              " is not wired";
     }
-    a->end = {id, ev.port};
-    a->lane = sw->partition_of_port(ev.port);
-    b->end = sw->port_peer(ev.port);
+    *a = {id, ev.port};
+    *b = sw->port_peer(ev.port);
   } else if (auto* host = dynamic_cast<net::Host*>(&n)) {
     if (ev.port != 0) {
       return "fault spec: node '" + ev.node + "' is a host; its uplink is port 0";
@@ -80,18 +79,10 @@ std::optional<std::string> FaultInjector::ResolveLink(const FaultEvent& ev, Endp
     if (!host->connected()) {
       return "fault spec: node '" + ev.node + "' has no uplink";
     }
-    a->end = {id, 0};
-    a->lane = 0;
-    b->end = host->uplink_peer();
+    *a = {id, 0};
+    *b = host->uplink_peer();
   } else {
     return "fault spec: node '" + ev.node + "' is neither a switch nor a host";
-  }
-  // The lane sending from the peer endpoint back toward `a`.
-  net::Node& peer = net_->node(b->end.node);
-  if (auto* sw = dynamic_cast<net::SwitchNode*>(&peer)) {
-    b->lane = sw->partition_of_port(b->end.port);
-  } else {
-    b->lane = 0;
   }
   return std::nullopt;
 }
@@ -114,24 +105,24 @@ void FaultInjector::ScheduleEdgeToggle(sim::Simulator& sim, Time at, net::LinkEn
 }
 
 std::optional<std::string> FaultInjector::ArmLinkFault(const FaultEvent& ev) {
-  Endpoint a, b;
+  net::LinkEnd a, b;
   if (auto err = ResolveLink(ev, &a, &b)) return err;
-  EnsureEdge(a.end);
-  EnsureEdge(b.end);
+  EnsureEdge(a);
+  EnsureEdge(b);
   const bool blackhole = ev.kind == FaultKind::kBlackhole;
-  // Direction a -> b: arrivals at b, toggled and read on a's sending lane
-  // shard. This direction carries the faults_injected tally.
-  sim::Simulator& sim_ab = net_->LaneSim(a.end.node, a.lane);
-  ScheduleEdgeToggle(sim_ab, ev.at, b.end, blackhole, +1, /*count=*/true);
+  // Direction a -> b: arrivals at b, toggled and read on a's shard. This
+  // direction carries the faults_injected tally.
+  sim::Simulator& sim_ab = net_->sim_of(a.node);
+  ScheduleEdgeToggle(sim_ab, ev.at, b, blackhole, +1, /*count=*/true);
   if (ev.duration > 0) {
-    ScheduleEdgeToggle(sim_ab, ev.at + ev.duration, b.end, blackhole, -1, /*count=*/true);
+    ScheduleEdgeToggle(sim_ab, ev.at + ev.duration, b, blackhole, -1, /*count=*/true);
   }
   if (!blackhole) {
     // link_down also severs the reverse direction b -> a.
-    sim::Simulator& sim_ba = net_->LaneSim(b.end.node, b.lane);
-    ScheduleEdgeToggle(sim_ba, ev.at, a.end, blackhole, +1, /*count=*/false);
+    sim::Simulator& sim_ba = net_->sim_of(b.node);
+    ScheduleEdgeToggle(sim_ba, ev.at, a, blackhole, +1, /*count=*/false);
     if (ev.duration > 0) {
-      ScheduleEdgeToggle(sim_ba, ev.at + ev.duration, a.end, blackhole, -1, /*count=*/false);
+      ScheduleEdgeToggle(sim_ba, ev.at + ev.duration, a, blackhole, -1, /*count=*/false);
     }
   }
   return std::nullopt;
@@ -153,7 +144,7 @@ std::optional<std::string> FaultInjector::ArmFreeze(const FaultEvent& ev) {
     // Only one lane per plan event tallies faults_injected, so the total is
     // independent of the switch's partition count.
     const bool count = lane == first;
-    sim::Simulator& sim = net_->LaneSim(id, lane);
+    sim::Simulator& sim = net_->sim_of(id);
     sim.At(ev.at, [this, sw, lane, count] {
       sw->SetLaneFrozen(lane, true);
       if (count) ++shard_counters().faults_injected;
@@ -207,11 +198,11 @@ std::optional<std::string> FaultInjector::ArmRestart(const FaultEvent& ev) {
   if (sw == nullptr) {
     return "fault spec: restart target '" + ev.node + "' is not a switch";
   }
-  // Each lane flushes on its own shard; only lane 0 tallies the injection
+  // Each lane flushes in its own event; only lane 0 tallies the injection
   // so the total is independent of the switch's partition count.
   for (int lane = 0; lane < sw->num_partitions(); ++lane) {
     const bool count = lane == 0;
-    net_->LaneSim(id, lane).At(ev.at, [this, sw, lane, count] {
+    net_->sim_of(id).At(ev.at, [this, sw, lane, count] {
       shard_counters().flushed_bytes_restart += sw->RestartLane(lane);
       if (count) ++shard_counters().faults_injected;
     });
@@ -243,7 +234,7 @@ std::optional<std::string> FaultInjector::ArmCpFault(const FaultEvent& ev) {
     }
     const bool count = lane == first;
     const Time lag = ev.lag;
-    sim::Simulator& sim = net_->LaneSim(id, lane);
+    sim::Simulator& sim = net_->sim_of(id);
     sim.At(ev.at, [this, engine, freeze, lag, count] {
       if (engine != nullptr) {
         if (freeze) {
@@ -289,18 +280,18 @@ std::optional<std::string> FaultInjector::ArmReroutes() {
   };
   for (const FaultEvent& ev : plan_.events) {
     if (ev.kind != FaultKind::kLinkDown || !ev.reroute) continue;
-    Endpoint a, b;
+    net::LinkEnd a, b;
     if (auto err = ResolveLink(ev, &a, &b)) return err;
     const Time start = align(ev.at);
     const Time end = ev.duration > 0 ? align(ev.at + ev.duration) : -1;
     if (end >= 0 && end <= start) continue;  // outage vanishes after rounding
-    for (const Endpoint& ep : {a, b}) {
+    for (const net::LinkEnd& ep : {a, b}) {
       // Only the two switches adjacent to the downed link reroute around
       // it; a host endpoint has no routes to version.
-      if (dynamic_cast<net::SwitchNode*>(&net_->node(ep.end.node)) == nullptr) continue;
-      auto& deltas = by_switch[ep.end.node];
-      deltas.push_back({start, ep.end.port, +1});
-      if (end >= 0) deltas.push_back({end, ep.end.port, -1});
+      if (dynamic_cast<net::SwitchNode*>(&net_->node(ep.node)) == nullptr) continue;
+      auto& deltas = by_switch[ep.node];
+      deltas.push_back({start, ep.port, +1});
+      if (end >= 0) deltas.push_back({end, ep.port, -1});
     }
   }
   for (auto& [sw_id, deltas] : by_switch) {
@@ -329,10 +320,11 @@ std::optional<std::string> FaultInjector::ArmReroutes() {
       }
       epochs.push_back(std::move(epoch));
     }
-    // Publication markers: one event per boundary on lane 0's shard — the
-    // path the shard-affinity checker (and its EXPECT_DEATH test) guards.
+    // Publication markers: one event per boundary on the switch's shard —
+    // the path the shard-affinity checker (and its EXPECT_DEATH test)
+    // guards.
     for (const auto& epoch : epochs) {
-      net_->LaneSim(sw_id, 0).At(epoch.start, [this, sw] {
+      net_->sim_of(sw_id).At(epoch.start, [this, sw] {
         sw->OnRouteEpochPublished();
         ++shard_counters().reroutes;
       });
@@ -421,8 +413,8 @@ std::optional<std::string> FaultInjector::Arm() {
 
 bool FaultInjector::OnDeliver(net::NodeId from, int src_lane, net::LinkEnd to, uint64_t seq,
                               Time send_time, Packet& pkt) {
-  // Runs on the sending lane's shard — the same shard that toggles the
-  // edge's state, so the read below is single-shard by construction.
+  // Runs on the sender's shard — the same shard that toggles the edge's
+  // state, so the read below is single-shard by construction.
   if (to.node < edge_state_.size()) {
     const auto& ports = edge_state_[to.node];
     if (static_cast<size_t>(to.port) < ports.size()) {
@@ -457,7 +449,7 @@ bool FaultInjector::OnDeliver(net::NodeId from, int src_lane, net::LinkEnd to, u
     if (send_time < w.at || send_time >= w.end) continue;
     // Advance this lane's Good/Bad chain to the send time's slot. Each
     // transition draw is a pure function of (seed, slot, lane), and each
-    // cursor is touched only from its lane's sending shard (send times are
+    // cursor is touched only from its sender's shard (send times are
     // monotone per lane), so the walk is single-writer and lands on the
     // same state for any shard count no matter which packets triggered it.
     const int64_t target_slot = (send_time - w.at) / w.slot;

@@ -8,9 +8,9 @@
 //
 //  * Link/blackhole state is kept per *directed edge*, indexed by the
 //    arrival endpoint (dst node, dst port). A point-to-point edge has
-//    exactly one sender, so exactly one lane shard both toggles and reads
-//    each EdgeState — no cross-shard sharing, and the check in OnDeliver
-//    runs on the very shard whose clock defines the send time.
+//    exactly one sender, so exactly one shard (the sender's) both toggles
+//    and reads each EdgeState — no cross-shard sharing, and the check in
+//    OnDeliver runs on the very shard whose clock defines the send time.
 //  * Toggle events are scheduled at Arm time, before the run starts. The
 //    event queue is FIFO-stable at equal timestamps, so a toggle at time T
 //    always executes before any packet event scheduled at T during the run
@@ -21,9 +21,9 @@
 //    with the workload's random stream.
 //  * Gilbert-Elliott burst loss walks a per-(sender, lane) Good/Bad Markov
 //    chain whose transition draws are pure functions of (fault seed, slot
-//    index, lane); each lane's cursor is advanced only from that lane's
-//    sending shard (send times are monotone per lane), so the chain state
-//    is single-writer and shard-count-invariant.
+//    index, lane); each lane's cursor is advanced only from its sender's
+//    shard (send times are monotone per lane), so the chain state is
+//    single-writer and shard-count-invariant.
 //  * Fault-triggered rerouting is fully precomputed: the plan is static, so
 //    Arm() derives every switch's complete route-epoch schedule (activation
 //    times rounded up to the engine's conservative-window quantum) and
@@ -31,7 +31,7 @@
 //    arrival time — a pure function — and the marker events published at
 //    each boundary only assert shard affinity and count the publication.
 //  * Counters live in per-shard cache-line-padded slots and are summed on
-//    read, so concurrent lanes never race and totals are deterministic.
+//    read, so concurrent shards never race and totals are deterministic.
 #pragma once
 
 #include <cstdint>
@@ -125,17 +125,10 @@ class FaultInjector final : public net::FaultHook {
 
   // Per-(window, sender lane) Markov-chain cursor. `slot` is the last slot
   // whose transition was applied (-1 = chain not started, state Good).
-  // Written only from the owning lane's shard.
+  // Written only from the sender's shard.
   struct GilbertCursor {
     int64_t slot = -1;
     bool bad = false;
-  };
-
-  // One endpoint of a resolved link: the (node, port) pair plus the lane
-  // (buffer partition) that sends from it.
-  struct Endpoint {
-    net::LinkEnd end;
-    int lane = 0;
   };
 
   struct alignas(64) Slot {
@@ -143,7 +136,8 @@ class FaultInjector final : public net::FaultHook {
   };
 
   std::optional<std::string> ResolveNode(const std::string& name, net::NodeId* id) const;
-  std::optional<std::string> ResolveLink(const FaultEvent& ev, Endpoint* a, Endpoint* b) const;
+  std::optional<std::string> ResolveLink(const FaultEvent& ev, net::LinkEnd* a,
+                                         net::LinkEnd* b) const;
   void EnsureEdge(net::LinkEnd e);
   std::optional<std::string> ArmLinkFault(const FaultEvent& ev);
   std::optional<std::string> ArmFreeze(const FaultEvent& ev);
@@ -174,7 +168,7 @@ class FaultInjector final : public net::FaultHook {
   // switches one per partition). Sized at Arm, stable after.
   std::vector<size_t> lane_base_;
   // Cursors indexed [gilbert window][flat lane]; each element is written
-  // only by its lane's shard.
+  // only by its sender's shard.
   std::vector<std::vector<GilbertCursor>> gilbert_cursors_;
   // Engines targeted by cp faults (deduped); their cp_stalled_steps are
   // folded into Totals() after the run.

@@ -19,17 +19,10 @@
 //    correctness requires every link's propagation delay to be >= the
 //    engine's lookahead (checked per delivery).
 //
-// Intra-node sharding (single-switch topologies). A node whose internal
-// structure decomposes into independent *lanes* — a shared-memory switch
-// whose buffer splits into TmPartitions, each owning a group of egress
-// ports — may register those lanes with BindNodeLanes. Each lane is bound
-// to one shard, all of the lane's events run on that shard's Simulator,
-// and arrivals are routed to the shard of Node::RxLane(in_port, pkt) (for
-// a switch: the partition owning the packet's egress port — a pure
-// function of the packet, so the handoff stays deterministic). The merge
-// key carries the source lane, and per-(source, lane) sequence counters
-// are produced from exactly one shard each, so the canonical drain order
-// remains a pure function of simulated execution.
+// Lanes. A switch sends from one *lane* per buffer partition (its
+// TmPartitions; BindNodeLanes sizes the per-lane delivery counters). A
+// lane is only a partition index: every lane runs on its node's shard, and
+// the source lane just refines the merge key and keys the fault draws.
 #pragma once
 
 #include <algorithm>
@@ -62,7 +55,7 @@ class FaultHook {
  public:
   virtual ~FaultHook() = default;
 
-  // Consulted once per DeliverAfter, on the sending lane's shard, with that
+  // Consulted once per DeliverAfter, on the sender's shard, with the sending
   // lane's per-delivery sequence number and the sender's clock. Returns
   // true to drop the packet on the wire; may mark `pkt` corrupted instead
   // (the packet is then delivered and dropped by the receiver's FCS check).
@@ -76,8 +69,7 @@ class FaultHook {
 
 class Network {
  public:
-  // Shard of a node's lane: pure function of (node id, lane index) so lane
-  // bindings are reproducible for any shard count.
+  // Shard of a node's lane, as (node id, lane index) -> shard.
   using LaneShardFn = std::function<int(NodeId, int)>;
 
   // Single-threaded mode: every node runs on `sim`.
@@ -89,8 +81,8 @@ class Network {
   // Sharded mode: `shard_of(node_id)` assigns each node (at AddNode time) to
   // a shard of `ssim`; the result is clamped into range. The assignment must
   // be a pure function of the node id so that it is reproducible.
-  // `lane_shard_of`, when given, assigns the lanes of lane-sharded nodes
-  // (see BindNodeLanes); nullptr keeps every lane on the node's own shard.
+  // `lane_shard_of`, when given, must put every lane on its node's shard:
+  // BindNodeLanes CHECK-fails otherwise.
   Network(sim::ShardedSimulator* ssim, std::function<int(NodeId)> shard_of,
           LaneShardFn lane_shard_of = nullptr)
       : ssim_(ssim),
@@ -126,60 +118,23 @@ class Network {
     OCCAMY_CHECK(id < shard_of_.size());
     return shard_of_[id];
   }
-  // The simulator that runs node `id`'s (lane 0) events.
+  // The simulator that runs node `id`'s events.
   sim::Simulator& sim_of(NodeId id) {
     return ssim_ != nullptr ? ssim_->shard(shard_of(id)) : *sim_;
   }
 
-  // Declares node `id` as lane-sharded with `lanes` independent lanes and
-  // binds each lane to a shard (via the constructor's lane_shard_of, or the
-  // node's own shard when none was given). Must be called before any
-  // traffic reaches the node — a switch does it from Initialize(), before
-  // creating its partitions on the lanes' simulators. Idempotent per node
-  // only in the sense that re-binding is a bug; callers bind once.
+  // Declares that node `id` sends from `lanes` lanes and sizes its per-lane
+  // delivery counters. Must be called before any traffic leaves the node;
+  // a switch does it from Initialize(), once.
   void BindNodeLanes(NodeId id, int lanes) {
     OCCAMY_CHECK(id < nodes_.size());
     OCCAMY_CHECK(lanes > 0);
-    if (lane_shards_.size() <= id) {
-      lane_shards_.resize(id + 1);
-      uniform_lane_shard_.resize(id + 1, -1);
+    for (int lane = 0; lane_shard_assign_ != nullptr && lane < lanes; ++lane) {
+      const int shard = std::clamp(lane_shard_assign_(id, lane), 0, num_shards() - 1);
+      OCCAMY_CHECK_EQ(shard, shard_of(id))
+          << "node " << id << " lane " << lane << " is off its node's shard";
     }
-    OCCAMY_CHECK(lane_shards_[id].empty()) << "node " << id << " lanes already bound";
-    auto& shards = lane_shards_[id];
-    shards.reserve(static_cast<size_t>(lanes));
-    for (int lane = 0; lane < lanes; ++lane) {
-      int shard = shard_of(id);
-      if (ssim_ != nullptr && lane_shard_assign_ != nullptr) {
-        shard = std::clamp(lane_shard_assign_(id, lane), 0, ssim_->num_shards() - 1);
-      }
-      shards.push_back(shard);
-    }
-    // When every lane lands on one shard (node-sharded fabrics, or a star
-    // with one shared buffer / shards=1), remember it: DeliverAfter can
-    // then skip the per-packet RxLane route lookup entirely.
-    bool uniform = true;
-    for (const int s : shards) uniform = uniform && s == shards[0];
-    uniform_lane_shard_[id] = uniform ? shards[0] : -1;
     nodes_[id]->lane_delivery_seq_.assign(static_cast<size_t>(lanes), 0);
-  }
-
-  bool lane_sharded(NodeId id) const {
-    return id < lane_shards_.size() && !lane_shards_[id].empty();
-  }
-
-  // Shard of `id`'s lane `lane` (the node's shard when lanes are unbound).
-  int lane_shard(NodeId id, int lane) const {
-    if (!lane_sharded(id)) return shard_of(id);
-    const auto& shards = lane_shards_[id];
-    OCCAMY_CHECK(lane >= 0 && static_cast<size_t>(lane) < shards.size())
-        << "bad lane " << lane << " for node " << id;
-    return shards[static_cast<size_t>(lane)];
-  }
-
-  // The simulator that runs lane `lane` of node `id` — what a lane-sharded
-  // switch builds each TmPartition on and drives its egress machinery with.
-  sim::Simulator& LaneSim(NodeId id, int lane) {
-    return ssim_ != nullptr ? ssim_->shard(lane_shard(id, lane)) : *sim_;
   }
 
   // Takes ownership; assigns and returns the node id.
@@ -208,8 +163,8 @@ class Network {
   // serialization already elapsed at the sender). `from` is the sending
   // node; in sharded mode it keys the canonical cross-shard merge order and
   // must be the node whose event is executing. `src_lane` is the sending
-  // lane of a lane-sharded source (a switch passes the egress partition
-  // index); plain nodes send from lane 0.
+  // lane (a switch passes the egress partition index); plain nodes send
+  // from lane 0.
   void DeliverAfter(NodeId from, Time delay, LinkEnd to, Packet pkt, int src_lane = 0) {
     if (ssim_ == nullptr) {
       if (faults_ != nullptr &&
@@ -235,11 +190,11 @@ class Network {
     OCCAMY_CHECK_GE(delay, ssim_->lookahead())
         << "cross-node delay below the conservative lookahead";
     Node& src = node(from);
-    const int src_shard = lane_shard(from, src_lane);
-    // SPSC invariant: only the producing lane's worker may write this
-    // outbox row (and only its clock is the right send time).
+    const int src_shard = shard_of(from);
+    // SPSC invariant: only the sender's worker may write this outbox row
+    // (and only its clock is the right send time).
     OCCAMY_DCHECK_EQ(sim::CurrentShard(), src_shard);
-    OCCAMY_ASSERT_SHARD(ssim_->shard(src_shard));
+    OCCAMY_ASSERT_SHARD(src.sim());
     // A lane > 0 requires the source to have bound its lanes (BindNodeLanes
     // sizes the per-lane sequence counters).
     OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lane_delivery_seq_.size());
@@ -247,17 +202,11 @@ class Network {
     // harmless to the canonical merge order, while keeping the numbering a
     // pure function of the lane's send history for any shard count.
     const uint64_t seq = src.lane_delivery_seq_[static_cast<size_t>(src_lane)]++;
-    if (faults_ != nullptr &&
-        faults_->OnDeliver(from, src_lane, to, seq, ssim_->shard(src_shard).now(), pkt)) {
+    if (faults_ != nullptr && faults_->OnDeliver(from, src_lane, to, seq, src.sim().now(), pkt)) {
       return;  // dropped on the wire; never staged
     }
-    // The destination shard is the one that owns the arrival's lane: for a
-    // lane-sharded switch, the partition owning the packet's egress port.
-    // RxLane repeats the route lookup ReceivePacket will do on arrival
-    // (same packet, same arrival time, so epoch-versioned routes agree), so
-    // only nodes whose lanes genuinely straddle shards pay for it.
-    const Time deliver_time = ssim_->shard(src_shard).now() + delay;
-    const int dst_shard = RxShardOf(to, pkt, deliver_time);
+    const Time deliver_time = src.sim().now() + delay;
+    const int dst_shard = shard_of(to.node);
     ++shard_state_[static_cast<size_t>(src_shard)].delivered_events;
     ++shard_state_[static_cast<size_t>(src_shard)].staged_mail;
     Mail mail;
@@ -319,16 +268,6 @@ class Network {
   void set_fault_injector(FaultHook* hook) { faults_ = hook; }
   bool fault_injection_active() const { return faults_ != nullptr; }
 
-  // Clock of the simulator executing the current event: the owning shard's
-  // in sharded mode (threaded or inline — ShardScope binds it either way),
-  // the sole Simulator otherwise. Lane-sharded nodes use it from arrival
-  // paths where the executing lane is not yet known (SwitchNode routes by
-  // arrival time before it knows the egress lane); during an event this is
-  // exactly the event's time, a pure function of simulated execution.
-  Time CurrentSimNow() const {
-    return ssim_ != nullptr ? ssim_->shard(sim::CurrentShard()).now() : sim_->now();
-  }
-
   // Quantum for fault-driven route-epoch activation times: on the sharded
   // engine the conservative lookahead (so epoch flips land exactly on
   // window boundaries and stay byte-identical for any shard count), 0 on
@@ -345,22 +284,10 @@ class Network {
   }
 
  private:
-  // Shard that must execute the arrival of `pkt` at `to` at time `at`.
-  int RxShardOf(LinkEnd to, const Packet& pkt, Time at) {
-    if (to.node < uniform_lane_shard_.size()) {
-      const int uniform = uniform_lane_shard_[to.node];
-      if (uniform >= 0) return uniform;
-      if (!lane_shards_[to.node].empty()) {
-        return lane_shard(to.node, node(to.node).RxLane(to.port, pkt, at));
-      }
-    }
-    return shard_of(to.node);
-  }
-
   // One staged packet arrival. (time, src_node, src_lane, seq) is a total
   // order that depends only on simulated execution, never on sharding or
-  // thread timing: each (src_node, src_lane) pair is produced by exactly
-  // one shard, in that lane's deterministic event order.
+  // thread timing: each (src_node, src_lane) pair is produced by its node's
+  // shard, in that lane's deterministic event order.
   struct Mail {
     Time time = 0;
     NodeId src_node = 0;
@@ -396,7 +323,7 @@ class Network {
       sim.At(mail.time, [this, dst, port, p = std::move(mail.pkt)]() mutable {
         if (p.corrupted) {
           // The receiver's FCS check discards the mangled packet, on the
-          // destination lane's shard.
+          // destination's shard.
           if (faults_ != nullptr) faults_->OnCorruptedArrival();
           return;
         }
@@ -420,11 +347,6 @@ class Network {
   LaneShardFn lane_shard_assign_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<int> shard_of_;
-  // Per-node lane->shard bindings; empty vector = node not lane-sharded.
-  std::vector<std::vector<int>> lane_shards_;
-  // Per-node fast path: the single shard all lanes share, or -1 when lanes
-  // straddle shards (only then does delivery need an RxLane route lookup).
-  std::vector<int> uniform_lane_shard_;
   // Mailboxes indexed [src_shard * num_shards + dst_shard]; sized once at
   // construction, so the vector itself is never mutated concurrently.
   std::vector<sim::SpscMailbox<Mail>> outboxes_;

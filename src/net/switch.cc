@@ -34,29 +34,24 @@ void SwitchNode::Initialize() {
   OCCAMY_CHECK(network() != nullptr) << "AddNode before Initialize";
   const int num_partitions =
       (config_.num_ports + config_.ports_per_partition - 1) / config_.ports_per_partition;
-  // Partitions are this node's lanes: in a sharded run each binds to one
-  // shard (intra-switch sharding for single-switch topologies; all on the
-  // node's own shard in node-sharded fabrics) and everything the partition
-  // owns is built on that shard's simulator.
+  // Partitions are this node's lanes: each sends with its own delivery
+  // sequence, and all of them run on the node's simulator.
   if (network()->sharded()) network()->BindNodeLanes(id(), num_partitions);
   port_partition_.resize(static_cast<size_t>(config_.num_ports));
   port_local_.resize(static_cast<size_t>(config_.num_ports));
-  lane_state_ = std::vector<LaneState>(static_cast<size_t>(num_partitions));
+  lane_frozen_.assign(static_cast<size_t>(num_partitions), 0);
   for (int base = 0; base < config_.num_ports; base += config_.ports_per_partition) {
     const int count = std::min(config_.ports_per_partition, config_.num_ports - base);
     const int lane = static_cast<int>(partitions_.size());
-    sim::Simulator* lane_sim = &network()->LaneSim(id(), lane);
     tm::TmConfig cfg = config_.tm;
     cfg.port_rates.clear();
     for (int i = 0; i < count; ++i) {
       cfg.port_rates.push_back(config_.port_rates[static_cast<size_t>(base + i)]);
       port_partition_[static_cast<size_t>(base + i)] = lane;
       port_local_[static_cast<size_t>(base + i)] = i;
-      ports_[static_cast<size_t>(base + i)].sim = lane_sim;
       ports_[static_cast<size_t>(base + i)].lane = lane;
     }
-    partitions_.push_back(
-        std::make_unique<tm::TmPartition>(lane_sim, cfg, config_.scheme_factory()));
+    partitions_.push_back(std::make_unique<tm::TmPartition>(&sim(), cfg, config_.scheme_factory()));
   }
   initialized_ = true;
 }
@@ -84,9 +79,10 @@ void SwitchNode::SetRouteOutages(std::vector<RouteEpoch> epochs) {
 
 void SwitchNode::OnRouteEpochPublished() {
   OCCAMY_CHECK(initialized_);
-  // The publication path is pinned to lane 0's shard; running it anywhere
-  // else would mean the injector armed the marker on the wrong simulator.
-  OCCAMY_ASSERT_SHARD(network()->LaneSim(id(), 0));
+  // The publication path is pinned to the switch's shard; running it
+  // anywhere else would mean the injector armed the marker on the wrong
+  // simulator.
+  OCCAMY_ASSERT_SHARD(sim());
   ++route_epochs_published_;
 }
 
@@ -101,10 +97,7 @@ int SwitchNode::RoutePort(const Packet& pkt, Time at) const {
     const uint64_t h = SplitMix64(pkt.flow_id ^ SplitMix64(id() + 0x9e37));
     return candidates[h % candidates.size()];
   }
-  // Active epoch: the last one whose start <= at. The table is immutable
-  // during the run and the lookup is a pure function of the arrival time,
-  // so every shard (sender-side RxLane routing and the receiving lane's
-  // ReceivePacket) agrees on the egress port.
+  // Active epoch: the last one whose start <= at.
   size_t lo = 0, hi = route_epochs_.size();
   while (hi - lo > 1) {
     const size_t mid = lo + (hi - lo) / 2;
@@ -137,21 +130,14 @@ int SwitchNode::RoutePort(const Packet& pkt, Time at) const {
   return candidates[0];  // unreachable; survivors > 0
 }
 
-int SwitchNode::RxLane(int in_port, const Packet& pkt, Time at) const {
-  OCCAMY_CHECK(initialized_);
-  const int egress = RoutePort(pkt, at);
-  return port_partition_[static_cast<size_t>(egress >= 0 ? egress : in_port)];
-}
-
-void SwitchNode::DropRouteless(int lane, const Packet& pkt) {
-  int64_t& drops = lane_state_[static_cast<size_t>(lane)].routeless_drops;
-  ++drops;
+void SwitchNode::DropRouteless(const Packet& pkt) {
+  ++routeless_drops_;
   // A missing route drops every packet of the flow; log the first few
-  // occurrences per lane and leave the rest to the counter.
+  // occurrences and leave the rest to the counter.
   constexpr int64_t kMaxRouteMissLogs = 3;
-  if (drops <= kMaxRouteMissLogs) {
+  if (routeless_drops_ <= kMaxRouteMissLogs) {
     OCCAMY_LOG(Warn) << "switch " << id() << ": no route to " << pkt.dst << ", dropping"
-                     << (drops == kMaxRouteMissLogs
+                     << (routeless_drops_ == kMaxRouteMissLogs
                              ? " (further route misses counted in routeless_drops)"
                              : "");
   } else {
@@ -159,22 +145,16 @@ void SwitchNode::DropRouteless(int lane, const Packet& pkt) {
   }
 }
 
-void SwitchNode::ReceivePacket(int in_port, Packet pkt) {
+void SwitchNode::ReceivePacket(int /*in_port*/, Packet pkt) {
   OCCAMY_CHECK(initialized_);
-  // The executing shard's clock is the packet's arrival time on both
-  // engines (arrival closures run at exactly the deliver time), matching
-  // the `at` that RxShardOf routed this arrival with.
-  const int egress = RoutePort(pkt, network()->CurrentSimNow());
+  OCCAMY_ASSERT_SHARD(sim());
+  // Arrival closures run at exactly the deliver time, so the clock is the
+  // packet's arrival time on both engines.
+  const int egress = RoutePort(pkt, sim().now());
   if (egress < 0) {
-    // The RxLane contract routes a routeless arrival to the ingress port's
-    // lane; its drop counter belongs to that lane's shard.
-    OCCAMY_ASSERT_SHARD(*ports_[static_cast<size_t>(in_port)].sim);
-    DropRouteless(port_partition_[static_cast<size_t>(in_port)], pkt);
+    DropRouteless(pkt);
     return;
   }
-  // RxLane routed this arrival to the egress partition's lane; executing it
-  // anywhere else would race that partition's buffer.
-  OCCAMY_ASSERT_SHARD(*ports_[static_cast<size_t>(egress)].sim);
   auto& part = partition_for_port(egress);
   const auto result = part.Enqueue(local_port(egress), std::move(pkt));
   if (result.accepted) KickTx(egress);
@@ -183,10 +163,10 @@ void SwitchNode::ReceivePacket(int in_port, Packet pkt) {
 void SwitchNode::SetLaneFrozen(int lane, bool frozen) {
   OCCAMY_CHECK(initialized_);
   OCCAMY_CHECK(lane >= 0 && lane < num_partitions());
-  OCCAMY_ASSERT_SHARD(network()->LaneSim(id(), lane));
-  LaneState& state = lane_state_[static_cast<size_t>(lane)];
-  if (state.frozen == frozen) return;
-  state.frozen = frozen;
+  OCCAMY_ASSERT_SHARD(sim());
+  uint8_t& state = lane_frozen_[static_cast<size_t>(lane)];
+  if (state == static_cast<uint8_t>(frozen)) return;
+  state = static_cast<uint8_t>(frozen);
   if (frozen) return;
   // Thawed: restart the egress machinery of every port the partition owns
   // (an in-flight TX kept its busy flag, so re-kicking is idempotent).
@@ -201,27 +181,25 @@ void SwitchNode::SetLaneFrozen(int lane, bool frozen) {
 int64_t SwitchNode::RestartLane(int lane) {
   OCCAMY_CHECK(initialized_);
   OCCAMY_CHECK(lane >= 0 && lane < num_partitions());
-  OCCAMY_ASSERT_SHARD(network()->LaneSim(id(), lane));
+  OCCAMY_ASSERT_SHARD(sim());
   return partitions_[static_cast<size_t>(lane)]->RestartFlush();
 }
 
 void SwitchNode::KickTx(int port) {
   PortState& state = ports_[static_cast<size_t>(port)];
-  OCCAMY_ASSERT_SHARD(*state.sim);  // egress machinery is lane-confined
+  OCCAMY_ASSERT_SHARD(sim());
   // A frozen lane serves nothing: in-flight serialization completes, but
   // its completion's re-kick lands here and parks until SetLaneFrozen
   // thaws the partition.
-  if (state.busy || lane_state_[static_cast<size_t>(state.lane)].frozen) return;
+  if (state.busy || lane_frozen(state.lane)) return;
   OCCAMY_CHECK(state.connected) << "switch " << id() << " port " << port << " unwired";
   auto& part = partition_for_port(port);
   auto pkt = part.DequeueForPort(local_port(port));
   if (!pkt.has_value()) return;
   state.busy = true;
   const Time tx_time = state.rate.TxTime(pkt->size_bytes);
-  // All of this port's egress machinery lives on its partition's shard:
-  // the TX-complete event runs there and the delivery is stamped with the
-  // partition index as its source lane.
-  state.sim->After(tx_time, [this, port, p = std::move(*pkt)]() mutable {
+  // The delivery is stamped with the partition index as its source lane.
+  sim().After(tx_time, [this, port, p = std::move(*pkt)]() mutable {
     PortState& s = ports_[static_cast<size_t>(port)];
     network()->DeliverAfter(id(), s.propagation, s.peer, std::move(p), s.lane);
     s.busy = false;

@@ -6,21 +6,15 @@
 // candidate egress ports. Egress ports run a simple serialize-and-forward
 // machine fed by the partition's scheduler.
 //
-// Shard discipline (sharded runs): partitions are the switch's *lanes* (see
-// Network::BindNodeLanes). Every partition — its buffer, BM scheme,
-// expulsion engine, schedulers, and the egress machinery of the ports it
-// owns — runs entirely on the lane's shard: arrivals are routed to the
-// egress partition's shard (RxLane), TX completions are scheduled on the
-// partition's simulator, and outbound deliveries carry the partition index
-// as the source lane. Routing tables are epoch-versioned but the epoch
-// table itself is immutable during a run: fault-driven rerouting installs
-// the full time-indexed outage schedule before the run (SetRouteOutages)
-// and RoutePort selects the active epoch from the packet's arrival time, a
-// pure function every shard computes identically. Nothing couples two
-// partitions, so lanes on different shards never share mutable state. In
-// node-sharded topologies (the leaf-spine fabric) every lane of a switch
-// binds to the node's own shard and the discipline degenerates to the
-// plain per-node one.
+// Shard discipline (sharded runs): the whole switch — every partition's
+// buffer, BM scheme, expulsion engine, schedulers, and the egress machinery
+// of every port — runs on the node's own shard. Partitions are the
+// switch's *lanes* (see Network::BindNodeLanes): outbound deliveries carry
+// the partition index as the source lane. Routing tables are
+// epoch-versioned but the epoch table itself is immutable during a run:
+// fault-driven rerouting installs the full time-indexed outage schedule
+// before the run (SetRouteOutages) and RoutePort selects the active epoch
+// from the packet's arrival time.
 #pragma once
 
 #include <cstdint>
@@ -80,16 +74,16 @@ class SwitchNode final : public Node {
 
   // Installs the switch's complete route-epoch schedule (sorted by start,
   // strictly increasing). Called once by fault::FaultInjector::Arm before
-  // the run — the table is immutable while shards execute, so RoutePort may
-  // read it from any shard. When every candidate of a group is excluded the
-  // base set is kept (packets then drop at the dead wire, counted as
-  // link_down drops), so a total outage degrades instead of misrouting.
+  // the run; the table is immutable while shards execute. When every
+  // candidate of a group is excluded the base set is kept (packets then
+  // drop at the dead wire, counted as link_down drops), so a total outage
+  // degrades instead of misrouting.
   void SetRouteOutages(std::vector<RouteEpoch> epochs);
 
   // Marker invoked by the fault injector at each route-epoch activation
-  // boundary, on lane 0's simulator: asserts the publication path's shard
-  // affinity and counts the publication. Purely observational — the epoch
-  // table itself was installed before the run.
+  // boundary, on the switch's simulator: asserts the publication path's
+  // shard affinity and counts the publication. Purely observational — the
+  // epoch table itself was installed before the run.
   void OnRouteEpochPublished();
   int64_t route_epochs_published() const { return route_epochs_published_; }
 
@@ -97,16 +91,10 @@ class SwitchNode final : public Node {
   // lane's TmPartition is flushed (counted as restart-flush drops), and BM
   // scheme + expulsion-engine state resets to power-on defaults. In-flight
   // serialization completes (those bytes already left the buffer). Must run
-  // on the lane's shard. Returns the flushed bytes.
+  // on the switch's shard. Returns the flushed bytes.
   int64_t RestartLane(int lane);
 
   void ReceivePacket(int in_port, Packet pkt) override;
-
-  // The partition that must process `pkt`: the one owning its egress port
-  // (deterministic ECMP included, under the route epoch active at arrival
-  // time `at`), or the ingress port's partition when no route matches (the
-  // drop is then accounted on that lane).
-  int RxLane(int in_port, const Packet& pkt, Time at) const override;
 
   int num_ports() const { return config_.num_ports; }
   int num_partitions() const { return static_cast<int>(partitions_.size()); }
@@ -124,12 +112,10 @@ class SwitchNode final : public Node {
   // Fault injection (fault::FaultInjector): freezes/unfreezes partition
   // `lane`'s egress machinery. Frozen lanes keep accepting arrivals — the
   // buffer fills and the BM scheme sheds load — but serve nothing until
-  // unfrozen, when every owned port is re-kicked. Must run on the lane's
+  // unfrozen, when every owned port is re-kicked. Must run on the switch's
   // shard; overlapping freezes do not nest (a single unfreeze thaws).
   void SetLaneFrozen(int lane, bool frozen);
-  bool lane_frozen(int lane) const {
-    return lane_state_[static_cast<size_t>(lane)].frozen;
-  }
+  bool lane_frozen(int lane) const { return lane_frozen_[static_cast<size_t>(lane)] != 0; }
 
   // Queue (partition-global index) that packets of class `cls` for egress
   // `port` occupy; convenience for benches reading queue lengths.
@@ -147,18 +133,10 @@ class SwitchNode final : public Node {
   int64_t TotalEnqueued();
 
   // Packets dropped because no route matched their destination (these never
-  // reach a partition, so they are not part of TotalDrops()). Counted per
-  // lane so concurrent lanes never race; summed on read.
-  int64_t routeless_drops() const {
-    int64_t total = 0;
-    for (const auto& lane : lane_state_) total += lane.routeless_drops;
-    return total;
-  }
+  // reach a partition, so they are not part of TotalDrops()).
+  int64_t routeless_drops() const { return routeless_drops_; }
 
-  // Per-drop callback over all partitions. In a lane-sharded run the hook
-  // fires on the dropping partition's shard; hooks that aggregate across
-  // partitions must be shard-safe (single-partition switches are trivially
-  // so).
+  // Per-drop callback over all partitions; fires on the switch's shard.
   void set_drop_hook(std::function<void(const Packet&, tm::DropReason)> hook);
 
  private:
@@ -168,7 +146,7 @@ class SwitchNode final : public Node {
   int RoutePort(const Packet& pkt, Time at) const;
 
   void KickTx(int port);
-  void DropRouteless(int lane, const Packet& pkt);
+  void DropRouteless(const Packet& pkt);
 
   SwitchConfig config_;
   struct PortState {
@@ -177,30 +155,21 @@ class SwitchNode final : public Node {
     bool busy = false;
     Bandwidth rate;
     Time propagation = 0;
-    // The simulator of the owning partition's shard and the partition index
-    // (= source lane of deliveries), cached off Initialize so the per-packet
-    // TX path never does a lane lookup.
-    sim::Simulator* sim = nullptr;
+    // The owning partition's index (= source lane of deliveries).
     int lane = 0;
-  };
-  // Per-lane mutable counters, padded so lanes on different shards never
-  // share a cache line.
-  struct alignas(64) LaneState {
-    int64_t routeless_drops = 0;
-    // Fault injection: lane's egress machinery halted (see SetLaneFrozen).
-    // Only ever touched from the lane's own shard.
-    bool frozen = false;
   };
   std::vector<PortState> ports_;
   std::vector<std::unique_ptr<tm::TmPartition>> partitions_;
-  std::vector<LaneState> lane_state_;  // one per partition
+  // Fault injection: partition's egress machinery halted (SetLaneFrozen).
+  std::vector<uint8_t> lane_frozen_;
+  int64_t routeless_drops_ = 0;
   std::vector<int> port_partition_;  // global port -> partition index
   std::vector<int> port_local_;      // global port -> local port in partition
   std::unordered_map<NodeId, std::vector<int>> routes_;
   // Fault-driven outage schedule (empty when no rerouting fault targets
   // this switch). Sorted by start; immutable during the run.
   std::vector<RouteEpoch> route_epochs_;
-  // Bumped only by OnRouteEpochPublished marker events on lane 0's shard.
+  // Bumped only by OnRouteEpochPublished marker events.
   int64_t route_epochs_published_ = 0;
   bool initialized_ = false;
 };

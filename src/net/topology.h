@@ -34,17 +34,14 @@ struct StarTopology {
 
 StarTopology BuildStar(Network& net, StarConfig config);
 
-// ---- Star intra-switch shard binding ----
+// ---- Star shard binding ----
 //
-// A single-switch star has no node-level parallelism to exploit: the switch
-// is one node. What it does have is the paper's internal buffer partitioning
-// (§6.4): every group of `ports_per_partition` ports shares one TmPartition,
-// and nothing couples two partitions. The sharded star therefore shards
-// *inside* the switch: partition p (a lane, see Network::BindNodeLanes) goes
-// to shard p % shards, and every host goes to the shard of the partition
-// owning its switch-side egress port — so the host<->switch echo path of a
-// flow stays on one shard. All pure functions of (config, shards, id), so
-// the engine can bind nodes before the topology is built.
+// The star testbeds model one shared-memory switch, so their scenarios run
+// on one shard. These pure functions of (config, shards, id) place a star
+// across shards by hand, as the shard-affinity tests do: partition p maps
+// to shard p % shards and host i to the shard of the partition owning its
+// switch port, while the switch itself stays on shard 0 (Network requires
+// every lane on its node's shard).
 
 // Partition index owning switch port `port` under `config`'s layout
 // (BuildStar gives the switch exactly num_hosts ports).
@@ -55,14 +52,14 @@ inline int StarPartitionOfPort(const StarConfig& config, int port) {
   return port / ppp;
 }
 
-// Shard of the star switch's lane (= partition) `lane`.
+// Shard of the star partition `lane`.
 inline int StarLaneShardOf(int shards, int lane) {
   return shards <= 1 ? 0 : lane % shards;
 }
 
 // Node-level binding matching BuildStar's id layout (switch first, then
 // hosts in port order): host i sits on its egress partition's shard; the
-// switch's home shard is 0 (its partitions are bound per lane).
+// switch sits on shard 0.
 inline int StarShardOf(const StarConfig& config, int shards, NodeId id) {
   if (shards <= 1 || id == 0) return 0;
   return StarLaneShardOf(shards,

@@ -1,7 +1,7 @@
 // Deterministic shard-affinity checking (OCCAMY_SHARD_CHECKS builds).
 //
 // The sharded engine's safety argument is ownership, not locking: every
-// node, lane, partition, and the sender/receiver halves of a Connection are
+// node, partition, and the sender/receiver halves of a Connection are
 // touched only by events on their owning shard's Simulator. TSan can verify
 // that, but only when thread timing happens to produce a racy interleaving;
 // an affinity *violation* (work executing on the wrong shard) is a bug even

@@ -82,7 +82,7 @@ void TmPartition::SyncSnapshot() {
 }
 
 TmPartition::EnqueueResult TmPartition::Enqueue(int port, Packet pkt) {
-  OCCAMY_ASSERT_SHARD(*sim_);  // this partition is one lane of its switch
+  OCCAMY_ASSERT_SHARD(*sim_);  // the switch's shard owns this partition
   OCCAMY_CHECK(port >= 0 && port < num_ports());
   const int cls = std::min<int>(pkt.traffic_class, config_.queues_per_port - 1);
   const int q = QueueIndex(port, cls);
@@ -176,7 +176,7 @@ double TmPartition::normalized_drain_rate(int q) const {
 }
 
 void TmPartition::HeadDropOnePacket(int q) {
-  // Expulsion kicks run on the engine's simulator == this partition's lane.
+  // Expulsion kicks run on the engine's simulator == this partition's.
   OCCAMY_ASSERT_SHARD(*sim_);
   OCCAMY_CHECK(!shared_.queue(q).Empty());
   const buffer::PacketDescriptor pd = shared_.DequeueHead(q);

@@ -54,16 +54,40 @@ TEST(CliParse, AllOptions) {
 }
 
 TEST(CliParse, ShardsFlag) {
-  const char* argv[] = {"occamy_sim", "--shards=4"};
+  const char* argv[] = {"occamy_sim", "--scenario=websearch", "--shards=64"};
   SimOptions opts;
-  EXPECT_FALSE(ParseArgs(2, argv, opts).has_value());
-  EXPECT_EQ(opts.shards, 4);
+  EXPECT_FALSE(ParseArgs(3, argv, opts).has_value());
+  EXPECT_EQ(opts.shards, 64);
 
   for (const char* bad : {"--shards=0", "--shards=65", "--shards=abc", "--shards=-1"}) {
-    const char* bad_argv[] = {"occamy_sim", bad};
+    const char* bad_argv[] = {"occamy_sim", "--scenario=websearch", bad};
     SimOptions bad_opts;
-    EXPECT_TRUE(ParseArgs(2, bad_argv, bad_opts).has_value()) << bad;
+    EXPECT_TRUE(ParseArgs(3, bad_argv, bad_opts).has_value()) << bad;
   }
+}
+
+// Star and P4 scenarios model one shared-memory switch: one shard runs
+// them, more is a usage error (exit 2) from run, profile and sweep that
+// names the scenario.
+TEST(CliParse, StarAndP4RejectShardsAboveOne) {
+  for (const std::string scenario : {"burst_absorption", "burst"}) {
+    const std::string flag = "--scenario=" + scenario;
+    const char* one[] = {"occamy_sim", flag.c_str(), "--shards=1"};
+    SimOptions one_opts;
+    EXPECT_FALSE(ParseArgs(3, one, one_opts).has_value()) << scenario;
+    const char* two[] = {"occamy_sim", "--shards=2", flag.c_str()};
+    SimOptions two_opts;
+    const auto err = ParseArgs(3, two, two_opts);
+    ASSERT_TRUE(err.has_value()) << scenario;
+    EXPECT_NE(err->find("'" + scenario + "'"), std::string::npos) << *err;
+  }
+  for (const char* sub : {"run", "profile"}) {
+    const char* argv[] = {"occamy_sim", sub, "--scenario=burst_absorption", "--shards=2"};
+    EXPECT_EQ(Main(4, argv), 2) << sub;
+  }
+  const char* sweep[] = {"occamy_sim", "sweep", "--scenarios=burst", "--bms=dt",
+                         "--shards=2"};
+  EXPECT_EQ(Main(5, sweep), 2);
 }
 
 TEST(CliParse, WindowBatchFlag) {
@@ -291,48 +315,6 @@ TEST(CliRun, ShardedFabricRunMatchesSingleShard) {
   EXPECT_EQ(JsonNumber(four.json, "shards"), 4);
 }
 
-// Star (§6.2) and P4 (§6.1) scenarios accept --shards since the
-// intra-switch partition-parallel engine landed; metrics must match the
-// single-shard oracle byte for byte.
-TEST(CliRun, ShardedStarRunMatchesSingleShard) {
-  SimOptions opts;
-  opts.scenario = "burst_absorption";
-  opts.bm = "occamy";
-  opts.scale = "smoke";
-  opts.duration_ms = 2;
-  opts.shards = 1;
-  const SimResult one = RunScenario(opts);
-  ASSERT_TRUE(one.ok) << one.error;
-  opts.shards = 4;
-  const SimResult four = RunScenario(opts);
-  ASSERT_TRUE(four.ok) << four.error;
-  for (const char* key :
-       {"delivered_bytes", "qct_p99_ms", "fct_avg_ms", "sim_events", "drops"}) {
-    EXPECT_EQ(JsonNumber(one.json, key), JsonNumber(four.json, key)) << key;
-  }
-  EXPECT_EQ(JsonNumber(one.json, "shards"), 1);
-  EXPECT_EQ(JsonNumber(four.json, "shards"), 4);
-}
-
-TEST(CliRun, ShardedBurstRunMatchesSingleShard) {
-  SimOptions opts;
-  opts.scenario = "burst";
-  opts.bm = "dt";
-  opts.scale = "smoke";
-  opts.duration_ms = 1;
-  opts.shards = 1;
-  const SimResult one = RunScenario(opts);
-  ASSERT_TRUE(one.ok) << one.error;
-  opts.shards = 2;
-  const SimResult two = RunScenario(opts);
-  ASSERT_TRUE(two.ok) << two.error;
-  for (const char* key :
-       {"burst_packets", "burst_drops", "burst_loss_rate", "sim_events"}) {
-    EXPECT_EQ(JsonNumber(one.json, key), JsonNumber(two.json, key)) << key;
-  }
-  EXPECT_EQ(JsonNumber(two.json, "shards"), 2);
-}
-
 // --window-batch reaches the engine: metrics are byte-identical across
 // settings, the telemetry fields are emitted, and the adaptive schedule
 // finishes in strictly fewer barrier rounds than batch=1 on this workload.
@@ -342,7 +324,7 @@ TEST(CliRun, WindowBatchRunsMatchAndReduceBarrierRounds) {
   opts.bm = "occamy";
   opts.scale = "smoke";
   opts.duration_ms = 2;
-  opts.shards = 2;
+  opts.shards = 1;
   opts.window_batch = 1;
   const SimResult legacy = RunScenario(opts);
   ASSERT_TRUE(legacy.ok) << legacy.error;
@@ -371,7 +353,7 @@ TEST(CliRun, RejectsWindowBatchOutOfRange) {
   opts.bm = "occamy";
   opts.scale = "smoke";
   opts.duration_ms = 1;
-  opts.shards = 2;
+  opts.shards = 1;
   opts.window_batch = 99;  // bypasses ParseArgs, lands in RunPoint validation
   const SimResult result = RunScenario(opts);
   EXPECT_FALSE(result.ok);

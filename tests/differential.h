@@ -78,9 +78,11 @@ inline exp::Metrics RunPointOrFail(const exp::PointSpec& spec) {
 // The differential assertion: `spec` run at shards=1 must produce a
 // byte-identical deterministic fingerprint at every count in
 // `shard_counts`. `spec.shards` is overwritten; every other knob (scenario,
-// bm, seed, scale, duration, ...) is compared as-is.
+// bm, seed, scale, duration, ...) is compared as-is. Each of `nonzero`
+// names a counter the oracle must have fired.
 inline void ExpectShardCountInvariant(exp::PointSpec spec,
-                                      std::initializer_list<int> shard_counts) {
+                                      std::initializer_list<int> shard_counts,
+                                      std::initializer_list<const char*> nonzero = {}) {
   spec.shards = 1;
   const exp::Metrics oracle_metrics = RunPointOrFail(spec);
   const std::string oracle = DeterministicFingerprint(oracle_metrics);
@@ -89,6 +91,11 @@ inline void ExpectShardCountInvariant(exp::PointSpec spec,
   // actually simulated something.
   EXPECT_GT(oracle_metrics.Number("sim_events"), 0)
       << spec.scenario << "/" << spec.bm;
+  for (const char* key : nonzero) {
+    EXPECT_GT(oracle_metrics.Number(key), 0)
+        << spec.scenario << "/" << spec.bm << ": " << key << " never fired (seed "
+        << spec.seed << ")";
+  }
   for (const int shards : shard_counts) {
     spec.shards = shards;
     const std::string sharded = DeterministicFingerprint(RunPointOrFail(spec));

@@ -306,19 +306,42 @@ TEST(SweepJobsCap, RunSweepWarnsWhenCapping) {
   }
 }
 
-// Every platform has a sharded engine (node-affinity on the fabric,
-// intra-switch partition sharding on star/p4), so the execution knob
-// applies to the whole grid.
+// Every platform has a sharded engine, so the execution knob applies to
+// the whole grid at one shard.
 TEST(SweepExpand, ShardsKnobAppliesToEveryPlatform) {
   SweepSpec spec;
   spec.scenarios = {"incast", "websearch", "burst"};
   spec.bms = {"dt"};
-  spec.shards = 2;
+  spec.shards = 1;
   std::vector<SweepPoint> points;
   ASSERT_FALSE(ExpandSweep(spec, points).has_value());
   ASSERT_EQ(points.size(), 3u);
   for (const auto& p : points) {
-    EXPECT_EQ(p.spec.shards, 2) << p.run_key;
+    EXPECT_EQ(p.spec.shards, 1) << p.run_key;
+  }
+}
+
+// Above one shard the grid may hold fabric scenarios only; a star or P4
+// scenario fails the expansion, and RunPoint refuses it too.
+TEST(SweepExpand, ShardsAboveOneApplyToFabricOnly) {
+  SweepSpec spec;
+  spec.scenarios = {"websearch", "alltoall"};
+  spec.bms = {"dt"};
+  spec.shards = 2;
+  std::vector<SweepPoint> points;
+  ASSERT_FALSE(ExpandSweep(spec, points).has_value());
+  EXPECT_EQ(points.size(), 2u);
+  for (const char* scenario : {"incast", "burst"}) {
+    spec.scenarios = {"websearch", scenario};
+    const auto err = ExpandSweep(spec, points);
+    ASSERT_TRUE(err.has_value()) << scenario;
+    EXPECT_NE(err->find(std::string("'") + scenario + "'"), std::string::npos) << *err;
+    PointSpec point;
+    point.scenario = scenario;
+    point.shards = 2;
+    const PointResult result = RunPoint(point);
+    EXPECT_FALSE(result.ok) << scenario;
+    EXPECT_NE(result.error.find("runs on one shard"), std::string::npos) << result.error;
   }
 }
 

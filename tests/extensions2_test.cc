@@ -1,14 +1,9 @@
 // Tests for the second extension batch: the §2.2 strawman max-register
-// (reproducing the paper's counterexample), multi-priority Pushout, and
-// CSV export.
+// (reproducing the paper's counterexample) and multi-priority Pushout.
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
 
 #include "src/bm/multi_priority_pushout.h"
 #include "src/hw/strawman_max_tracker.h"
-#include "src/stats/csv.h"
 #include "tests/fakes.h"
 
 namespace occamy {
@@ -95,46 +90,6 @@ TEST(MpPushoutTest, SelfLongestDropsArrival) {
   tm.set_qlen(1, 200);
   EXPECT_EQ(mp.EvictVictim(tm, 0), std::nullopt);
   EXPECT_TRUE(mp.IsPreemptive());
-}
-
-// ---------- CSV export ----------
-
-TEST(CsvTest, WritesTimeSeries) {
-  stats::TimeSeries a("q1"), b("q2");
-  for (int i = 0; i < 5; ++i) {
-    a.Record(Microseconds(i), i * 1.0);
-    b.Record(Microseconds(i), i * 2.0);
-  }
-  const std::string path = ::testing::TempDir() + "/ts.csv";
-  ASSERT_TRUE(stats::WriteTimeSeriesCsv(path, {&a, &b}));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "t_us,q1,q2");
-  int rows = 0;
-  for (std::string line; std::getline(in, line);) ++rows;
-  EXPECT_EQ(rows, 5);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, WritesCdf) {
-  stats::EmpiricalCdf cdf;
-  for (int i = 1; i <= 100; ++i) cdf.Add(i);
-  const std::string path = ::testing::TempDir() + "/cdf.csv";
-  ASSERT_TRUE(stats::WriteCdfCsv(path, cdf, 10));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "value,cum_prob");
-  int rows = 0;
-  for (std::string line; std::getline(in, line);) ++rows;
-  EXPECT_EQ(rows, 11);
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, EmptySeriesRejected) {
-  stats::TimeSeries empty("x");
-  EXPECT_FALSE(stats::WriteTimeSeriesCsv(::testing::TempDir() + "/no.csv", {&empty}));
 }
 
 }  // namespace

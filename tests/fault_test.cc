@@ -13,17 +13,18 @@
 //  * Recovery — ComputeRecovery unit cases, plus the acceptance criterion:
 //    a fabric link_down with rerouting recovers to >= 90% of the healthy
 //    twin's delivered rate after the route-epoch update.
-//  * Determinism — faulted runs are byte-identical across shard counts
-//    (FaultDifferentialTest, picked up by the CI Differential|Golden
+//  * Determinism — faulted fabric runs are byte-identical across shard
+//    counts (FaultDifferentialTest, picked up by the CI Differential|Golden
 //    filter) and across threads-on/threads-off execution.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "src/bm/dynamic_threshold.h"
-#include "src/exp/burst_lab.h"
+#include "src/exp/fabric_run.h"
 #include "src/exp/fault_setup.h"
 #include "src/exp/sweep.h"
 #include "src/fault/fault_plan.h"
@@ -704,102 +705,94 @@ TEST(FaultSweep, LossRatesAreAGridAxisAndFaultsARunCondition) {
 
 // ---------------- determinism: shard-count invariance ----------------
 
-TEST(FaultDifferentialTest, BurstLinkFlapShardInvariant) {
+// Faults on the fabric at 2 and 4 shards: leaves, spines and their hosts
+// sit on different shards, so every toggle and the packets it hits cross
+// shards. Each row names the counters its fault must fire, so the
+// invariance is never vacuous.
+exp::PointSpec FabricFaultPoint(const char* faults, uint64_t seed) {
   exp::PointSpec spec;
-  spec.scenario = "burst";
+  spec.scenario = "websearch";
   spec.bm = "occamy";
   spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 1.0;
-  spec.seed = testing::ShiftedSeed(1);
-  spec.faults = "link_down:t=500us,dur=300us,node=sw0,port=2";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  spec.duration_ms = 2.0;
+  spec.seed = seed;
+  spec.faults = faults;
+  return spec;
+}
+
+TEST(FaultDifferentialTest, LinkFlapShardInvariant) {
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("link_down:t=500us,dur=1ms,node=sw0,port=2", testing::ShiftedSeed(4)),
+      {2, 4}, {"link_down_drops"});
 }
 
 TEST(FaultDifferentialTest, WebsearchLossShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "websearch";
-  spec.bm = "occamy";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(1);
-  spec.faults = "loss:rate=0.01,seed=7";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("loss:rate=0.01,seed=7", testing::ShiftedSeed(1)), {2, 4},
+      {"packets_lost_injected"});
 }
 
-TEST(FaultDifferentialTest, StarLossCorruptFreezeShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "burst_absorption";
-  spec.bm = "dt";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(2);
-  spec.faults =
-      "loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13;"
-      "freeze:t=300us,dur=200us,node=sw0";
-  testing::ExpectShardCountInvariant(spec, {2});
+TEST(FaultDifferentialTest, LossCorruptFreezeShardInvariant) {
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13;"
+                       "freeze:t=500us,dur=400us,node=sw1",
+                       testing::ShiftedSeed(4)),
+      {2, 4}, {"packets_lost_injected", "packets_corrupted"});
 }
 
 TEST(FaultDifferentialTest, RerouteShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "websearch";
-  spec.bm = "occamy";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(3);
-  spec.faults = "link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1",
+                       testing::ShiftedSeed(3)),
+      {2, 4}, {"reroutes"});
 }
 
+// Pinned seed: a restart flushes only what the buffer holds at that
+// instant, and on many seeds the leaf is empty at t=1ms.
 TEST(FaultDifferentialTest, RestartShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "burst";
-  spec.bm = "occamy";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(4);
-  spec.faults = "restart:t=1ms,node=sw0";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  testing::ExpectShardCountInvariant(FabricFaultPoint("restart:t=1ms,node=sw0", 4), {2, 4},
+                                     {"flushed_bytes_restart"});
 }
 
 TEST(FaultDifferentialTest, CpFreezeAndDelayShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "burst_absorption";
-  spec.bm = "occamy";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(5);
-  spec.faults =
-      "cp_freeze:t=500us,dur=500us,node=sw0;"
-      "cp_delay:t=1200us,dur=400us,node=sw0,lag=20us";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("cp_freeze:t=500us,dur=500us,node=sw0;"
+                       "cp_delay:t=1200us,dur=400us,node=sw0,lag=20us",
+                       testing::ShiftedSeed(4)),
+      {2, 4}, {"cp_stalled_steps"});
 }
 
 TEST(FaultDifferentialTest, GilbertBurstLossShardInvariant) {
-  exp::PointSpec spec;
-  spec.scenario = "websearch";
-  spec.bm = "occamy";
-  spec.scale = exp::BenchScale::kSmoke;
-  spec.duration_ms = 2.0;
-  spec.seed = testing::ShiftedSeed(6);
-  spec.faults = "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5";
-  testing::ExpectShardCountInvariant(spec, {2, 4});
+  testing::ExpectShardCountInvariant(
+      FabricFaultPoint("gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5",
+                       testing::ShiftedSeed(6)),
+      {2, 4}, {"burst_loss_packets"});
 }
 
 // ---------------- determinism: threads vs inline ----------------
 
+// The same 2-shard fabric run with worker threads and inline, on the
+// pinned seed whose restart flushes bytes.
+std::pair<exp::FabricRunResult, exp::FabricRunResult> RunFabricThreadsAndInline(
+    const char* faults) {
+  exp::FabricRunSpec run;
+  run.scheme = exp::Scheme::kOccamy;
+  run.scale = exp::BenchScale::kSmoke;
+  run.duration = Milliseconds(2);
+  run.seed = 4;
+  run.shards = 2;
+  run.faults = faults;
+  run.shard_threads = true;
+  exp::FabricRunResult threads = exp::RunFabric(run);
+  run.shard_threads = false;
+  return {std::move(threads), exp::RunFabric(run)};
+}
+
 TEST(FaultDifferentialTest, ThreadsAndInlineShardingAgreeUnderFaults) {
-  exp::BurstLabSpec spec;
-  spec.shards = 2;
-  spec.faults = "link_down:t=500us,dur=300us,node=sw0,port=2";
-  spec.horizon = Milliseconds(1);
-
-  spec.shard_threads = true;
-  const exp::BurstLabResult threads = exp::RunBurstLab(spec);
-  spec.shard_threads = false;
-  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
-
-  EXPECT_EQ(threads.burst_drops, inline_run.burst_drops);
-  EXPECT_EQ(threads.long_lived_drops, inline_run.long_lived_drops);
+  const auto [threads, inline_run] =
+      RunFabricThreadsAndInline("link_down:t=500us,dur=300us,node=sw0,port=2");
+  EXPECT_EQ(threads.delivered_bytes, inline_run.delivered_bytes);
+  EXPECT_EQ(threads.telemetry.drops, inline_run.telemetry.drops);
   EXPECT_EQ(threads.telemetry.sim_events, inline_run.telemetry.sim_events);
   EXPECT_EQ(threads.telemetry.faults.link_down_drops, inline_run.telemetry.faults.link_down_drops);
   EXPECT_EQ(threads.telemetry.faults.faults_injected, inline_run.telemetry.faults.faults_injected);
@@ -807,17 +800,8 @@ TEST(FaultDifferentialTest, ThreadsAndInlineShardingAgreeUnderFaults) {
 }
 
 TEST(FaultDifferentialTest, ThreadsAndInlineShardingAgreeUnderRestart) {
-  exp::BurstLabSpec spec;
-  spec.shards = 2;
-  spec.faults = "restart:t=500us,node=sw0";
-  spec.horizon = Milliseconds(1);
-
-  spec.shard_threads = true;
-  const exp::BurstLabResult threads = exp::RunBurstLab(spec);
-  spec.shard_threads = false;
-  const exp::BurstLabResult inline_run = exp::RunBurstLab(spec);
-
-  EXPECT_EQ(threads.burst_drops, inline_run.burst_drops);
+  const auto [threads, inline_run] = RunFabricThreadsAndInline("restart:t=1ms,node=sw0");
+  EXPECT_EQ(threads.delivered_bytes, inline_run.delivered_bytes);
   EXPECT_EQ(threads.telemetry.sim_events, inline_run.telemetry.sim_events);
   EXPECT_EQ(threads.telemetry.faults.flushed_bytes_restart,
             inline_run.telemetry.faults.flushed_bytes_restart);

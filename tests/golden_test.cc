@@ -15,10 +15,11 @@
 // with OCCAMY_GOLDEN_DIR.
 //
 // The golden cases pin the *default* engine of each platform (shards=0,
-// single-threaded) plus sharded-engine cases for the star and fabric, so
-// both code paths are locked. Unlike differential_test, the fingerprints
-// are seed-pinned: OCCAMY_TEST_SEED does not shift them (reruns in the CI
-// seed matrix double as a flakiness probe instead).
+// single-threaded) plus sharded-engine cases (one shard on the star and P4
+// testbeds, two on the fabric), so both code paths are locked. Unlike
+// differential_test, the fingerprints are seed-pinned: OCCAMY_TEST_SEED
+// does not shift them (reruns in the CI seed matrix double as a flakiness
+// probe instead).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -113,12 +114,12 @@ constexpr GoldenCase kCases[] = {
     // P4 burst lab (§6.1), single-threaded + sharded.
     {"burst", "dt", 1.0, 0},
     {"burst", "occamy", 1.0, 0},
-    {"burst", "occamy", 1.0, 2},
+    {"burst", "occamy", 1.0, 1},
     // DPDK star testbed (§6.2/6.3), single-threaded + sharded.
     {"incast", "occamy", 2.0, 0},
     {"burst_absorption", "dt", 2.0, 0},
     {"burst_absorption", "occamy", 2.0, 0},
-    {"burst_absorption", "occamy", 2.0, 2},
+    {"burst_absorption", "occamy", 2.0, 1},
     {"choking", "occamy", 2.0, 0},
     // Leaf-spine fabric (§6.4), single-threaded + sharded.
     {"websearch", "occamy", 2.0, 0},
@@ -129,11 +130,11 @@ constexpr GoldenCase kCases[] = {
     // severs the burst receiver's link mid-burst; the loss case exercises
     // the per-delivery Bernoulli draw on the fabric.
     {"burst", "occamy", 1.0, 0, "link_down:t=500us,dur=300us,node=sw0,port=2"},
-    {"burst", "occamy", 1.0, 2, "link_down:t=500us,dur=300us,node=sw0,port=2"},
+    {"burst", "occamy", 1.0, 1, "link_down:t=500us,dur=300us,node=sw0,port=2"},
     {"websearch", "occamy", 2.0, 0, "loss:rate=0.01,seed=7"},
     {"websearch", "occamy", 2.0, 2, "loss:rate=0.01,seed=7"},
     {"burst_absorption", "occamy", 2.0, 0, "loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13"},
-    {"burst_absorption", "occamy", 2.0, 2, "loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13"},
+    {"burst_absorption", "occamy", 2.0, 1, "loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13"},
     // Self-healing fault model (ISSUE 9): route-epoch rerouting, switch
     // restart, control-plane freeze and Gilbert-Elliott burst loss — each
     // locked on both the legacy and the sharded engine.
@@ -142,10 +143,10 @@ constexpr GoldenCase kCases[] = {
     {"websearch", "occamy", 2.0, 2,
      "link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1", "reroute"},
     {"burst", "occamy", 1.0, 0, "restart:t=500us,node=sw0", "restart"},
-    {"burst", "occamy", 1.0, 2, "restart:t=500us,node=sw0", "restart"},
+    {"burst", "occamy", 1.0, 1, "restart:t=500us,node=sw0", "restart"},
     {"burst_absorption", "occamy", 2.0, 0, "cp_freeze:t=500us,dur=1ms,node=sw0",
      "cpfreeze"},
-    {"burst_absorption", "occamy", 2.0, 2, "cp_freeze:t=500us,dur=1ms,node=sw0",
+    {"burst_absorption", "occamy", 2.0, 1, "cp_freeze:t=500us,dur=1ms,node=sw0",
      "cpfreeze"},
     {"websearch", "occamy", 2.0, 0,
      "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5", "gilbert"},
@@ -156,13 +157,13 @@ constexpr GoldenCase kCases[] = {
     // adaptive default, window_batch=0) — a fingerprint drift at any batch
     // setting, healthy or faulted, is a golden failure, not just a
     // differential one.
-    {"burst", "occamy", 1.0, 2, nullptr, nullptr, 1},
-    {"burst", "occamy", 1.0, 2, nullptr, nullptr, 4},
-    {"burst_absorption", "occamy", 2.0, 2, nullptr, nullptr, 1},
-    {"burst_absorption", "occamy", 2.0, 2, nullptr, nullptr, 4},
+    {"burst", "occamy", 1.0, 1, nullptr, nullptr, 1},
+    {"burst", "occamy", 1.0, 1, nullptr, nullptr, 4},
+    {"burst_absorption", "occamy", 2.0, 1, nullptr, nullptr, 1},
+    {"burst_absorption", "occamy", 2.0, 1, nullptr, nullptr, 4},
     {"websearch", "occamy", 2.0, 2, nullptr, nullptr, 1},
     {"websearch", "occamy", 2.0, 2, nullptr, nullptr, 4},
-    {"burst", "occamy", 1.0, 2, "link_down:t=500us,dur=300us,node=sw0,port=2",
+    {"burst", "occamy", 1.0, 1, "link_down:t=500us,dur=300us,node=sw0,port=2",
      nullptr, 4},
     {"websearch", "occamy", 2.0, 2,
      "link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1", "reroute", 4},

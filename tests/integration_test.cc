@@ -244,7 +244,7 @@ TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
     run.seed = seed;
     const StarSpec star = MakeDpdkStarSpec(run);
     const Time duration = DpdkDuration(run, star, BenchScale::kDefault);
-    ShardedStarScenario s(star, /*shards=*/1, /*use_threads=*/false);
+    ShardedStarScenario s(star, /*use_threads=*/false);
     const auto lp = StartDpdkLpStreams(run, s, duration);
     const workload::PregeneratedIncast incast = workload::PregenerateIncast(
         MakeDpdkQueryConfig(run, s.topo.hosts, star, duration, s.IdealFn(), nullptr));

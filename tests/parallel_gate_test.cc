@@ -71,8 +71,8 @@ TEST(ParseParallelGateArgs, WindowBatchAutoResetsAFixedSetting) {
 
 TEST(ParseParallelGateArgs, RejectsBadValues) {
   for (const char* bad :
-       {"--shards=1", "--shards=65", "--shards=abc", "--window-batch=0",
-        "--window-batch=17", "--window-batch=4x", "--window-batch=",
+       {"--shards=1", "--shards=65", "--shards=abc", "--shards=4x", "--shards=+4",
+        "--window-batch=0", "--window-batch=17", "--window-batch=4x", "--window-batch=",
         "--min-speedup=fast", "--min-speedup=-1", "--min-speedup=nan",
         "--min-speedup-per-core=inf", "--min-speedup-per-core=0.5x",
         "--not-a-flag"}) {

@@ -1,5 +1,5 @@
 // Shard-affinity checker (OCCAMY_ASSERT_SHARD, src/sim/shard_checks.h):
-// a clean lane-sharded run passes with the checks compiled in, and a
+// a clean cross-shard run passes with the checks compiled in, and a
 // deliberately mis-pinned event — work scheduled on one shard that touches
 // state owned by another — aborts deterministically on the first packet,
 // with no racy interleaving required. The death test self-skips when the
@@ -21,8 +21,9 @@ namespace {
 
 constexpr int kShards = 2;
 
-// 8-host star with 2-port partitions: 4 lanes over 2 shards, so hosts 0-1
-// ride shard 0 (lane 0) and hosts 6-7 ride shard 1 (lane 3).
+// 8-host star spread over 2 shards by hand: the switch sits on shard 0 and
+// net::StarShardOf places each host by its 2-port partition, so hosts 0-1
+// ride shard 0 (partition 0) and hosts 6-7 ride shard 1 (partition 3).
 net::StarConfig ShardedStar() {
   net::StarConfig cfg;
   cfg.num_hosts = 8;
@@ -42,9 +43,8 @@ sim::ShardedSimulator::Options EngineOptions(const net::StarConfig& cfg, bool us
 }
 
 net::Network MakeNetwork(sim::ShardedSimulator* ssim, const net::StarConfig& cfg) {
-  return net::Network(
-      ssim, [cfg](net::NodeId id) { return net::StarShardOf(cfg, kShards, id); },
-      [](net::NodeId, int lane) { return net::StarLaneShardOf(kShards, lane); });
+  return net::Network(ssim,
+                      [cfg](net::NodeId id) { return net::StarShardOf(cfg, kShards, id); });
 }
 
 // Cross-shard open-loop traffic through every assert site (host TX, switch
@@ -94,9 +94,9 @@ TEST(ShardChecksDeathTest, MisPinnedSendTripsChecker) {
 }
 
 // Route-epoch publication (self-healing reroute, src/fault) is pinned to
-// the switch's lane-0 shard: the marker event the injector schedules must
-// run there, and a mis-pinned publication aborts rather than racing the
-// routing tables read by other lanes.
+// the switch's shard: the marker event the injector schedules must run
+// there, and a mis-pinned publication aborts rather than racing the
+// switch's routing tables.
 TEST(ShardChecksDeathTest, MisPinnedRouteEpochPublicationTripsChecker) {
 #ifndef OCCAMY_SHARD_CHECKS
   GTEST_SKIP() << "built without OCCAMY_SHARD_CHECKS";
@@ -105,7 +105,7 @@ TEST(ShardChecksDeathTest, MisPinnedRouteEpochPublicationTripsChecker) {
   sim::ShardedSimulator ssim(EngineOptions(cfg, /*use_threads=*/false));
   net::Network net = MakeNetwork(&ssim, cfg);
   net::StarTopology topo = net::BuildStar(net, cfg);
-  // Lane 0 of the switch rides shard 0; shard 1 is the wrong home.
+  // The switch rides shard 0; shard 1 is the wrong home.
   auto& sw = static_cast<net::SwitchNode&>(net.node(topo.switch_id));
   ssim.shard(1).At(Microseconds(1), [&sw] { sw.OnRouteEpochPublished(); });
   EXPECT_DEATH(ssim.RunUntil(Milliseconds(1)), "shard-affinity violation");

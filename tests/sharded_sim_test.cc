@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -507,10 +508,10 @@ TEST(ShardedSimTest, LeafSpineShardAssignment) {
   }
 }
 
-// Star intra-switch shard assignment: partition p (lane p) -> shard
-// p % shards, each host on its egress partition's shard, the switch's home
-// shard 0, and everything on shard 0 when shards == 1 or with one shared
-// buffer.
+// Star shard assignment (the hand-placed stars of the shard-affinity
+// tests): partition p -> shard p % shards, each host on its egress
+// partition's shard, the switch on shard 0, and everything on shard 0 when
+// shards == 1 or with one shared buffer.
 TEST(ShardedSimTest, StarShardAssignment) {
   net::StarConfig cfg;
   cfg.num_hosts = 16;
@@ -538,35 +539,32 @@ TEST(ShardedSimTest, StarShardAssignment) {
   EXPECT_EQ(net::StarPartitionOfPort(one, 7), 0);
 }
 
-// A lane-sharded star actually spreads its partitions' work across shards:
-// build one through the real Network/BuildStar path and check the lane
-// bindings and per-lane simulators.
-TEST(ShardedSimTest, StarLaneBindingSpreadsPartitions) {
+// Every lane runs on its node's shard. The three-argument Network
+// constructor still takes a lane function, but one that puts a star
+// partition off the switch's shard must fail when the switch binds its
+// lanes; at one shard every lane lands on shard 0 and the star builds.
+TEST(ShardedSimDeathTest, StarLaneOffItsNodeShardDies) {
   net::StarConfig cfg;
   cfg.num_hosts = 8;
   cfg.link_propagation = kLookahead;
-  cfg.switch_config.ports_per_partition = 2;  // 4 partitions over 2 shards
+  cfg.switch_config.ports_per_partition = 2;  // 4 partitions
   cfg.switch_config.tm.buffer_bytes = 100 * 1000;
   cfg.switch_config.scheme_factory = [] {
     return std::unique_ptr<bm::BmScheme>(new bm::DynamicThreshold());
   };
-  const int kShards = 2;
-  sim::ShardedSimulator ssim(EngineOptions(kShards));
-  net::Network net(
-      &ssim, [&cfg](net::NodeId id) { return net::StarShardOf(cfg, kShards, id); },
-      [](net::NodeId, int lane) { return net::StarLaneShardOf(kShards, lane); });
-  net::StarTopology topo = net::BuildStar(net, cfg);
-  EXPECT_TRUE(net.lane_sharded(topo.switch_id));
-  auto& sw = topo.sw(net);
-  ASSERT_EQ(sw.num_partitions(), 4);
-  for (int lane = 0; lane < 4; ++lane) {
-    EXPECT_EQ(net.lane_shard(topo.switch_id, lane), lane % kShards);
-    EXPECT_EQ(&net.LaneSim(topo.switch_id, lane), &ssim.shard(lane % kShards));
-  }
-  // Hosts follow their egress partition.
-  for (int h = 0; h < cfg.num_hosts; ++h) {
-    EXPECT_EQ(net.shard_of(topo.hosts[static_cast<size_t>(h)]), (h / 2) % kShards);
-  }
+  const auto make_network = [&cfg](sim::ShardedSimulator* ssim, int shards) {
+    return std::make_unique<net::Network>(
+        ssim, [&cfg, shards](net::NodeId id) { return net::StarShardOf(cfg, shards, id); },
+        [shards](net::NodeId, int lane) { return net::StarLaneShardOf(shards, lane); });
+  };
+  sim::ShardedSimulator one(EngineOptions(1, /*use_threads=*/false));
+  auto one_net = make_network(&one, 1);
+  net::StarTopology topo = net::BuildStar(*one_net, cfg);
+  EXPECT_EQ(topo.sw(*one_net).num_partitions(), 4);
+
+  sim::ShardedSimulator two(EngineOptions(2, /*use_threads=*/false));
+  auto two_net = make_network(&two, 2);
+  EXPECT_DEATH(net::BuildStar(*two_net, cfg), "lane 1 is off its node's shard");
 }
 
 }  // namespace

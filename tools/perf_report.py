@@ -8,12 +8,10 @@ failing when any regresses by more than --max-regression (default 30%).
 
 Usage:
   tools/perf_report.py --bench=build/bench_core_hotpath \
-      --extra-bench=build/bench_fabric_parallel \
-      --extra-bench=build/bench_star_parallel --out=BENCH_core.json
+      --extra-bench=build/bench_fabric_parallel --out=BENCH_core.json
   tools/perf_report.py --bench=build/bench_core_hotpath --out=new.json \
       --check=BENCH_core.json [--max-regression=0.30] [--bench-arg=--quick] \
-      --extra-bench="build/bench_fabric_parallel --quick" \
-      --extra-bench="build/bench_star_parallel --quick"
+      --extra-bench="build/bench_fabric_parallel --quick"
 
 --extra-bench (repeatable) runs an additional bench binary (its value is
 whitespace-split into command + args) and merges its flat JSON metrics into
@@ -27,13 +25,12 @@ trace_compiled == 0 before gating, so the recorded baseline rate is
 genuinely tracing-free; the metric is gated through the ordinary
 _events_per_sec suffix.
 
-The checked-in BENCH_core.json baseline is the union of bench_core_hotpath,
-bench_fabric_parallel (fabric_parallel_speedup: node-affinity sharding),
-and bench_star_parallel (star_parallel_speedup: intra-switch lane sharding)
-metrics, so a --check run must pass the matching --extra-bench flags (as CI
-does) or every fabric_parallel_* / star_parallel_* gated metric reports
-"missing from current run" and the check fails by design — a bench that
-silently stops emitting a tracked metric must not pass the gate.
+The checked-in BENCH_core.json baseline is the union of bench_core_hotpath
+and bench_fabric_parallel (fabric_parallel_speedup: node-affinity sharding)
+metrics, so a --check run must pass the matching --extra-bench flag (as CI
+does) or every fabric_parallel_* gated metric reports "missing from current
+run" and the check fails by design — a bench that silently stops emitting
+a tracked metric must not pass the gate.
 
 Exit codes: 0 ok, 1 regression or bench failure, 2 usage error.
 """

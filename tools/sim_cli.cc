@@ -174,6 +174,11 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
   if (out.degradation && out.faults.empty()) {
     return "--degradation needs --faults (it compares against the healthy twin)";
   }
+  // Unknown scenario names are reported by the run itself.
+  if (const exp::ScenarioInfo* entry = exp::ScenarioByName(out.scenario)) {
+    std::string shards_error = exp::ShardsError(*entry, out.shards);
+    if (!shards_error.empty()) return shards_error;
+  }
   return std::nullopt;
 }
 
@@ -209,9 +214,9 @@ std::string UsageString() {
          "  --duration-ms=<ms>  traffic duration override (default: scenario-specific)\n"
          "  --alphas=<a,b,...>  per-class alpha override (default: scheme-specific)\n"
          "  --shards=<n>        run on the partition-parallel engine with n shards\n"
-         "                      (fabric: node-affinity sharding; star/p4: intra-\n"
-         "                      switch partition sharding; byte-identical metrics\n"
-         "                      for any n; default: single-threaded engine)\n"
+         "                      (node-affinity sharding; byte-identical metrics\n"
+         "                      for any n; star/p4 scenarios take only n=1;\n"
+         "                      default: single-threaded engine)\n"
          "  --window-batch=<k>  sharded engine: windows per plan-barrier round;\n"
          "                      auto (default) adapts to the staged-mail signal and\n"
          "                      window event density, 1 = one drain per window\n"

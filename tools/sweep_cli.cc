@@ -151,7 +151,8 @@ std::string SweepUsageString() {
          "  --duration-ms=<ms>        traffic duration override\n"
          "  --shards=<n>              run every point on the partition-parallel\n"
          "                            engine with n shards each (results unchanged;\n"
-         "                            jobs is capped so jobs x shards fits the CPU)\n"
+         "                            star/p4 scenarios take only n=1; jobs is\n"
+         "                            capped so jobs x shards fits the CPU)\n"
          "  --window-batch=<k>        sharded engine: windows per plan barrier\n"
          "                            (auto = adaptive, 1 = legacy, 2..16 = fixed;\n"
          "                            results unchanged at every setting)\n"
