@@ -1,38 +1,23 @@
-// Shared harness for the parallel-engine determinism + speedup gate bench
-// (bench_fabric_parallel).
-//
-// Each bench runs its scenario three ways — single shard at the legacy
-// one-window-per-drain schedule (the oracle), N shards at the requested
-// --window-batch (the timed configuration), and, when batching is on, N
-// shards at batch=1 (the windows_run reference) — hard-fails on any
-// deterministic-metric mismatch (the engines' contract), reports the
-// wall-clock speedup, optionally gates it against an absolute floor or a
-// per-core floor (enforced only when the machine has >= shards hardware
-// threads), asserts that adaptive batching strictly reduces barrier rounds,
-// and emits a flat `<prefix>_*` JSON dictionary for tools/perf_report.py
-// to merge into BENCH_core.json. The bench supplies the scenario-specific
-// parts: how to run one configuration, how to compare two results, and the
-// metric prefix.
+// Options and strict flag parsers of the parallel-engine gate bench
+// (bench/bench_fabric_parallel.cc). The gate flags decide whether a perf
+// regression fails CI, so every malformed value is a usage error
+// (tests/parallel_gate_test.cc).
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <optional>
 #include <string>
-#include <thread>
 
-#include "bench/common/table.h"
-#include "src/util/json.h"
+#include "src/exp/scenarios.h"
 
 namespace occamy::bench {
 
 struct ParallelGateOptions {
   std::string json_path;
+  exp::BenchScale scale = exp::BenchScale::kDefault;
   int shards = 4;
-  int rounds = 2;  // best-of-N wall times to ride out machine noise
   // Sharded engine: windows per plan-barrier round for the timed leg.
   // 0 = adaptive (the default the CLIs and benches now run), 1 = legacy.
   int window_batch = 0;
@@ -45,6 +30,7 @@ struct ParallelGateOptions {
   // (--min-speedup-per-core=0.5 demands 2x on a 4-core/4-shard run).
   // Composes with min_speedup: the stricter of the two wins.
   double min_speedup_per_core = 0;
+  bool quick = false;  // a shorter run, timed once instead of best-of-2
 };
 
 // Strict double parse for gate flags: the whole token must be a finite,
@@ -71,17 +57,21 @@ inline bool ParseGateInt(const std::string& text, int lo, int hi, int& out) {
   return true;
 }
 
-// Parses the flags shared by every gate bench (--json, --shards,
-// --window-batch, --min-speedup, --min-speedup-per-core, --quick). Returns
-// false on a bad/unknown argument; `on_quick` applies the bench's own
-// shortened configuration.
-template <typename QuickFn>
-bool ParseParallelGateArgs(int argc, char** argv, ParallelGateOptions& opts,
-                           const char* bench_name, QuickFn&& on_quick) {
+// Parses the bench's flags (--json, --scale, --shards, --window-batch,
+// --min-speedup, --min-speedup-per-core, --quick). Returns false on a
+// bad or unknown argument.
+inline bool ParseParallelGateArgs(int argc, char** argv, ParallelGateOptions& opts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
       opts.json_path = arg.substr(7);
+    } else if (arg.rfind("--scale=", 0) == 0) {
+      const std::optional<exp::BenchScale> scale = exp::ScaleByName(arg.substr(8));
+      if (!scale.has_value()) {
+        std::fprintf(stderr, "bad --scale (want smoke|default|full)\n");
+        return false;
+      }
+      opts.scale = *scale;
     } else if (arg.rfind("--shards=", 0) == 0) {
       if (!ParseGateInt(arg.substr(9), 2, 64, opts.shards)) {
         std::fprintf(stderr, "bad --shards (want 2..64)\n");
@@ -107,150 +97,16 @@ bool ParseParallelGateArgs(int argc, char** argv, ParallelGateOptions& opts,
         return false;
       }
     } else if (arg == "--quick") {
-      opts.rounds = 1;
-      on_quick();
+      opts.quick = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json=PATH] [--shards=N] [--window-batch=K] "
-                   "[--min-speedup=X] [--min-speedup-per-core=X] [--quick]\n",
-                   bench_name);
+                   "usage: bench_fabric_parallel [--json=PATH] [--scale=S] [--shards=N] "
+                   "[--window-batch=K] [--min-speedup=X] [--min-speedup-per-core=X] "
+                   "[--quick]\n");
       return false;
     }
   }
   return true;
-}
-
-// The gate proper. `run(shards, window_batch)` executes one configuration
-// and returns its result; `identical(a, b, diff)` compares every
-// deterministic field, filling `diff` on mismatch; `sanity(result, err)`
-// rejects vacuous runs (e.g. zero traffic); `sim_events` / `efficiency` /
-// `windows_run` read those fields off a result. Returns the process exit
-// code.
-template <typename Result, typename RunFn, typename IdenticalFn, typename SanityFn,
-          typename SimEventsFn, typename EfficiencyFn, typename WindowsFn>
-int RunParallelGate(const ParallelGateOptions& opts, const std::string& prefix,
-                    RunFn&& run, IdenticalFn&& identical, SanityFn&& sanity,
-                    SimEventsFn&& sim_events, EfficiencyFn&& efficiency,
-                    WindowsFn&& windows_run) {
-  using PerfClock = std::chrono::steady_clock;
-
-  double serial_ms = 1e300, parallel_ms = 1e300;
-  Result serial{}, parallel{};
-  double best_efficiency = 0;
-  for (int r = 0; r < opts.rounds; ++r) {
-    const PerfClock::time_point t0 = PerfClock::now();
-    serial = run(1, 1);  // the legacy single-shard oracle
-    const PerfClock::time_point t1 = PerfClock::now();
-    parallel = run(opts.shards, opts.window_batch);
-    const PerfClock::time_point t2 = PerfClock::now();
-    serial_ms = std::min(
-        serial_ms, std::chrono::duration<double, std::milli>(t1 - t0).count());
-    const double pm = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    if (pm < parallel_ms) {
-      parallel_ms = pm;
-      best_efficiency = efficiency(parallel);
-    }
-  }
-
-  std::string diff;
-  if (!identical(serial, parallel, diff)) {
-    std::fprintf(stderr,
-                 "DETERMINISM VIOLATION: shards=1 vs shards=%d metrics differ (%s)\n",
-                 opts.shards, diff.c_str());
-    return 1;
-  }
-  std::string sanity_err;
-  if (!sanity(serial, sanity_err)) {
-    std::fprintf(stderr, "EMPTY RUN: %s\n", sanity_err.c_str());
-    return 1;
-  }
-
-  // Window-batching leg: when the timed configuration batches (anything but
-  // the fixed batch=1 schedule), run the same sharded configuration at
-  // batch=1 once and require (a) byte-identical metrics and (b) strictly
-  // fewer barrier rounds from batching — the whole point of the policy.
-  const uint64_t parallel_windows = windows_run(parallel);
-  uint64_t batch1_windows = parallel_windows;
-  if (opts.window_batch != 1) {
-    const Result reference = run(opts.shards, 1);
-    diff.clear();
-    if (!identical(serial, reference, diff)) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: window_batch=1 reference differs (%s)\n",
-                   diff.c_str());
-      return 1;
-    }
-    batch1_windows = windows_run(reference);
-    if (parallel_windows >= batch1_windows) {
-      const std::string batch_label =
-          opts.window_batch == 0 ? "auto" : std::to_string(opts.window_batch);
-      std::fprintf(stderr,
-                   "WINDOW BATCHING REGRESSION: %llu barrier rounds at "
-                   "window_batch=%s vs %llu at batch=1 (want strictly fewer)\n",
-                   static_cast<unsigned long long>(parallel_windows),
-                   batch_label.c_str(),
-                   static_cast<unsigned long long>(batch1_windows));
-      return 1;
-    }
-  }
-
-  const double speedup = serial_ms / parallel_ms;
-  const int64_t events = sim_events(serial);
-  const double serial_eps = static_cast<double>(events) / serial_ms * 1e3;
-  const double parallel_eps = static_cast<double>(events) / parallel_ms * 1e3;
-  const unsigned cores = std::thread::hardware_concurrency();
-
-  Table table({"Engine", "wall ms", "events/s", "speedup"});
-  table.AddRow({"single shard", Table::Fmt("%.1f", serial_ms),
-                Table::Fmt("%.3g", serial_eps), "1.00x"});
-  table.AddRow({Table::Fmt("%d shards", opts.shards), Table::Fmt("%.1f", parallel_ms),
-                Table::Fmt("%.3g", parallel_eps), Table::Fmt("%.2fx", speedup)});
-  table.Print();
-  std::printf("metrics bit-identical across engines; %llu events; %u cores; "
-              "parallel efficiency %.2f; %llu barrier rounds (batch=1: %llu)\n",
-              static_cast<unsigned long long>(events), cores, best_efficiency,
-              static_cast<unsigned long long>(parallel_windows),
-              static_cast<unsigned long long>(batch1_windows));
-
-  double required = opts.min_speedup;
-  if (opts.min_speedup_per_core > 0) {
-    const double per_core =
-        opts.min_speedup_per_core *
-        static_cast<double>(std::min<unsigned>(cores, static_cast<unsigned>(opts.shards)));
-    required = std::max(required, per_core);
-  }
-  if (required > 0 && cores >= static_cast<unsigned>(opts.shards) &&
-      speedup < required) {
-    std::fprintf(stderr,
-                 "PARALLEL SPEEDUP REGRESSION: %.2fx < required %.2fx "
-                 "(%d shards on %u cores)\n",
-                 speedup, required, opts.shards, cores);
-    return 1;
-  }
-
-  if (!opts.json_path.empty()) {
-    JsonBuilder json;
-    json.Add(prefix + "_shards", int64_t{opts.shards});
-    json.Add(prefix + "_cores", static_cast<int64_t>(cores));
-    json.Add(prefix + "_sim_events", events);
-    json.Add(prefix + "_serial_wall_ms", serial_ms);
-    json.Add(prefix + "_wall_ms", parallel_ms);
-    json.Add(prefix + "_serial_events_per_sec", serial_eps);
-    json.Add(prefix + "_events_per_sec", parallel_eps);
-    json.Add(prefix + "_speedup", speedup);
-    json.Add(prefix + "_efficiency", best_efficiency);
-    json.Add(prefix + "_window_batch", int64_t{opts.window_batch});
-    json.Add(prefix + "_windows_run", static_cast<int64_t>(parallel_windows));
-    json.Add(prefix + "_windows_run_batch1", static_cast<int64_t>(batch1_windows));
-    std::ofstream out(opts.json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", opts.json_path.c_str());
-      return 1;
-    }
-    out << json.Build() << "\n";
-    std::printf("JSON -> %s\n", opts.json_path.c_str());
-  }
-  return 0;
 }
 
 }  // namespace occamy::bench

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <initializer_list>
+#include <sstream>
 #include <utility>
 
 #include "src/exp/burst_lab.h"
@@ -327,6 +328,8 @@ PointResult RunPoint(const PointSpec& spec) {
                    std::to_string(spec.loss_rate);
     return result;
   }
+  result.error = InputRangeError(spec);
+  if (!result.error.empty()) return result;
   const std::string faults = ComposeFaults(spec);
   if (!faults.empty()) {
     fault::FaultPlan plan;
@@ -340,6 +343,32 @@ PointResult RunPoint(const PointSpec& spec) {
   if (platform == "p4") return RunBurst(*entry, *scheme, spec, scale, faults);
   if (platform == "star") return RunStar(*entry, *scheme, spec, scale, faults);
   return RunFabricScenario(*entry, *scheme, spec, scale, faults);
+}
+
+// ---------------- input caps ----------------
+
+std::string InputRangeError(const PointSpec& spec) {
+  std::ostringstream err;
+  err.precision(12);
+  const auto out_of_range = [&err](const char* flag, auto value, auto cap) {
+    if (value >= 0 && value <= cap) return false;  // NaN fails both
+    err << flag << " out of range [0, " << cap << "]: " << value;
+    return true;
+  };
+  if (out_of_range("--duration-ms", spec.duration_ms, kMaxDurationMs)) return err.str();
+  for (const double alpha : spec.alphas) {
+    if (out_of_range("--alphas entry", alpha, kMaxAlpha)) return err.str();
+  }
+  if (out_of_range("--bg-loads entry", spec.bg_load, kMaxBgLoad)) return err.str();
+  const std::pair<const char*, int64_t> sizes[] = {
+      {"--query-bytes entry", spec.query_bytes},
+      {"--buffer-bytes entry", spec.buffer_bytes},
+      {"--bg-flow-bytes entry", spec.bg_flow_bytes},
+      {"--burst-bytes entry", spec.burst_bytes}};
+  for (const auto& [flag, bytes] : sizes) {
+    if (out_of_range(flag, bytes, kMaxKnobBytes)) return err.str();
+  }
+  return "";
 }
 
 }  // namespace occamy::exp

@@ -88,7 +88,25 @@ struct PointResult {
 };
 
 // Runs one point. Returns !ok with a descriptive error for unknown
-// scenario/scheme names or knobs that do not apply to the platform.
+// scenario/scheme names, knobs that do not apply to the platform, or an
+// input outside its cap (InputRangeError).
 PointResult RunPoint(const PointSpec& spec);
+
+// ---------------- input caps ----------------
+
+// The largest value each run input may take. Every cap sits far above what
+// the paper, the figure registry, the tests, CI and the benchmark use, and
+// far below the values at which simulated time or int64 byte arithmetic
+// overflows, or pregeneration draws an effectively unbounded arrival stream.
+inline constexpr double kMaxDurationMs = 1e6;  // 1000 s of simulated time
+inline constexpr double kMaxAlpha = 1e4;
+inline constexpr double kMaxBgLoad = 100;  // x line rate
+// Query, buffer, collective-flow and burst sizes.
+inline constexpr int64_t kMaxKnobBytes = 1'000'000'000;
+
+// The error for the first input of `spec` outside [0, cap], naming the CLI
+// flag that sets it, or "" when every input is in range. The run and
+// profile parser, ExpandSweep (sweep, figure) and RunPoint all check here.
+std::string InputRangeError(const PointSpec& spec);
 
 }  // namespace occamy::exp

@@ -125,6 +125,11 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
     }
   }
 
+  for (const auto& p : out) {
+    std::string range_error = InputRangeError(p.spec);
+    if (!range_error.empty()) return range_error;
+  }
+
   // Key fields render doubles at 6 significant digits, so knob values that
   // differ only beyond that would silently share a run key (and merge into
   // one aggregation cell); reject the grid instead.

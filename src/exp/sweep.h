@@ -69,8 +69,8 @@ size_t GridSize(const SweepSpec& spec);
 
 // Expands the grid in deterministic order (scenario-major, seed-minor).
 // Returns an error message for unknown scenario/scheme names, a shard count
-// a scenario does not take, or a non-positive seed count; on success fills
-// `out`.
+// a scenario does not take, a non-positive seed count, or a point with an
+// input outside its cap (InputRangeError); on success fills `out`.
 std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                                        std::vector<SweepPoint>& out);
 

@@ -1,5 +1,6 @@
 #include "src/fault/fault_plan.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -32,8 +33,9 @@ std::vector<Token> Split(const std::string& s, char sep, size_t base) {
 std::string AtByte(size_t offset) { return " at byte " + std::to_string(offset); }
 
 // Time values require an explicit unit suffix so "t=2" can never silently
-// mean picoseconds. `what` names the parameter class in errors ("time" /
-// "duration"); `token` is the full key=value token for the message.
+// mean picoseconds, and must be finite and at most kMaxFaultTime. `what`
+// names the parameter class in errors ("time" / "duration"); `token` is the
+// full key=value token for the message.
 std::optional<std::string> ParseTimeValue(const std::string& token, const std::string& value,
                                           const char* what, Time* out) {
   static constexpr struct {
@@ -52,7 +54,12 @@ std::optional<std::string> ParseTimeValue(const std::string& token, const std::s
     if (v < 0) {
       return std::string("fault spec: negative ") + what + " in '" + token + "'";
     }
-    *out = static_cast<Time>(std::llround(v * static_cast<double>(u.unit)));
+    const double ps = v * static_cast<double>(u.unit);
+    if (!(ps <= static_cast<double>(kMaxFaultTime))) {  // also rejects inf and nan
+      const std::string cap = " (max " + std::to_string(kMaxFaultTime / kSecond) + "s)";
+      return std::string("fault spec: ") + what + " out of range in '" + token + "'" + cap;
+    }
+    *out = static_cast<Time>(std::llround(ps));
     return std::nullopt;
   }
   return "fault spec: bad " + std::string(what) + " in '" + token +
@@ -76,9 +83,13 @@ std::optional<std::string> ParseSeed(const std::string& token, const std::string
     return "fault spec: bad number in '" + token + "'";
   }
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
     return "fault spec: bad number in '" + token + "'";
+  }
+  if (errno == ERANGE) {
+    return "fault spec: seed out of range in '" + token + "' (want at most 2^64-1)";
   }
   *out = static_cast<uint64_t>(v);
   return std::nullopt;

@@ -14,7 +14,8 @@
 //   fault      := type ':' param '=' value (',' param '=' value)*
 //   type       := link_down | link_up | blackhole | freeze | loss | corrupt
 //               | restart | cp_freeze | cp_delay | gilbert
-//   time value := <double> ('ns' | 'us' | 'ms' | 's')   (suffix required)
+//   time value := <double> ('ns' | 'us' | 'ms' | 's')   (suffix required;
+//                 finite, 0 to kMaxFaultTime = 1000 s)
 //
 //   link_down  t=<time> dur=<time> node=<sw|host><k> port=<int> [reroute=0|1]
 //              Both directions of the link at (node, port) drop every
@@ -71,6 +72,11 @@
 #include "src/util/time.h"
 
 namespace occamy::fault {
+
+// Largest fault time, duration, lag or slot: 1000 s of simulated time,
+// 1000x the longest run here, and small enough that sums of such values stay
+// far inside the int64 picosecond range.
+inline constexpr Time kMaxFaultTime = 1000 * kSecond;
 
 enum class FaultKind {
   kLinkDown,

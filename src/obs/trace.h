@@ -3,8 +3,9 @@
 // Two gates keep this off the hot path:
 //  - compile-time: the OCCAMY_TRACE_* macros expand to ((void)0) unless the
 //    build defines OCCAMY_TRACE=1 (CMake option OCCAMY_TRACE, default ON) —
-//    an OFF build carries no tracing code at all, which is what the
-//    trace_off_events_per_sec guard in BENCH_core.json verifies;
+//    an OFF build carries no tracing code at all. CI's perf-smoke job
+//    times OFF builds (tools/ladder_gate.py) and checks that an OFF
+//    occamy_sim refuses --trace;
 //  - runtime: even when compiled in, every macro first reads one relaxed
 //    atomic bool (TraceRecorder::Enabled()); nothing else happens until a
 //    run is started with TraceRecorder::Get().Start(...).

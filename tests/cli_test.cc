@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -195,6 +196,69 @@ TEST(CliParse, RejectsNonFiniteNumbers) {
   EXPECT_TRUE(ParseFigureArgs(3, nan_ms, figure).has_value());
 }
 
+// Inputs that overflowed simulated time or int64 state, or never finished,
+// are usage errors that name the flag, from every subcommand.
+TEST(CliParse, InputsAboveTheirCapsExit2) {
+  struct Row {
+    std::vector<const char*> args;
+    const char* error;
+  };
+  const Row rows[] = {
+      // A duration past the int64 picosecond range ran with a negative horizon.
+      {{"run", "--scenario=burst", "--duration-ms=1e300"}, "--duration-ms out of range"},
+      {{"sweep", "--scenarios=burst", "--bms=dt", "--duration-ms=1e300"},
+       "--duration-ms out of range"},
+      {{"figure", "--name=fig12", "--duration-ms=1e300"}, "--duration-ms out of range"},
+      // Sizes that aborted in Simulator::At or died in std::bad_alloc.
+      {{"sweep", "--scenarios=incast", "--bms=dt", "--query-bytes=1000000000000000"},
+       "--query-bytes entry out of range"},
+      {{"sweep", "--scenarios=alltoall", "--bms=dt", "--bg-flow-bytes=999999999999999999"},
+       "--bg-flow-bytes entry out of range"},
+      {{"sweep", "--scenarios=incast", "--bms=dt", "--buffer-bytes=999999999999999999"},
+       "--buffer-bytes entry out of range"},
+      {{"sweep", "--scenarios=burst", "--bms=dt", "--burst-bytes=999999999999999999"},
+       "--burst-bytes entry out of range"},
+      // An alpha whose DT threshold is no int64 (undefined behaviour).
+      {{"run", "--scenario=incast", "--alphas=1e300"}, "--alphas entry out of range"},
+      {{"profile", "--scenario=incast", "--alphas=1,1e300"}, "--alphas entry out of range"},
+      // A load whose pregenerated arrival stream never ends.
+      {{"sweep", "--scenarios=websearch", "--bms=dt", "--bg-loads=1e9", "--duration-ms=1"},
+       "--bg-loads entry out of range"},
+  };
+  for (const Row& row : rows) {
+    std::vector<const char*> argv = {"occamy_sim"};
+    argv.insert(argv.end(), row.args.begin(), row.args.end());
+    testing::internal::CaptureStderr();
+    const int code = Main(static_cast<int>(argv.size()), argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << row.error;
+    EXPECT_NE(err.find(row.error), std::string::npos) << err;
+  }
+}
+
+// Each cap admits every value in use, including the benchmark's shortest
+// and longest durations; one step above a cap is rejected.
+TEST(CliParse, CapsAdmitValuesInUse) {
+  for (const char* duration : {"--duration-ms=0.001", "--duration-ms=1000"}) {
+    const char* argv[] = {"occamy_sim", "--scenario=choking", duration};
+    SimOptions opts;
+    EXPECT_FALSE(ParseArgs(3, argv, opts).has_value()) << duration;
+  }
+  exp::PointSpec at_cap;
+  at_cap.duration_ms = exp::kMaxDurationMs;
+  at_cap.alphas = {exp::kMaxAlpha};
+  at_cap.bg_load = exp::kMaxBgLoad;
+  at_cap.query_bytes = at_cap.buffer_bytes = at_cap.bg_flow_bytes = at_cap.burst_bytes =
+      exp::kMaxKnobBytes;
+  EXPECT_EQ(exp::InputRangeError(at_cap), "");
+  exp::PointSpec above = at_cap;
+  above.burst_bytes = exp::kMaxKnobBytes + 1;
+  EXPECT_NE(exp::InputRangeError(above).find("--burst-bytes"), std::string::npos);
+  above = at_cap;
+  above.duration_ms = std::nextafter(exp::kMaxDurationMs, 2 * exp::kMaxDurationMs);
+  EXPECT_NE(exp::InputRangeError(above).find("--duration-ms"), std::string::npos);
+}
+
 TEST(SweepParse, FullCommandLine) {
   const char* argv[] = {"sweep",
                         "--scenarios=incast,websearch",
@@ -358,6 +422,22 @@ TEST(CliRun, RejectsWindowBatchOutOfRange) {
   const SimResult result = RunScenario(opts);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("window_batch"), std::string::npos) << result.error;
+}
+
+// Library callers that bypass the parsers get the same check as a
+// PointResult error instead of an overflowing run.
+TEST(CliRun, RunPointRejectsInputsAboveCaps) {
+  exp::PointSpec spec;
+  spec.scenario = "incast";
+  spec.alphas = {1e300};
+  exp::PointResult r = exp::RunPoint(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("--alphas entry out of range"), std::string::npos) << r.error;
+  spec.alphas.clear();
+  spec.duration_ms = std::nan("");
+  r = exp::RunPoint(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("--duration-ms out of range"), std::string::npos) << r.error;
 }
 
 TEST(CliRun, ListsAreNonEmpty) {

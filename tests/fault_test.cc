@@ -214,6 +214,13 @@ constexpr BadSpec kBadSpecs[] = {
     {"link_down:t=2,node=sw0,port=1", "bad time in 't=2'"},
     {"link_down:t=2ms,dur=-1ms,node=sw0,port=1", "negative duration in 'dur=-1ms'"},
     {"link_down:t=-5us,node=sw0,port=1", "negative time in 't=-5us'"},
+    // Times must be finite and at most kMaxFaultTime; seeds must fit uint64.
+    {"link_down:t=1e30us,dur=1us,node=sw0,port=1", "time out of range in 't=1e30us'"},
+    {"link_down:t=infus,dur=1us,node=sw0,port=1", "time out of range in 't=infus'"},
+    {"link_down:t=nanus,dur=1us,node=sw0,port=1", "time out of range in 't=nanus'"},
+    {"freeze:t=1ms,dur=1e300s,node=sw0", "duration out of range in 'dur=1e300s'"},
+    {"loss:rate=0.1,seed=99999999999999999999999",
+     "seed out of range in 'seed=99999999999999999999999'"},
     // Rate range.
     {"loss:rate=0", "rate out of range in 'rate=0'"},
     {"loss:rate=1.5", "rate out of range in 'rate=1.5'"},
@@ -295,6 +302,11 @@ TEST(FaultCli, BadFaultsIsUsageErrorExit2) {
   const char* argv[] = {"occamy_sim", "run", "--scenario=burst", "--bm=dt",
                         "--faults=loss:rate=abc"};
   EXPECT_EQ(cli::Main(5, argv), 2);
+  // A time past the int64 picosecond range used to abort inside the run.
+  const char* huge_time[] = {"occamy_sim", "run", "--scenario=websearch", "--scale=smoke",
+                             "--duration-ms=2",
+                             "--faults=link_down:t=1e30us,dur=1us,node=sw0,port=1"};
+  EXPECT_EQ(cli::Main(6, huge_time), 2);
 }
 
 TEST(FaultCli, ParseArgsNamesOffendingToken) {

@@ -1,4 +1,4 @@
-// Flag parsing for the parallel-engine gate benches
+// Flag parsing for the parallel-engine gate bench
 // (bench/common/parallel_gate.h). The gate flags decide whether a perf
 // regression fails CI, so a typo'd value must be a hard usage error — in
 // particular --min-speedup, where the old atof path would have silently
@@ -34,32 +34,27 @@ TEST(ParseGateDouble, RejectsGarbageWithoutClobberingOutput) {
 }
 
 // Runs ParseParallelGateArgs over a flag list. gtest owns argv[0].
-bool Parse(std::vector<std::string> args, ParallelGateOptions& opts,
-           int* quick_calls = nullptr) {
+bool Parse(std::vector<std::string> args, ParallelGateOptions& opts) {
   args.insert(args.begin(), "gate_test");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (std::string& a : args) argv.push_back(a.data());
-  return ParseParallelGateArgs(static_cast<int>(argv.size()), argv.data(), opts,
-                               "gate_test", [&] {
-                                 if (quick_calls != nullptr) ++*quick_calls;
-                               });
+  return ParseParallelGateArgs(static_cast<int>(argv.size()), argv.data(), opts);
 }
 
 TEST(ParseParallelGateArgs, ParsesEveryFlag) {
   ParallelGateOptions opts;
-  int quick_calls = 0;
-  ASSERT_TRUE(Parse({"--json=/tmp/out.json", "--shards=8", "--window-batch=4",
-                     "--min-speedup=1.25", "--min-speedup-per-core=0.5",
-                     "--quick"},
-                    opts, &quick_calls));
+  ASSERT_TRUE(Parse({"--json=/tmp/out.json", "--scale=smoke", "--shards=8",
+                     "--window-batch=4", "--min-speedup=1.25",
+                     "--min-speedup-per-core=0.5", "--quick"},
+                    opts));
   EXPECT_EQ(opts.json_path, "/tmp/out.json");
+  EXPECT_EQ(opts.scale, exp::BenchScale::kSmoke);
   EXPECT_EQ(opts.shards, 8);
   EXPECT_EQ(opts.window_batch, 4);
   EXPECT_EQ(opts.min_speedup, 1.25);
   EXPECT_EQ(opts.min_speedup_per_core, 0.5);
-  EXPECT_EQ(opts.rounds, 1);
-  EXPECT_EQ(quick_calls, 1);
+  EXPECT_TRUE(opts.quick);
 }
 
 TEST(ParseParallelGateArgs, WindowBatchAutoResetsAFixedSetting) {
@@ -75,7 +70,7 @@ TEST(ParseParallelGateArgs, RejectsBadValues) {
         "--window-batch=0", "--window-batch=17", "--window-batch=4x", "--window-batch=",
         "--min-speedup=fast", "--min-speedup=-1", "--min-speedup=nan",
         "--min-speedup-per-core=inf", "--min-speedup-per-core=0.5x",
-        "--not-a-flag"}) {
+        "--scale=bogus", "--scale=", "--not-a-flag"}) {
     ParallelGateOptions opts;
     EXPECT_FALSE(Parse({bad}, opts)) << "flag: " << bad;
   }

@@ -38,8 +38,8 @@ make it hold *statically*, on every build, as named file-scoped rules:
                         OCCAMY_TRACE_* macros (src/obs/trace.h), which
                         compile to nothing in OCCAMY_TRACE=OFF builds; a
                         direct obs:: call would survive the gate and tax
-                        the zero-overhead guarantee BENCH_core.json's
-                        trace_off_events_per_sec metric protects.
+                        the OFF builds that CI's perf gate
+                        (tools/ladder_gate.py) times.
   layering              An include of a bench/ header under src/. The
                         library sits below the benches: benches, examples
                         and tests call into src/, never the reverse, so

@@ -38,6 +38,20 @@ std::optional<std::string> SplitList(const std::string& flag, const std::string&
   return std::nullopt;
 }
 
+exp::PointSpec PointSpecOf(const SimOptions& opts) {
+  exp::PointSpec spec;
+  spec.scenario = opts.scenario;
+  spec.bm = opts.bm;
+  spec.seed = opts.seed;
+  spec.duration_ms = opts.duration_ms;
+  spec.alphas = opts.alphas;
+  spec.shards = opts.shards;
+  spec.window_batch = opts.window_batch;
+  spec.faults = opts.faults;
+  if (!opts.scale.empty()) spec.scale = exp::ScaleByName(opts.scale);
+  return spec;
+}
+
 }  // namespace
 
 std::optional<std::string> ParseDoubleList(const std::string& flag,
@@ -78,6 +92,15 @@ std::optional<std::string> ParseNameList(const std::string& flag,
                                          const std::string& value,
                                          std::vector<std::string>& out) {
   return SplitList(flag, value, out);
+}
+
+std::optional<std::string> ParseDurationMs(const std::string& value, double& out) {
+  char* end = nullptr;
+  out = std::strtod(value.c_str(), &end);
+  if (end == nullptr || *end != '\0' || !std::isfinite(out) || out <= 0) {
+    return "invalid --duration-ms: " + value;
+  }
+  return std::nullopt;
 }
 
 std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptions& out) {
@@ -130,12 +153,7 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
       }
       out.seed = std::strtoull(value.c_str(), nullptr, 10);
     } else if (key == "duration-ms") {
-      char* end = nullptr;
-      out.duration_ms = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' || !std::isfinite(out.duration_ms) ||
-          out.duration_ms <= 0) {
-        return "invalid --duration-ms: " + value;
-      }
+      if (auto err = ParseDurationMs(value, out.duration_ms)) return err;
     } else if (key == "alphas") {
       out.alphas.clear();
       if (auto err = ParseDoubleList("alphas", value, out.alphas)) return err;
@@ -174,6 +192,8 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
   if (out.degradation && out.faults.empty()) {
     return "--degradation needs --faults (it compares against the healthy twin)";
   }
+  std::string range_error = exp::InputRangeError(PointSpecOf(out));
+  if (!range_error.empty()) return range_error;
   // Unknown scenario names are reported by the run itself.
   if (const exp::ScenarioInfo* entry = exp::ScenarioByName(out.scenario)) {
     std::string shards_error = exp::ShardsError(*entry, out.shards);
@@ -187,6 +207,13 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
 std::vector<std::string> ScenarioNames() { return exp::ScenarioNames(); }
 
 std::vector<std::string> SchemeNames() { return exp::SchemeNames(); }
+
+// The caps the run, sweep and figure usage strings state.
+static_assert(exp::kMaxDurationMs == 1e6);
+static_assert(exp::kMaxAlpha == 1e4);
+static_assert(exp::kMaxBgLoad == 100);
+static_assert(exp::kMaxKnobBytes == 1'000'000'000);
+static_assert(fault::kMaxFaultTime == 1000 * kSecond);
 
 std::string UsageString() {
   std::ostringstream out;
@@ -211,8 +238,10 @@ std::string UsageString() {
          "                      chrome://tracing); needs an OCCAMY_TRACE=ON build\n"
          "  --scale=<s>         smoke | default | full (default: OCCAMY_BENCH_SCALE)\n"
          "  --seed=<n>          RNG seed (default: 1)\n"
-         "  --duration-ms=<ms>  traffic duration override (default: scenario-specific)\n"
-         "  --alphas=<a,b,...>  per-class alpha override (default: scheme-specific)\n"
+         "  --duration-ms=<ms>  traffic duration override, at most 1e6 ms\n"
+         "                      (default: scenario-specific)\n"
+         "  --alphas=<a,b,...>  per-class alpha override, each at most 1e4\n"
+         "                      (default: scheme-specific)\n"
          "  --shards=<n>        run on the partition-parallel engine with n shards\n"
          "                      (node-affinity sharding; byte-identical metrics\n"
          "                      for any n; star/p4 scenarios take only n=1;\n"
@@ -226,31 +255,23 @@ std::string UsageString() {
          "  --faults=<spec>     deterministic fault schedule, e.g.\n"
          "                      link_down:t=2ms,dur=1ms,node=sw0,port=3;loss:rate=0.01\n"
          "                      (types: link_down link_up blackhole freeze restart\n"
-         "                      cp_freeze cp_delay loss corrupt gilbert; see README\n"
-         "                      \"Fault injection\")\n"
+         "                      cp_freeze cp_delay loss corrupt gilbert; times at\n"
+         "                      most 1000s; see README \"Fault injection\")\n"
          "  --degradation       also run the healthy twin (same seed, no faults) and\n"
          "                      emit healthy_<k>/delta_<k> fields for the key metrics\n"
          "                      plus time-to-recovery (fault_onset_ms,\n"
          "                      first_delivery_after_fault_ms, recovery_time_ms;\n"
          "                      -1 = never)\n"
          "  --list              list scenarios and schemes, then exit\n"
-         "  --help              this message\n";
+         "  --help              this message\n"
+         "Values above a cap exit 2: they would overflow simulated time or\n"
+         "byte counters.\n";
   return out.str();
 }
 
 SimResult RunScenario(const SimOptions& opts) {
   SimResult result;
-  exp::PointSpec spec;
-  spec.scenario = opts.scenario;
-  spec.bm = opts.bm;
-  spec.seed = opts.seed;
-  spec.duration_ms = opts.duration_ms;
-  spec.alphas = opts.alphas;
-  spec.shards = opts.shards;
-  spec.window_batch = opts.window_batch;
-  spec.faults = opts.faults;
-  if (!opts.scale.empty()) spec.scale = exp::ScaleByName(opts.scale);
-
+  const exp::PointSpec spec = PointSpecOf(opts);
   exp::PointResult point = exp::RunPoint(spec);
   if (!point.ok) {
     result.error = std::move(point.error);

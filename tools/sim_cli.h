@@ -57,6 +57,10 @@ std::optional<std::string> ParseInt64List(const std::string& flag,
 std::optional<std::string> ParseNameList(const std::string& flag,
                                          const std::string& value,
                                          std::vector<std::string>& out);
+// A --duration-ms value: a finite number above 0. Its cap is checked with
+// the other run inputs (exp::InputRangeError). Shared by run, sweep and
+// figure.
+std::optional<std::string> ParseDurationMs(const std::string& value, double& out);
 
 struct SimResult {
   bool ok = false;

@@ -1,6 +1,5 @@
 #include "tools/sweep_cli.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,15 +60,6 @@ std::optional<std::string> ParsePositiveInt(const std::string& flag,
   out = std::atoi(value.c_str());
   if (out < 1 || out > max) {
     return "invalid --" + flag + " (want 1.." + std::to_string(max) + "): " + value;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::string> ParseDurationMs(const std::string& value, double& out) {
-  char* end = nullptr;
-  out = std::strtod(value.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(out) || out <= 0) {
-    return "invalid --duration-ms: " + value;
   }
   return std::nullopt;
 }
@@ -148,7 +138,7 @@ std::string SweepUsageString() {
          "  --jobs=<m>                worker threads (default: 1)\n"
          "  --out=<dir>               output directory (default: sweep_out)\n"
          "  --scale=<s>               smoke | default | full\n"
-         "  --duration-ms=<ms>        traffic duration override\n"
+         "  --duration-ms=<ms>        traffic duration override (at most 1e6)\n"
          "  --shards=<n>              run every point on the partition-parallel\n"
          "                            engine with n shards each (results unchanged;\n"
          "                            star/p4 scenarios take only n=1; jobs is\n"
@@ -159,13 +149,16 @@ std::string SweepUsageString() {
          "  --faults=<spec>           fault schedule applied to every point (run\n"
          "                            condition, not a grid axis; src/fault grammar)\n"
          "Sweep dimensions (each value adds a grid axis):\n"
-         "  --alphas=<a,...>          alpha applied to every traffic class\n"
-         "  --bg-loads=<l,...>        background load fraction\n"
+         "  --alphas=<a,...>          alpha applied to every traffic class (at most 1e4)\n"
+         "  --bg-loads=<l,...>        background load fraction (at most 100)\n"
          "  --query-bytes=<b,...>     incast query size (star scenarios)\n"
          "  --buffer-bytes=<b,...>    shared-buffer size (p4/star scenarios)\n"
          "  --bg-flow-bytes=<b,...>   collective flow size (alltoall/allreduce)\n"
          "  --burst-bytes=<b,...>     measured burst size (burst scenario)\n"
-         "  --loss-rates=<r,...>      i.i.d. packet-loss rate, each in (0, 1)\n";
+         "                            (each size at most 1e9 bytes)\n"
+         "  --loss-rates=<r,...>      i.i.d. packet-loss rate, each in (0, 1)\n"
+         "Larger values exit 2: they would overflow simulated time or byte\n"
+         "counters, or pregenerate an effectively unbounded arrival stream.\n";
   return out.str();
 }
 
@@ -182,7 +175,7 @@ std::string FigureUsageString() {
          "  --out=<dir>         output directory (default: figure_<name>)\n"
          "  --scale=<s>         smoke | default | full\n"
          "  --seeds=<n>         seeds per cell (default: 1)\n"
-         "  --duration-ms=<ms>  traffic duration override\n"
+         "  --duration-ms=<ms>  traffic duration override (at most 1e6)\n"
          "  --list              list registered figures, then exit\n";
   return out.str();
 }
