@@ -7,7 +7,7 @@
 // held hostage by low-priority queues. A non-preemptive BM (DT) can only
 // wait; Occamy expels the over-allocation.
 //
-//   $ ./build/examples/buffer_choking
+//   $ ./build/buffer_choking
 #include <cstdio>
 #include <memory>
 #include <vector>

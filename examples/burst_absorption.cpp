@@ -6,7 +6,7 @@
 // the burst gets buffer immediately; DT can only wait for it to drain at
 // line rate and the burst drops packets.
 //
-//   $ ./build/examples/burst_absorption
+//   $ ./build/burst_absorption
 #include <cstdio>
 #include <memory>
 #include <string>

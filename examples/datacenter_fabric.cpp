@@ -3,8 +3,8 @@
 // This is a miniature of the paper's §6.4 evaluation (bench_fig17 runs the
 // full sweep).
 //
-//   $ ./build/examples/datacenter_fabric            # default scale
-//   $ OCCAMY_BENCH_SCALE=smoke ./build/examples/datacenter_fabric
+//   $ ./build/datacenter_fabric            # default scale
+//   $ OCCAMY_BENCH_SCALE=smoke ./build/datacenter_fabric
 #include <cstdio>
 
 #include "src/exp/fabric_run.h"

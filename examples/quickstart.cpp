@@ -1,7 +1,7 @@
 // Quickstart: build a small shared-memory switch network, run an incast
 // with Occamy buffer management, and print what happened.
 //
-//   $ ./build/examples/quickstart
+//   $ ./build/quickstart
 //
 // Walks through the core public API:
 //   1. a Simulator + Network,

@@ -17,14 +17,14 @@ namespace {
 
 const std::vector<ScenarioInfo>& ScenarioTable() {
   static const std::vector<ScenarioInfo> kTable = {
-      {"burst", "p4", "open-loop overload + measured burst into one shared buffer (Fig. 12)"},
-      {"incast", "star", "incast queries only, no background (§6.2)"},
-      {"burst_absorption", "star", "incast + DCTCP web-search background (Fig. 13)"},
-      {"isolation", "star", "incast vs CUBIC background in separate DRR queues (Fig. 14)"},
-      {"choking", "star", "HP incast vs saturating LP background, strict priority (Fig. 15)"},
-      {"websearch", "fabric", "leaf-spine, web-search background + incast queries (§6.4)"},
-      {"alltoall", "fabric", "leaf-spine, all-to-all collective background (Fig. 18)"},
-      {"allreduce", "fabric", "leaf-spine, all-reduce collective background (Fig. 19)"},
+      {"burst", "p4", 1, "open-loop overload + measured burst into one shared buffer (Fig. 12)"},
+      {"incast", "star", 1, "incast queries only, no background (§6.2)"},
+      {"burst_absorption", "star", 1, "incast + DCTCP web-search background (Fig. 13)"},
+      {"isolation", "star", 2, "incast vs CUBIC background in separate DRR queues (Fig. 14)"},
+      {"choking", "star", 8, "HP incast vs saturating LP background, strict priority (Fig. 15)"},
+      {"websearch", "fabric", 1, "leaf-spine, web-search background + incast queries (§6.4)"},
+      {"alltoall", "fabric", 1, "leaf-spine, all-to-all collective background (Fig. 18)"},
+      {"allreduce", "fabric", 1, "leaf-spine, all-reduce collective background (Fig. 19)"},
   };
   return kTable;
 }
@@ -144,7 +144,11 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
 
   DpdkRunSpec run;
   run.scheme = scheme;
+  run.queues_per_port = entry.traffic_classes;
   run.alphas = spec.alphas;
+  if (run.alphas.size() == 1) {
+    run.alphas.assign(static_cast<size_t>(run.queues_per_port), spec.alphas.front());
+  }
   run.seed = spec.seed;
   run.scale = scale;
   run.shards = spec.shards;
@@ -159,7 +163,6 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     run.bg_load = 0.5;
   } else if (name == "isolation") {
     // Fig. 14: queries and CUBIC background in separate DRR queues.
-    run.queues_per_port = 2;
     run.scheduler = tm::SchedulerKind::kDrr;
     run.bg = DpdkRunSpec::Bg::kWebSearchCubic;
     run.bg_load = 0.4;
@@ -167,7 +170,6 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
     run.query_tc = 0;
     run.query_bytes = run.buffer_bytes * 6 / 10;
   } else {  // choking (Fig. 15)
-    run.queues_per_port = 8;
     run.scheduler = tm::SchedulerKind::kStrictPriority;
     if (run.alphas.empty()) run.alphas = {8.0, 1, 1, 1, 1, 1, 1, 1};
     run.bg = DpdkRunSpec::Bg::kSaturatingLp;
@@ -295,6 +297,20 @@ std::string ShardsError(const ScenarioInfo& entry, int shards) {
          "' (platform " + entry.platform + " runs on one shard)";
 }
 
+std::string AlphasError(const ScenarioInfo& entry, size_t count) {
+  const size_t classes = static_cast<size_t>(entry.traffic_classes);
+  if (count <= 1 || count == classes) return "";
+  std::ostringstream err;
+  err << "--alphas has " << count << " entries; scenario '" << entry.name << "' has "
+      << classes;
+  if (classes == 1) {
+    err << " traffic class (give one alpha)";
+  } else {
+    err << " traffic classes (give one alpha for all, or one per class)";
+  }
+  return err.str();
+}
+
 // ---------------- point execution ----------------
 
 PointResult RunPoint(const PointSpec& spec) {
@@ -314,6 +330,8 @@ PointResult RunPoint(const PointSpec& spec) {
     return result;
   }
   result.error = ShardsError(*entry, spec.shards);
+  if (!result.error.empty()) return result;
+  result.error = AlphasError(*entry, spec.alphas.size());
   if (!result.error.empty()) return result;
   if (spec.window_batch < 0 ||
       spec.window_batch > sim::ShardedSimulator::kMaxWindowBatch) {

@@ -23,6 +23,7 @@ struct ScenarioInfo {
   const char* name;
   // "p4" (§6.1 burst lab), "star" (§6.2 DPDK testbed) or "fabric" (§6.4).
   const char* platform;
+  int traffic_classes;  // queues per egress port, one alpha each
   const char* description;
 };
 
@@ -35,6 +36,10 @@ std::vector<std::string> ScenarioNames();
 // most one shard; fabric scenarios take any count.
 std::string ShardsError(const ScenarioInfo& entry, int shards);
 
+// The usage error for an --alphas list of `count` entries on `entry`, or ""
+// when it fits: one entry sets every traffic class, or one entry per class.
+std::string AlphasError(const ScenarioInfo& entry, size_t count);
+
 // ---------------- point execution ----------------
 
 struct PointSpec {
@@ -44,7 +49,9 @@ struct PointSpec {
   // nullopt = fall back to OCCAMY_BENCH_SCALE (read once, at run start).
   std::optional<BenchScale> scale;
   double duration_ms = 0;      // 0 = scenario default
-  std::vector<double> alphas;  // per-class override; empty = scheme default
+  // Alpha override: empty = scheme default, one entry = every traffic
+  // class, otherwise one per class (see AlphasError).
+  std::vector<double> alphas;
 
   // Sweepable knobs; 0 = scenario default. Each knob only applies to some
   // platforms (validated in RunPoint, see KnobError):
@@ -88,8 +95,9 @@ struct PointResult {
 };
 
 // Runs one point. Returns !ok with a descriptive error for unknown
-// scenario/scheme names, knobs that do not apply to the platform, or an
-// input outside its cap (InputRangeError).
+// scenario/scheme names, knobs that do not apply to the platform, a shard
+// count or alpha list the scenario does not take, or an input outside its
+// cap (InputRangeError).
 PointResult RunPoint(const PointSpec& spec);
 
 // ---------------- input caps ----------------

@@ -19,7 +19,11 @@ namespace occamy::sim {
 class Callback {
  public:
   // Inline storage for the captured state. 48 bytes holds a `this` pointer
-  // plus five words of captures — every lambda scheduled by src/ fits.
+  // plus five words of captures. Closures that carry a 64-byte Packet
+  // do not fit and take the heap fallback: the TX-completion closure of
+  // SwitchNode::KickTx and the delivery closures of Network::DeliverAfter
+  // (single-threaded engine) and Network::DrainInbound. ROADMAP item 9
+  // tracks moving them off the heap.
   static constexpr size_t kInlineBytes = 48;
 
   Callback() = default;

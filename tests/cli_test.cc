@@ -1,16 +1,19 @@
 // Smoke tests for the occamy_sim scenario-runner CLI (tools/sim_cli.h):
-// argument parsing, error paths, and a tiny run of the incast scenario under
-// every registered BM scheme asserting valid JSON with nonzero delivered
-// bytes.
+// argument parsing, error paths, the --trace and --degradation reports, and
+// a tiny run of the incast scenario under every registered BM scheme
+// asserting valid JSON with nonzero delivered bytes. Checks that need the
+// real binary's files or stdout are in tests/cli_smoke.py.
 #include "tools/sim_cli.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "src/obs/trace.h"
 #include "tools/sweep_cli.h"
 
 namespace occamy::cli {
@@ -42,7 +45,7 @@ TEST(CliParse, Defaults) {
 TEST(CliParse, AllOptions) {
   const char* argv[] = {"occamy_sim",          "--scenario=choking", "--bm=dt",
                         "--json=/tmp/out.json", "--scale=smoke",      "--seed=7",
-                        "--duration-ms=12.5",   "--alphas=8,1,1"};
+                        "--duration-ms=12.5",   "--alphas=8,1,1,1,1,1,1,1"};
   SimOptions opts;
   EXPECT_FALSE(ParseArgs(8, argv, opts).has_value());
   EXPECT_EQ(opts.scenario, "choking");
@@ -51,7 +54,7 @@ TEST(CliParse, AllOptions) {
   EXPECT_EQ(opts.scale, "smoke");
   EXPECT_EQ(opts.seed, 7u);
   EXPECT_DOUBLE_EQ(opts.duration_ms, 12.5);
-  EXPECT_EQ(opts.alphas, (std::vector<double>{8.0, 1.0, 1.0}));
+  EXPECT_EQ(opts.alphas, (std::vector<double>{8.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}));
 }
 
 TEST(CliParse, ShardsFlag) {
@@ -88,7 +91,39 @@ TEST(CliParse, StarAndP4RejectShardsAboveOne) {
   }
   const char* sweep[] = {"occamy_sim", "sweep", "--scenarios=burst", "--bms=dt",
                          "--shards=2"};
+  testing::internal::CaptureStderr();
   EXPECT_EQ(Main(5, sweep), 2);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("'burst'"), std::string::npos) << err;
+}
+
+// One alpha sets every traffic class; a longer list gives one per class.
+// Any other length is a usage error naming --alphas and the class count.
+TEST(CliParse, AlphasTakeOneEntryOrOnePerClass) {
+  for (const char* ok : {"--alphas=2", "--alphas=2,4"}) {
+    const char* argv[] = {"occamy_sim", "--scenario=isolation", ok};
+    SimOptions opts;
+    EXPECT_FALSE(ParseArgs(3, argv, opts).has_value()) << ok;
+  }
+  const struct {
+    const char* scenario;
+    const char* classes;
+  } rows[] = {{"--scenario=burst", "has 1 traffic class"},
+              {"--scenario=isolation", "has 2 traffic classes"}};
+  for (const auto& row : rows) {
+    const char* argv[] = {"occamy_sim", "run", row.scenario, "--alphas=1,2,3"};
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(Main(4, argv), 2) << row.scenario;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("--alphas has 3 entries"), std::string::npos) << err;
+    EXPECT_NE(err.find(row.classes), std::string::npos) << err;
+  }
+  exp::PointSpec spec;
+  spec.scenario = "choking";
+  spec.alphas = {8, 1};
+  const exp::PointResult r = exp::RunPoint(spec);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("has 8 traffic classes"), std::string::npos) << r.error;
 }
 
 TEST(CliParse, WindowBatchFlag) {
@@ -408,6 +443,73 @@ TEST(CliRun, WindowBatchRunsMatchAndReduceBarrierRounds) {
   // Batching rearranges barriers, never the windows that actually execute.
   EXPECT_EQ(JsonNumber(adaptive.json, "windows_executed"),
             JsonNumber(legacy.json, "windows_executed"));
+}
+
+// An OCCAMY_TRACE=OFF build carries no recorder, so asking it for a trace
+// is a usage error that writes nothing; a tracing build writes the file.
+TEST(CliRun, TraceNeedsTheRecorderCompiledIn) {
+  const std::string path = ::testing::TempDir() + "cli_test_trace.json";
+  std::remove(path.c_str());
+  const std::string flag = "--trace=" + path;
+  const char* argv[] = {"occamy_sim",      "run",           "--scenario=incast",
+                        "--scale=smoke",   "--duration-ms=1", flag.c_str()};
+  testing::internal::CaptureStdout();
+  testing::internal::CaptureStderr();
+  const int code = Main(6, argv);
+  testing::internal::GetCapturedStdout();
+  const std::string err = testing::internal::GetCapturedStderr();
+  const bool written = std::remove(path.c_str()) == 0;
+  if (obs::kTraceCompiled) {
+    EXPECT_EQ(code, 0) << err;
+    EXPECT_TRUE(written);
+  } else {
+    EXPECT_EQ(code, 2) << err;
+    EXPECT_NE(err.find("compiled out"), std::string::npos) << err;
+    EXPECT_FALSE(written) << "wrote " << path;
+  }
+}
+
+// --degradation appends the healthy twin's values and the faulted-minus-
+// healthy deltas.
+void ExpectDegradationFields(const std::string& json) {
+  for (const char* key :
+       {"healthy_goodput_gbps", "delta_goodput_gbps", "healthy_drops", "delta_drops"}) {
+    JsonNumber(json, key);
+  }
+}
+
+// A rerouted fabric link_down heals: the delivered rate returns to 90% of
+// the healthy twin's (src/fault/recovery.h).
+TEST(CliRun, DegradationReportShowsRerouteHealing) {
+  SimOptions opts;
+  opts.scenario = "websearch";
+  opts.scale = "smoke";
+  opts.duration_ms = 8;
+  opts.shards = 2;
+  opts.faults = "link_down:t=2ms,dur=3ms,node=sw0,port=4,reroute=1";
+  opts.degradation = true;
+  const SimResult result = RunScenario(opts);
+  ASSERT_TRUE(result.ok) << result.error;
+  ExpectDegradationFields(result.json);
+  JsonNumber(result.json, "fault_onset_ms");
+  JsonNumber(result.json, "first_delivery_after_fault_ms");
+  EXPECT_EQ(JsonNumber(result.json, "recovered"), 1) << result.json;
+  EXPECT_GE(JsonNumber(result.json, "recovery_time_ms"), 0) << result.json;
+  EXPECT_GT(JsonNumber(result.json, "reroutes"), 0) << result.json;
+  EXPECT_GT(JsonNumber(result.json, "link_down_drops"), 0) << result.json;
+}
+
+TEST(CliRun, DegradationReportOnStarFreeze) {
+  SimOptions opts;
+  opts.scenario = "incast";
+  opts.scale = "smoke";
+  opts.duration_ms = 8;
+  opts.faults = "freeze:t=5ms,dur=2ms,node=sw0";
+  opts.degradation = true;
+  const SimResult result = RunScenario(opts);
+  ASSERT_TRUE(result.ok) << result.error;
+  ExpectDegradationFields(result.json);
+  EXPECT_GT(JsonNumber(result.json, "faults_injected"), 0) << result.json;
 }
 
 // Out-of-range window_batch is a runner error, not a crash.

@@ -13,6 +13,7 @@
 #include "src/exp/figures.h"
 #include "src/exp/sinks.h"
 #include "src/exp/sweep_runner.h"
+#include "tests/differential.h"
 
 namespace occamy::exp {
 namespace {
@@ -343,6 +344,29 @@ TEST(SweepExpand, ShardsAboveOneApplyToFabricOnly) {
     EXPECT_FALSE(result.ok) << scenario;
     EXPECT_NE(result.error.find("runs on one shard"), std::string::npos) << result.error;
   }
+}
+
+// A sweep alpha is one value that every traffic class takes: on the
+// two-class isolation scenario, ABM at --alphas=2 is ABM's default (alpha 2
+// on both classes), and alpha 1 is a different run.
+TEST(SweepExpand, OneAlphaSetsEveryTrafficClass) {
+  SweepSpec spec;
+  spec.scenarios = {"isolation"};
+  spec.bms = {"abm"};
+  spec.scale = BenchScale::kSmoke;
+  spec.duration_ms = 20;
+  spec.alphas = {2.0, 1.0};
+  std::vector<SweepPoint> points;
+  ASSERT_FALSE(ExpandSweep(spec, points).has_value());
+  ASSERT_EQ(points.size(), 2u);
+  PointSpec defaults = points[0].spec;
+  defaults.alphas.clear();
+  const std::string fingerprint =
+      testing::DeterministicFingerprint(testing::RunPointOrFail(defaults));
+  EXPECT_EQ(testing::DeterministicFingerprint(testing::RunPointOrFail(points[0].spec)),
+            fingerprint);
+  EXPECT_NE(testing::DeterministicFingerprint(testing::RunPointOrFail(points[1].spec)),
+            fingerprint);
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 //    a fabric link_down with rerouting recovers to >= 90% of the healthy
 //    twin's delivered rate after the route-epoch update.
 //  * Determinism — faulted fabric runs are byte-identical across shard
-//    counts (FaultDifferentialTest, picked up by the CI Differential|Golden
-//    filter) and across threads-on/threads-off execution.
+//    counts (FaultDifferentialTest, which CI's seed matrix reruns through
+//    its Differential|Golden filter) and across threads-on/threads-off
+//    execution.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,6 +28,7 @@
 #include "src/exp/fabric_run.h"
 #include "src/exp/fault_setup.h"
 #include "src/exp/sweep.h"
+#include "src/exp/sweep_runner.h"
 #include "src/fault/fault_plan.h"
 #include "src/fault/injector.h"
 #include "src/fault/recovery.h"
@@ -306,7 +308,10 @@ TEST(FaultCli, BadFaultsIsUsageErrorExit2) {
   const char* huge_time[] = {"occamy_sim", "run", "--scenario=websearch", "--scale=smoke",
                              "--duration-ms=2",
                              "--faults=link_down:t=1e30us,dur=1us,node=sw0,port=1"};
+  ::testing::internal::CaptureStderr();
   EXPECT_EQ(cli::Main(6, huge_time), 2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("t=1e30us"), std::string::npos) << err;
 }
 
 TEST(FaultCli, ParseArgsNamesOffendingToken) {
@@ -661,10 +666,10 @@ TEST(FaultRecovery, ComputeRecoveryIsVacuousWhenHealthyDeliveredNothing) {
   EXPECT_EQ(r.recovery_time_ms, 0.0);
 }
 
-// Acceptance criterion (ISSUE 9): a fabric link_down with rerouting
-// recovers to >= 90% of the healthy twin's delivered rate after the
-// route-epoch update. The CI fault-smoke job asserts the same property
-// through `occamy_sim --degradation` + tools/check_faults.py --recovery.
+// A fabric link_down with rerouting recovers to >= 90% of the healthy
+// twin's delivered rate after the route-epoch update.
+// CliRun.DegradationReportShowsRerouteHealing (tests/cli_test.cc) checks
+// the same run through the `--degradation` report.
 TEST(FaultRecovery, RerouteHealsFabricLinkDownToNinetyPercentOfHealthyTwin) {
   exp::PointSpec spec;
   spec.scenario = "websearch";
@@ -695,11 +700,14 @@ TEST(FaultRecovery, RerouteHealsFabricLinkDownToNinetyPercentOfHealthyTwin) {
 
 // ---------------- sweep integration ----------------
 
+// The grid runs at smoke scale on 2 jobs, and every run loses packets.
 TEST(FaultSweep, LossRatesAreAGridAxisAndFaultsARunCondition) {
   exp::SweepSpec spec;
   spec.scenarios = {"incast"};
   spec.bms = {"dt", "occamy"};
   spec.seeds = 2;
+  spec.scale = exp::BenchScale::kSmoke;
+  spec.duration_ms = 2;
   spec.loss_rates = {0.01, 0.02};
   spec.faults = "freeze:t=100us,dur=50us,node=sw0";
   EXPECT_EQ(exp::GridSize(spec), 2u * 2u * 2u);
@@ -712,6 +720,12 @@ TEST(FaultSweep, LossRatesAreAGridAxisAndFaultsARunCondition) {
     EXPECT_NE(p.run_key.find("loss_rate="), std::string::npos) << p.run_key;
     EXPECT_EQ(p.cell_key.find("faults"), std::string::npos)
         << "run condition, not a key field: " << p.cell_key;
+  }
+  exp::SweepRunOptions options;
+  options.jobs = 2;
+  for (const exp::RunRecord& record : exp::RunSweep(points, options)) {
+    ASSERT_TRUE(record.ok) << record.point.run_key << ": " << record.error;
+    EXPECT_GT(record.metrics.Number("packets_lost_injected"), 0) << record.point.run_key;
   }
 }
 
@@ -735,13 +749,13 @@ exp::PointSpec FabricFaultPoint(const char* faults, uint64_t seed) {
 TEST(FaultDifferentialTest, LinkFlapShardInvariant) {
   testing::ExpectShardCountInvariant(
       FabricFaultPoint("link_down:t=500us,dur=1ms,node=sw0,port=2", testing::ShiftedSeed(4)),
-      {2, 4}, {"link_down_drops"});
+      {2, 4}, {"faults_injected", "link_down_drops"});
 }
 
 TEST(FaultDifferentialTest, WebsearchLossShardInvariant) {
   testing::ExpectShardCountInvariant(
       FabricFaultPoint("loss:rate=0.01,seed=7", testing::ShiftedSeed(1)), {2, 4},
-      {"packets_lost_injected"});
+      {"faults_injected", "packets_lost_injected"});
 }
 
 TEST(FaultDifferentialTest, LossCorruptFreezeShardInvariant) {
@@ -749,7 +763,7 @@ TEST(FaultDifferentialTest, LossCorruptFreezeShardInvariant) {
       FabricFaultPoint("loss:rate=0.005,seed=11;corrupt:rate=0.002,seed=13;"
                        "freeze:t=500us,dur=400us,node=sw1",
                        testing::ShiftedSeed(4)),
-      {2, 4}, {"packets_lost_injected", "packets_corrupted"});
+      {2, 4}, {"faults_injected", "packets_lost_injected", "packets_corrupted"});
 }
 
 TEST(FaultDifferentialTest, RerouteShardInvariant) {
@@ -763,7 +777,7 @@ TEST(FaultDifferentialTest, RerouteShardInvariant) {
 // instant, and on many seeds the leaf is empty at t=1ms.
 TEST(FaultDifferentialTest, RestartShardInvariant) {
   testing::ExpectShardCountInvariant(FabricFaultPoint("restart:t=1ms,node=sw0", 4), {2, 4},
-                                     {"flushed_bytes_restart"});
+                                     {"faults_injected", "flushed_bytes_restart"});
 }
 
 TEST(FaultDifferentialTest, CpFreezeAndDelayShardInvariant) {
@@ -771,7 +785,7 @@ TEST(FaultDifferentialTest, CpFreezeAndDelayShardInvariant) {
       FabricFaultPoint("cp_freeze:t=500us,dur=500us,node=sw0;"
                        "cp_delay:t=1200us,dur=400us,node=sw0,lag=20us",
                        testing::ShiftedSeed(4)),
-      {2, 4}, {"cp_stalled_steps"});
+      {2, 4}, {"faults_injected", "cp_stalled_steps"});
 }
 
 TEST(FaultDifferentialTest, GilbertBurstLossShardInvariant) {

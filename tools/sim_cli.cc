@@ -198,6 +198,8 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
   if (const exp::ScenarioInfo* entry = exp::ScenarioByName(out.scenario)) {
     std::string shards_error = exp::ShardsError(*entry, out.shards);
     if (!shards_error.empty()) return shards_error;
+    std::string alphas_error = exp::AlphasError(*entry, out.alphas.size());
+    if (!alphas_error.empty()) return alphas_error;
   }
   return std::nullopt;
 }
@@ -240,7 +242,8 @@ std::string UsageString() {
          "  --seed=<n>          RNG seed (default: 1)\n"
          "  --duration-ms=<ms>  traffic duration override, at most 1e6 ms\n"
          "                      (default: scenario-specific)\n"
-         "  --alphas=<a,b,...>  per-class alpha override, each at most 1e4\n"
+         "  --alphas=<a,b,...>  alpha override, each at most 1e4: one value sets\n"
+         "                      every traffic class, or give one per class\n"
          "                      (default: scheme-specific)\n"
          "  --shards=<n>        run on the partition-parallel engine with n shards\n"
          "                      (node-affinity sharding; byte-identical metrics\n"
