@@ -175,16 +175,7 @@ class Network {
       // Single-threaded: slot 0 directly — no thread-local lookup on the
       // per-packet hot path.
       ++shard_state_[0].delivered_events;
-      Node* dst = &node(to.node);
-      const int port = to.port;
-      sim_->After(delay, [this, dst, port, p = std::move(pkt)]() mutable {
-        if (p.corrupted) {
-          // The receiver's FCS check discards the mangled packet.
-          if (faults_ != nullptr) faults_->OnCorruptedArrival();
-          return;
-        }
-        dst->ReceivePacket(port, std::move(p));
-      });
+      sim_->After(delay, Arrival{this, &node(to.node), to.port, std::move(pkt)});
       return;
     }
     OCCAMY_CHECK_GE(delay, ssim_->lookahead())
@@ -284,6 +275,27 @@ class Network {
   }
 
  private:
+  // The event that hands a delivered packet to its destination node, on
+  // the destination's simulator (both engines schedule it). It carries the
+  // packet, so it is the largest per-packet closure: sim::Callback's inline
+  // buffer is sized to hold it.
+  struct Arrival {
+    Network* net;
+    Node* dst;
+    int port;
+    Packet pkt;
+
+    void operator()() {
+      if (pkt.corrupted) {
+        // The receiver's FCS check discards the mangled packet.
+        if (net->faults_ != nullptr) net->faults_->OnCorruptedArrival();
+        return;
+      }
+      dst->ReceivePacket(port, std::move(pkt));
+    }
+  };
+  static_assert(sim::Callback::FitsInline<Arrival>(), "a packet arrival must not allocate");
+
   // One staged packet arrival. (time, src_node, src_lane, seq) is a total
   // order that depends only on simulated execution, never on sharding or
   // thread timing: each (src_node, src_lane) pair is produced by its node's
@@ -318,17 +330,7 @@ class Network {
     sim::Simulator& sim = ssim_->shard(shard);
     for (Mail& mail : scratch) {
       if (drain_probe_) drain_probe_(mail.time, sim.now());
-      Node* dst = &node(mail.to.node);
-      const int port = mail.to.port;
-      sim.At(mail.time, [this, dst, port, p = std::move(mail.pkt)]() mutable {
-        if (p.corrupted) {
-          // The receiver's FCS check discards the mangled packet, on the
-          // destination's shard.
-          if (faults_ != nullptr) faults_->OnCorruptedArrival();
-          return;
-        }
-        dst->ReceivePacket(port, std::move(p));
-      });
+      sim.At(mail.time, Arrival{this, &node(mail.to.node), mail.to.port, std::move(mail.pkt)});
     }
     scratch.clear();
   }

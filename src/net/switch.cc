@@ -64,6 +64,7 @@ void SwitchNode::ConnectPort(int port, LinkEnd peer) {
 
 void SwitchNode::SetRoute(NodeId dst, std::vector<int> ports) {
   OCCAMY_CHECK(!ports.empty());
+  if (dst >= routes_.size()) routes_.resize(static_cast<size_t>(dst) + 1);
   routes_[dst] = std::move(ports);
 }
 
@@ -87,9 +88,9 @@ void SwitchNode::OnRouteEpochPublished() {
 }
 
 int SwitchNode::RoutePort(const Packet& pkt, Time at) const {
-  const auto it = routes_.find(pkt.dst);
-  if (it == routes_.end()) return -1;
-  const std::vector<int>& candidates = it->second;
+  if (pkt.dst >= routes_.size()) return -1;
+  const std::vector<int>& candidates = routes_[pkt.dst];
+  if (candidates.empty()) return -1;
   // Per-flow ECMP; mix in the switch id so hashing does not polarize
   // across tiers.
   if (route_epochs_.empty() || route_epochs_.front().start > at) {
@@ -199,12 +200,15 @@ void SwitchNode::KickTx(int port) {
   state.busy = true;
   const Time tx_time = state.rate.TxTime(pkt->size_bytes);
   // The delivery is stamped with the partition index as its source lane.
-  sim().After(tx_time, [this, port, p = std::move(*pkt)]() mutable {
+  auto tx_done = [this, port, p = std::move(*pkt)]() mutable {
     PortState& s = ports_[static_cast<size_t>(port)];
     network()->DeliverAfter(id(), s.propagation, s.peer, std::move(p), s.lane);
     s.busy = false;
     KickTx(port);
-  });
+  };
+  static_assert(sim::Callback::FitsInline<decltype(tx_done)>(),
+                "the switch TX closure must not allocate");
+  sim().After(tx_time, std::move(tx_done));
 }
 
 int64_t SwitchNode::TotalDrops() {

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bm/bm_scheme.h"
@@ -165,7 +164,9 @@ class SwitchNode final : public Node {
   int64_t routeless_drops_ = 0;
   std::vector<int> port_partition_;  // global port -> partition index
   std::vector<int> port_local_;      // global port -> local port in partition
-  std::unordered_map<NodeId, std::vector<int>> routes_;
+  // ECMP candidate ports indexed by destination node id (ids are dense:
+  // Network::AddNode assigns them in order); empty = no route.
+  std::vector<std::vector<int>> routes_;
   // Fault-driven outage schedule (empty when no rerouting fault targets
   // this switch). Sorted by start; immutable during the run.
   std::vector<RouteEpoch> route_epochs_;

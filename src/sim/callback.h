@@ -1,11 +1,13 @@
 // Small-buffer-optimized callable for the simulation hot path.
 //
-// Replaces std::function<void()> on every scheduled event: typical captures
-// (a `this` pointer plus a couple of values) fit the 48-byte inline buffer,
-// so scheduling an event performs no heap allocation. Larger or
-// throwing-move callables fall back to one heap allocation, preserving
-// std::function generality. Move-only by design — events are scheduled once
-// and fired once, so copies would only hide accidental capture duplication.
+// Replaces std::function<void()> on every scheduled event. The inline
+// buffer is sized for the largest per-packet closure in src/ (a delivery
+// that carries a 64-byte Packet), so scheduling a packet event performs no
+// heap allocation; each of those closures pins this with a static_assert
+// on FitsInline. Larger or throwing-move callables fall back to one heap
+// allocation, preserving std::function generality. Move-only by design —
+// events are scheduled once and fired once, so copies would only hide
+// accidental capture duplication.
 #pragma once
 
 #include <cstddef>
@@ -18,13 +20,12 @@ namespace occamy::sim {
 
 class Callback {
  public:
-  // Inline storage for the captured state. 48 bytes holds a `this` pointer
-  // plus five words of captures. Closures that carry a 64-byte Packet
-  // do not fit and take the heap fallback: the TX-completion closure of
-  // SwitchNode::KickTx and the delivery closures of Network::DeliverAfter
-  // (single-threaded engine) and Network::DrainInbound. ROADMAP item 9
-  // tracks moving them off the heap.
-  static constexpr size_t kInlineBytes = 48;
+  // Inline storage for the captured state: on x86-64, 88 bytes is the
+  // largest closure that carries a 64-byte Packet (net::Network's arrival:
+  // two pointers, a port and the packet); the host and switch TX-completion
+  // closures take 72 and 80. With the ops pointer a Callback is 96 bytes,
+  // and an EventQueue arena slot 112.
+  static constexpr size_t kInlineBytes = 88;
 
   Callback() = default;
   Callback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -68,6 +69,15 @@ class Callback {
   // True if the wrapped callable lives in the inline buffer (test hook).
   bool IsInlineForTest() const { return ops_ != nullptr && ops_->inline_storage; }
 
+  // True if a callable of type D is stored inline. Hot closures
+  // static_assert it, so growing one past the buffer fails the build
+  // instead of adding a heap allocation per event.
+  template <typename D>
+  static constexpr bool FitsInline() {
+    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -77,12 +87,6 @@ class Callback {
     void (*destroy)(void*);
     bool inline_storage;
   };
-
-  template <typename D>
-  static constexpr bool FitsInline() {
-    return sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D>
   static constexpr Ops kInlineOps = {

@@ -3,19 +3,27 @@
 // A 4-ary min-heap ordered by (time, sequence). The sequence number makes
 // ordering of same-time events deterministic (FIFO in scheduling order).
 //
-// Two layout decisions drive the hot path:
+// Three decisions drive the hot path:
 //  - Heap entries are 16 bytes: the time plus a packed (seq << 24 | slot)
 //    word. The sort key (time, seq) is embedded, so sifting is pure
 //    sequential-array work — comparisons never dereference into the arena —
 //    and since seq occupies the high bits, comparing the packed word
-//    compares seq. This caps the arena at 2^24 concurrent events and one
-//    queue at 2^40 total events; both are checked.
+//    compares seq. Times are never negative, so (time, seq_slot) read as
+//    one unsigned 128-bit number orders entries exactly as (time, seq).
+//    This caps the arena at 2^24 concurrent events and one queue at 2^40
+//    total events; both are checked.
+//  - Pops remove the root bottom-up (Floyd): the hole walks to a leaf
+//    along the smallest child, picked from four with conditional selects,
+//    and the heap's last entry then sifts up from that leaf. That entry
+//    usually belongs near the bottom, so the walk down needs neither a
+//    comparison against it nor a data-dependent branch per level, and the
+//    sift up is short.
 //  - Event state (callback + liveness) lives in a contiguous freelist-
 //    recycled arena: after warm-up, scheduling performs no allocation (the
-//    arena and heap vectors are reused, and sim::Callback keeps typical
-//    captures inline). EventHandle is a {slot, generation} pair instead of
-//    a weak_ptr: cancelling a stale handle whose slot has been recycled is
-//    a generation mismatch, hence a no-op.
+//    arena and heap vectors are reused, and sim::Callback keeps every
+//    per-packet closure in src/ inline). EventHandle is a {slot,
+//    generation} pair instead of a weak_ptr: cancelling a stale handle
+//    whose slot has been recycled is a generation mismatch, hence a no-op.
 //
 // Cancelled events are skipped lazily when they surface at the heap root,
 // and compacted eagerly once they outnumber live events (so a workload that
@@ -92,6 +100,8 @@ class EventQueue {
     // The pop path invokes unconditionally (the old queue silently skipped
     // null callbacks); reject the programming error at schedule time.
     OCCAMY_CHECK(static_cast<bool>(cb)) << "scheduling a null callback";
+    // The unsigned heap key (KeyOf) orders only non-negative times.
+    OCCAMY_DCHECK_GE(time, 0);
     uint32_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -188,13 +198,16 @@ class EventQueue {
            !slots_[slot].cancelled;
   }
 
-  // seq sits in the high bits of seq_slot, so comparing the packed word
-  // compares seq (slot bits only separate identical seqs, which cannot
-  // happen).
-  static bool Before(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq_slot < b.seq_slot;
+  // The sort key as one unsigned 128-bit number: time in the high half,
+  // seq_slot in the low. seq sits in the high bits of seq_slot, so this
+  // orders by (time, seq) (slot bits only separate identical seqs, which
+  // cannot happen), and it is exact because times are never negative.
+  __extension__ using Key = unsigned __int128;
+  static Key KeyOf(const Entry& e) {
+    return (static_cast<Key>(static_cast<uint64_t>(e.time)) << 64) | e.seq_slot;
   }
+
+  static bool Before(const Entry& a, const Entry& b) { return KeyOf(a) < KeyOf(b); }
 
   void SiftUp(size_t i) {
     const Entry v = heap_[i];
@@ -207,6 +220,7 @@ class EventQueue {
     heap_[i] = v;
   }
 
+  // Top-down sift, for Compact's O(n) heap rebuild.
   void SiftDown(size_t i) {
     const Entry v = heap_[i];
     const size_t n = heap_.size();
@@ -225,10 +239,48 @@ class EventQueue {
     heap_[i] = v;
   }
 
+  // Index of the smallest of the four children starting at `first`, chosen
+  // with conditional selects rather than branches. The last select is a
+  // mask: written as `?:`, GCC turns it back into a branch that the
+  // random order of the keys mispredicts half the time.
+  size_t MinOfFour(size_t first) const {
+    const Entry* c = &heap_[first];
+    const Key k0 = KeyOf(c[0]), k1 = KeyOf(c[1]), k2 = KeyOf(c[2]), k3 = KeyOf(c[3]);
+    const bool right01 = k1 < k0;
+    const bool right23 = k3 < k2;
+    const Key min01 = right01 ? k1 : k0;
+    const Key min23 = right23 ? k3 : k2;
+    const size_t i01 = first + right01;
+    const size_t i23 = first + 2 + right23;
+    const size_t take23 = -static_cast<size_t>(min23 < min01);  // all ones or zero
+    return i01 ^ ((i01 ^ i23) & take23);
+  }
+
+  // Floyd's bottom-up removal (see the file comment).
   void RemoveRoot() {
-    heap_.front() = heap_.back();
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
+    const size_t n = heap_.size();
+    if (n == 0) return;
+    size_t hole = 0;
+    for (;;) {
+      const size_t first = 4 * hole + 1;
+      size_t best;
+      if (first + 4 <= n) {
+        best = MinOfFour(first);
+      } else if (first < n) {
+        best = first;
+        for (size_t c = first + 1; c < n; ++c) {
+          if (Before(heap_[c], heap_[best])) best = c;
+        }
+      } else {
+        break;
+      }
+      heap_[hole] = heap_[best];
+      hole = best;
+    }
+    heap_[hole] = last;
+    SiftUp(hole);
   }
 
   void FreeSlot(uint32_t slot) {

@@ -2,9 +2,12 @@
 
 #include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 
 namespace occamy::sim {
 namespace {
@@ -244,6 +247,91 @@ TEST(EventQueueTest, SameTimeFifoOrderSurvivesCancellationAndCompaction) {
   EXPECT_EQ(order, expected_order);
 }
 
+// A reference model of the queue: the live events as (time, push index),
+// which is the order the queue must pop them in.
+struct ReferenceQueue {
+  EventQueue q;
+  std::set<std::pair<Time, uint64_t>> live;
+  std::vector<EventHandle> handles;  // by push index, fired and cancelled too
+  std::vector<Time> times;           // by push index
+  uint64_t fired = 0;                // push index of the last event that ran
+  Time now = 0;
+  Rng* rng = nullptr;
+
+  // Pushes an event at `t`; when it fires it records itself and pushes
+  // `children` more events at now + 0..2, ties with queued events included.
+  void Push(Time t, int children) {
+    const uint64_t id = handles.size();
+    handles.push_back(q.Push(t, [this, id, children] {
+      fired = id;
+      for (int c = 0; c < children; ++c) {
+        Push(now + static_cast<Time>(rng->UniformInt(3)), 0);
+      }
+    }));
+    times.push_back(t);
+    live.emplace(t, id);
+  }
+
+  // Cancels the handle of push `id`, live or not (fired and cancelled
+  // handles are stale: their slot may hold a newer event by now).
+  bool Cancel(uint64_t id) {
+    const bool was_live = live.erase({times[id], id}) > 0;
+    EXPECT_EQ(handles[id].Cancel(), was_live) << "push " << id;
+    return was_live;
+  }
+};
+
+// Seeded random interleavings of pushes (mostly at a handful of equal
+// times), cancels of live and stale handles, pops, pushes from inside fired
+// callbacks and cancel storms that force compactions: every pop must return
+// the earliest live event by (time, push order).
+TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
+  int compactions = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ReferenceQueue ref;
+    ref.rng = &rng;
+    for (int step = 0; step < 20000; ++step) {
+      const uint64_t op = rng.UniformInt(100);
+      if (op < 40) {
+        const int children = rng.UniformInt(4) == 0 ? 1 + static_cast<int>(rng.UniformInt(2)) : 0;
+        ref.Push(ref.now + static_cast<Time>(rng.UniformInt(8)), children);
+      } else if (op < 60 && !ref.handles.empty()) {
+        const size_t before = ref.q.SizeForTest();
+        ref.Cancel(rng.UniformInt(ref.handles.size()));
+        if (ref.q.SizeForTest() < before) ++compactions;
+      } else if (op < 62) {
+        // Cancel storm: fill the queue, then cancel about 3 in 4 live
+        // events, far past the point where dead entries outnumber live.
+        for (int i = 0; i < 100; ++i) {
+          ref.Push(ref.now + static_cast<Time>(rng.UniformInt(50)), 0);
+        }
+        std::vector<uint64_t> ids;
+        for (const auto& [t, id] : ref.live) ids.push_back(id);
+        const size_t before = ref.q.SizeForTest();
+        for (const uint64_t id : ids) {
+          if (rng.UniformInt(4) != 0) ref.Cancel(id);
+        }
+        if (ref.q.SizeForTest() < before) ++compactions;
+      } else if (op < 65 && !ref.q.Empty()) {
+        ASSERT_EQ(ref.q.NextTime(), ref.live.begin()->first);
+      } else if (!ref.q.Empty()) {
+        const auto [want_time, want_id] = *ref.live.begin();
+        ref.live.erase(ref.live.begin());
+        Callback cb;
+        ref.now = ref.q.PopLive(cb);
+        ASSERT_EQ(ref.now, want_time) << "step " << step;
+        cb();
+        ASSERT_EQ(ref.fired, want_id) << "step " << step;
+      }
+      ASSERT_EQ(ref.q.live_size(), ref.live.size()) << "step " << step;
+      ASSERT_LE(ref.q.SizeForTest(), 2 * ref.q.live_size() + 64) << "step " << step;
+    }
+  }
+  EXPECT_GT(compactions, 20) << "the cancel storms must compact the heap";
+}
+
 TEST(EventQueueTest, NullCallbackIsRejectedAtPush) {
   // The pop path invokes unconditionally, so a null callback must be caught
   // when scheduled, not crash when it fires.
@@ -260,8 +348,9 @@ TEST(CallbackTest, InlineAndHeapStorage) {
   EXPECT_EQ(hits, 1);
 
   struct Big {
-    int64_t payload[16];  // 128 bytes: exceeds the 48-byte inline buffer
+    int64_t payload[16];  // 128 bytes: exceeds the inline buffer
   };
+  static_assert(sizeof(Big) > Callback::kInlineBytes);
   Big big{};
   big.payload[15] = 7;
   int64_t seen = 0;
