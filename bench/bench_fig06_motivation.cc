@@ -10,11 +10,12 @@
 //      fast enough for the incast (up to ~2x degradation).
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench/common/table.h"
 #include "src/exp/scenarios.h"
-#include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::bench;
@@ -53,10 +54,12 @@ double RunQuery(StarScenario& s, int64_t query_bytes, uint8_t tc, int num_querie
   q.queries_per_second = 120;
   q.start = start;
   q.stop = start + Milliseconds(60);
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
   s.sim.RunUntil(start + Milliseconds(400));
-  return incast.qct().DurationsMs().Mean();
+  return workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr)
+      .DurationsMs()
+      .Mean();
 }
 
 void ChokingCase() {

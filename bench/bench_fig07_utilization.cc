@@ -11,7 +11,7 @@
 #include "bench/common/table.h"
 #include "src/exp/fabric_run.h"
 #include "src/workload/flow_size_dist.h"
-#include "src/workload/incast.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::bench;
@@ -39,8 +39,7 @@ UtilizationCdfs Run(double alpha, double load) {
   bg.size_dist = workload::WebSearchDistribution();
   bg.stop = duration * 2;
   bg.seed = 23;
-  workload::PoissonFlowGenerator gen(s.manager.get(), bg);
-  gen.Start();
+  workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg));
 
   // A light incast stream provides the drop-triggering bursts as in §3.1.
   workload::IncastConfig q;
@@ -51,8 +50,7 @@ UtilizationCdfs Run(double alpha, double load) {
   q.queries_per_second = 0.01 * s.topo.config.host_rate.bytes_per_sec() *
                          s.topo.num_hosts() / static_cast<double>(q.query_size_bytes);
   q.stop = duration * 2;
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  workload::StartFlows(*s.manager, workload::PregenerateIncast(q).flows);
 
   s.sim.RunUntil(duration * 2 + Milliseconds(20));
 

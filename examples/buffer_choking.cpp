@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "src/exp/scenarios.h"
-#include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 using namespace occamy::exp;
@@ -59,11 +59,13 @@ double RunOnce(Scheme scheme, bool with_low_priority) {
   q.queries_per_second = 150;
   q.start = Milliseconds(10);
   q.stop = Milliseconds(80);
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
 
   s.sim.RunUntil(Milliseconds(300));
-  return incast.qct().DurationsMs().Mean();
+  return workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr)
+      .DurationsMs()
+      .Mean();
 }
 
 }  // namespace

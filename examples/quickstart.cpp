@@ -10,11 +10,12 @@
 //   4. the statistics every experiment in this repo is built on.
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "src/core/occamy_bm.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
-#include "src/workload/incast.h"
+#include "src/workload/pregen.h"
 
 using namespace occamy;
 
@@ -51,16 +52,18 @@ int main() {
   incast_cfg.max_queries = 20;
   incast_cfg.queries_per_second = 500;
   incast_cfg.stop = Milliseconds(50);
-  workload::IncastWorkload incast(&flows, incast_cfg);
-  incast.Start();
+  // The arrivals are open loop, so the whole schedule is drawn up front and
+  // every flow is registered before the run.
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(incast_cfg);
+  const std::vector<uint64_t> flow_ids = workload::StartFlows(flows, incast.flows);
 
-  // 4. Run and report.
+  // 4. Run and report: a query completes when its last flow does.
   simulator.RunUntil(Milliseconds(200));
 
-  const auto qct = incast.qct().DurationsMs();
-  std::printf("queries:       %lld issued, %lld completed\n",
-              static_cast<long long>(incast.queries_issued()),
-              static_cast<long long>(incast.queries_completed()));
+  const auto qct =
+      workload::DeriveIncastQct(incast, flow_ids, flows.completions(), nullptr).DurationsMs();
+  std::printf("queries:       %zu issued, %zu completed\n", incast.queries.size(),
+              qct.Count());
   std::printf("QCT:           avg %.3f ms, p99 %.3f ms\n", qct.Mean(), qct.P99());
 
   auto& sw = topo.sw(network);

@@ -2,27 +2,27 @@
 // 10G around one 410KB shared-buffer switch, DCTCP query (incast) traffic
 // plus a configurable background, reporting QCT / FCT statistics.
 //
-// One body (RunDpdkOn) runs both engines. shards == 0 is the legacy
-// single-threaded engine with live workload generators. shards == 1 is the
-// one-shard partition-parallel engine (ShardedStarScenario): Poisson and
-// incast arrivals are pre-generated, the saturating-LP streams inject live,
-// and QCT is derived from the canonically merged completion records.
-// Results need not match the legacy engine (flow ids follow pre-generation
-// order rather than arrival order).
+// One body (RunDpdkOn) runs both engines: shards == 0 is the legacy
+// single-threaded engine, shards == 1 the one-shard partition-parallel
+// engine (ShardedStarScenario). On both, the Poisson and incast arrivals are
+// pre-generated and registered before the run, the saturating-LP streams
+// inject live, and QCT is derived from the merged completion records. The
+// engines assign the same flow ids; their results differ only through the
+// order in which same-time deliveries fire (the sharded engine hands every
+// delivery over at a window barrier) and, under faults, through the keys of
+// per-delivery fault draws and route epochs rounded to its window grid.
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/exp/fault_setup.h"
 #include "src/exp/scenarios.h"
-#include "src/exp/sharded_run.h"
 #include "src/exp/telemetry.h"
 #include "src/workload/flow_size_dist.h"
-#include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/pregen.h"
 
@@ -118,7 +118,9 @@ inline workload::PoissonFlowConfig MakeDpdkBgConfig(
 }
 
 // Saturating low-priority streams into the query client's port, spread
-// over the LP classes (kernel-CUBIC stand-in; see DESIGN.md).
+// over the LP classes. They stand in for the paper's kernel-CUBIC
+// low-priority flows, which hold their queues full with SACK; this
+// transport has no SACK and could not.
 inline std::vector<workload::OpenLoopConfig> MakeDpdkLpConfigs(
     const DpdkRunSpec& run, const std::vector<net::NodeId>& hosts, Time duration) {
   // The choking layout pins hosts 6/7 as the LP sources (§6.2's fixed
@@ -204,7 +206,8 @@ inline void FillDpdkCompletionMetrics(
 }
 
 // The star runner on either engine: `engine` is the scenario's
-// sim::Simulator or sim::ShardedSimulator.
+// sim::Simulator or sim::ShardedSimulator, used only to run and for its
+// telemetry.
 template <typename Scenario, typename Engine>
 DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& s,
                         Engine& engine) {
@@ -223,47 +226,25 @@ DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& 
       run, s.topo.hosts, star, duration, s.IdealFn(),
       [&s](net::NodeId, int64_t bytes) { return s.IdealFct(bytes); });
 
-  DpdkRunResult result;
-  if constexpr (std::is_same_v<Engine, sim::ShardedSimulator>) {
-    // Pre-generated arrivals. Background flows take the low contiguous id
-    // range the post-run filter keys on; QCT is derived from the merged
-    // completion records.
-    uint64_t bg_last_id = 0;
-    if (bg) {
-      for (const auto& params : workload::PregeneratePoissonFlows(*bg)) {
-        bg_last_id = s.manager->StartFlow(params);
-      }
-    }
-    const workload::PregeneratedIncast incast = workload::PregenerateIncast(q_cfg);
-    std::vector<uint64_t> incast_flow_ids;
-    incast_flow_ids.reserve(incast.flows.size());
-    for (const auto& params : incast.flows) {
-      incast_flow_ids.push_back(s.manager->StartFlow(params));
-    }
-    engine.RunUntil(duration + DpdkDrain());
-    s.manager->MergeShardCompletions();
-    FillDpdkCompletionMetrics(
-        result,
-        DeriveIncastQct(incast, incast_flow_ids, s.manager->completions(),
-                        q_cfg.query_ideal_fn),
-        s.manager->completions(), bg_last_id > 0,
-        [bg_last_id](const stats::CompletionRecord& r) {
-          return r.id >= 1 && r.id <= bg_last_id;
-        });
-  } else {
-    // Live generators.
-    std::optional<workload::PoissonFlowGenerator> bg_gen;
-    if (bg) {
-      bg_gen.emplace(s.manager.get(), *bg);
-      bg_gen->Start();
-    }
-    workload::IncastWorkload incast(s.manager.get(), q_cfg);
-    incast.Start();
-    engine.RunUntil(duration + DpdkDrain());
-    FillDpdkCompletionMetrics(
-        result, incast.qct(), s.manager->completions(), bg_gen.has_value(),
-        [&bg_gen](const stats::CompletionRecord& r) { return bg_gen->Owns(r.id); });
+  // Pre-generated arrivals, the same on both engines. Background flows take
+  // the low contiguous id range the post-run filter keys on; QCT is derived
+  // from the merged completion records.
+  uint64_t bg_last_id = 0;
+  if (bg) {
+    bg_last_id =
+        workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(*bg)).back();
   }
+  workload::PregeneratedIncast incast = workload::PregenerateIncast(q_cfg);
+  // The manager keeps the flows; after the run only the queries are read.
+  const std::vector<uint64_t> incast_ids =
+      workload::StartFlows(*s.manager, std::move(incast.flows));
+  engine.RunUntil(duration + DpdkDrain());
+  const stats::CompletionCollector& flows = s.manager->completions();
+  DpdkRunResult result;
+  FillDpdkCompletionMetrics(
+      result, workload::DeriveIncastQct(incast, incast_ids, flows, q_cfg.query_ideal_fn),
+      flows, bg_last_id > 0,
+      [bg_last_id](const stats::CompletionRecord& r) { return r.id <= bg_last_id; });
   result.rtos = s.manager->counters().rtos;
   result.buffer_bytes = run.buffer_bytes;
   result.duration_ms = ToMilliseconds(duration);

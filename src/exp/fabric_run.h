@@ -2,24 +2,24 @@
 // fabric + background traffic (web-search / all-to-all / all-reduce) +
 // incast query traffic, reporting QCT/FCT slowdowns.
 //
-// One body (RunFabricOn) runs both engines. shards == 0 is the legacy
-// single-threaded engine with live workload generators. shards >= 1 is the
-// partition-parallel engine: arrivals are pre-generated, every flow start
-// is bound to its source host's shard, and QCT/FCT metrics are derived from
-// completion records merged in canonical order. Results are byte-identical
-// for any shards >= 1 (see src/sim/sharded_simulator.h) but need not match
-// the legacy engine (flow ids follow pre-generation order rather than
-// arrival order).
+// One body (RunFabricOn) runs both engines: shards == 0 is the legacy
+// single-threaded engine, shards >= 1 the partition-parallel engine. On
+// both, arrivals are pre-generated and registered before the run (each flow
+// starts from its source host's start chain, on that host's shard), and
+// QCT/FCT metrics are derived from completion records merged in (end, id)
+// order. Results are byte-identical for any shards >= 1 (see
+// src/sim/sharded_simulator.h); the legacy engine assigns the same flow ids
+// and differs only in the order same-time deliveries fire and, under
+// faults, in fault-draw keys and route-epoch rounding (see dpdk_run.h).
 #pragma once
 
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <type_traits>
+#include <utility>
 
 #include "src/exp/fault_setup.h"
 #include "src/exp/scenarios.h"
-#include "src/exp/sharded_run.h"
 #include "src/exp/telemetry.h"
 #include "src/workload/collective.h"
 #include "src/workload/pregen.h"
@@ -164,7 +164,8 @@ inline FabricSpec MakeFabricSpec(const FabricRunSpec& run) {
 }
 
 // The fabric runner on either engine: `engine` is the scenario's
-// sim::Simulator or sim::ShardedSimulator.
+// sim::Simulator or sim::ShardedSimulator, used only to run and for its
+// telemetry.
 template <typename Scenario, typename Engine>
 FabricRunResult RunFabricOn(const FabricRunSpec& run, BenchScale scale, Scenario& s,
                             Engine& engine) {
@@ -179,42 +180,22 @@ FabricRunResult RunFabricOn(const FabricRunSpec& run, BenchScale scale, Scenario
       MakeFabricQueryConfig(run, s.topo.hosts, s.topo.num_hosts(), host_rate,
                             s.buffer_per_partition, duration, s.IdealFn(), s.QueryIdealFn());
 
+  // Pre-generate both arrival processes (they are open loop: a pure function
+  // of their Rng) and register every flow before the run, the same on both
+  // engines. Background flows get the low contiguous id range, queries the
+  // next — the post-run filters key on that.
+  const uint64_t bg_last_id =
+      workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg)).back();
+  workload::PregeneratedIncast incast = workload::PregenerateIncast(q_cfg);
+  // The manager keeps the flows; after the run only the queries are read.
+  const std::vector<uint64_t> incast_ids =
+      workload::StartFlows(*s.manager, std::move(incast.flows));
+  engine.RunUntil(duration + run.drain);
+  const stats::CompletionCollector& flows = s.manager->completions();
   FabricRunResult result;
-  if constexpr (std::is_same_v<Engine, sim::ShardedSimulator>) {
-    // Pre-generate both arrival processes (they are open loop: a pure
-    // function of their Rng, identical for any shard count), then bind every
-    // flow start to its source host's shard. Background flows get the low
-    // contiguous id range, queries the next — the post-run filters key on
-    // that.
-    const auto bg_flows = workload::PregeneratePoissonFlows(bg);
-    const workload::PregeneratedIncast incast = workload::PregenerateIncast(q_cfg);
-    uint64_t bg_last_id = 0;
-    for (const auto& params : bg_flows) bg_last_id = s.manager->StartFlow(params);
-    std::vector<uint64_t> incast_flow_ids;
-    incast_flow_ids.reserve(incast.flows.size());
-    for (const auto& params : incast.flows) {
-      incast_flow_ids.push_back(s.manager->StartFlow(params));
-    }
-    engine.RunUntil(duration + run.drain);
-    s.manager->MergeShardCompletions();
-    FillFabricCompletionMetrics(
-        result,
-        DeriveIncastQct(incast, incast_flow_ids, s.manager->completions(),
-                        q_cfg.query_ideal_fn),
-        s.manager->completions(), [bg_last_id](const stats::CompletionRecord& r) {
-          return r.id >= 1 && r.id <= bg_last_id;
-        });
-  } else {
-    // Live generators.
-    workload::PoissonFlowGenerator bg_gen(s.manager.get(), bg);
-    bg_gen.Start();
-    workload::IncastWorkload incast(s.manager.get(), q_cfg);
-    incast.Start();
-    engine.RunUntil(duration + run.drain);
-    FillFabricCompletionMetrics(
-        result, incast.qct(), s.manager->completions(),
-        [&bg_gen](const stats::CompletionRecord& r) { return bg_gen.Owns(r.id); });
-  }
+  FillFabricCompletionMetrics(
+      result, workload::DeriveIncastQct(incast, incast_ids, flows, q_cfg.query_ideal_fn),
+      flows, [bg_last_id](const stats::CompletionRecord& r) { return r.id <= bg_last_id; });
   result.buffer_bytes = s.buffer_per_partition;
   result.duration_ms = ToMilliseconds(duration);
   result.drain_ms = ToMilliseconds(run.drain);

@@ -7,10 +7,12 @@
 //  * Fabric      — §6.4: leaf-spine, web-search/collective background +
 //                  incast queries, Tomahawk-style 4MB-per-8-port partitions.
 //
-// Scale is selected by OCCAMY_BENCH_SCALE (smoke | default | full); the
-// default keeps laptop runtimes by shrinking link speed and host count while
-// preserving every relative parameter (buffer per port per Gbps, ECN in BDP,
-// loads, query size as a fraction of buffer). See DESIGN.md §5.
+// Scale (smoke | default | full) comes from the run's PointSpec::scale
+// (`--scale`); OCCAMY_BENCH_SCALE is read only when no scale is passed.
+// Below full scale (8 spines, 8 leaves, 128 hosts at 100G), the fabric
+// shrinks link speed and host count (default: 4x4 with 32 hosts at 10G) to
+// keep runs short, and keeps every relative parameter (buffer per port per
+// Gbps, ECN in BDP, loads, query size as a fraction of buffer).
 #pragma once
 
 #include <functional>
@@ -24,7 +26,6 @@
 #include "src/transport/flow_manager.h"
 #include "src/util/env.h"
 #include "src/workload/flow_size_dist.h"
-#include "src/workload/incast.h"
 #include "src/workload/open_loop.h"
 #include "src/workload/poisson_flows.h"
 
@@ -160,8 +161,8 @@ struct StarScenario {
 // The same star testbed on the partition-parallel engine, on one shard:
 // the testbeds have one shared buffer, so the switch and every host sit on
 // shard 0. The conservative lookahead is the star's uniform link
-// propagation, and — as for the sharded fabric — all workload arrivals
-// must be pre-generated (src/workload/pregen.h) before RunUntil.
+// propagation, and — as for the sharded fabric — every flow is registered
+// before RunUntil (src/workload/pregen.h).
 struct ShardedStarScenario {
   explicit ShardedStarScenario(const StarSpec& spec, bool use_threads = true)
       : spec_(spec),
@@ -311,9 +312,9 @@ struct FabricScenario {
 
 // The same leaf-spine fabric on the partition-parallel engine: each leaf and
 // its hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead
-// is the fabric's uniform link propagation, and all workload arrivals are
-// pre-generated (src/workload/pregen.h) so no live generator mutates shared
-// state while shards run. See src/exp/fabric_run.h for the runner.
+// is the fabric's uniform link propagation, and every flow is registered
+// before RunUntil (src/workload/pregen.h), so no workload code mutates
+// shared state while shards run. See src/exp/fabric_run.h for the runner.
 struct ShardedFabricScenario {
   ShardedFabricScenario(const FabricSpec& spec, BenchScale scale, int shards,
                         bool use_threads = true)

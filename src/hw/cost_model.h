@@ -11,8 +11,8 @@
 // area/power densities) are fitted so that the (N=64 queues, k=17-bit)
 // selector matches the paper's Table 1 within tens of percent; all other
 // module costs then follow from structure alone. This is an estimate, not a
-// synthesis result — relative ordering and scaling trends are what we
-// reproduce (documented in DESIGN.md / EXPERIMENTS.md).
+// synthesis result: it reproduces the relative ordering and scaling trends
+// of Table 1, not its absolute numbers.
 #pragma once
 
 #include <cstdint>

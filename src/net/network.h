@@ -94,7 +94,7 @@ class Network {
     const size_t n = static_cast<size_t>(ssim_->num_shards());
     shard_state_.resize(n);
     outboxes_.resize(n * n);
-    ssim_->set_barrier_drain([this](int shard) { DrainInbound(shard); });
+    ssim_->AddBarrierHook([this](int shard) { DrainInbound(shard); });
     // Mailbox `staged` counters double as the engine's silence signal: the
     // plan leader samples the sum at plan rounds (all shards quiescent)
     // and widens/narrows the adaptive window batch on the delta.
@@ -264,6 +264,14 @@ class Network {
   // window boundaries and stay byte-identical for any shard count), 0 on
   // the legacy single-threaded engine (no rounding needed).
   Time route_epoch_quantum() const { return ssim_ != nullptr ? ssim_->lookahead() : 0; }
+
+  // Sharded engine: adds a hook run once per shard at every window barrier,
+  // after the mailbox drain (sim::ShardedSimulator::AddBarrierHook). The
+  // legacy engine has no barriers, so there it must not be called.
+  void AddBarrierHook(std::function<void(int shard)> hook) {
+    OCCAMY_CHECK(ssim_ != nullptr) << "barrier hooks need the sharded engine";
+    ssim_->AddBarrierHook(std::move(hook));
+  }
 
   // Registers a sim-time drain fence with the sharded engine's adaptive
   // window planner (no-op on the legacy engine): window batches never

@@ -160,6 +160,12 @@ void ShardedSimulator::AddDrainFence(Time t) {
   }
 }
 
+void ShardedSimulator::RunBarrierHooks(int shard) {
+  if (barrier_hooks_.empty()) return;
+  OCCAMY_TRACE_SPAN(drain_span, "mailbox.drain");
+  for (const auto& hook : barrier_hooks_) hook(shard);
+}
+
 ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   Plan plan;
   if (stop_requested_.load(std::memory_order_relaxed)) {
@@ -295,12 +301,9 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
     // same PlanBatch / StepBatch decision sequence at the same boundaries,
     // so results match the threaded path byte for byte.
     for (;;) {
-      if (barrier_drain_) {
-        for (int s = 0; s < n; ++s) {
-          internal::ShardScope scope(s);
-          OCCAMY_TRACE_SPAN(drain_span, "mailbox.drain");
-          barrier_drain_(s);
-        }
+      for (int s = 0; s < n; ++s) {
+        internal::ShardScope scope(s);
+        RunBarrierHooks(s);
       }
       {
         OCCAMY_TRACE_SPAN(plan_span, "barrier.plan");
@@ -325,12 +328,9 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
         // Inner boundary: the same drain-then-step handover as the outer
         // round, minus the plan work — keeps every batch setting on the
         // identical (window, drain) schedule.
-        if (barrier_drain_) {
-          for (int s = 0; s < n; ++s) {
-            internal::ShardScope scope(s);
-            OCCAMY_TRACE_SPAN(drain_span, "mailbox.drain");
-            barrier_drain_(s);
-          }
+        for (int s = 0; s < n; ++s) {
+          internal::ShardScope scope(s);
+          RunBarrierHooks(s);
         }
         const BatchStep step = StepBatch(plan);
         if (step.done) break;
@@ -346,11 +346,9 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
       internal::ShardScope scope(s);
       Simulator& sim = *shards_[static_cast<size_t>(s)];
       for (;;) {
-        // Phase 1: hand over everything this shard's peers staged for it.
-        if (barrier_drain_) {
-          OCCAMY_TRACE_SPAN(drain_span, "mailbox.drain");
-          barrier_drain_(s);
-        }
+        // Phase 1: the barrier hooks — hand over everything this shard's
+        // peers staged for it, release its finished connections.
+        RunBarrierHooks(s);
         // Phase 2: plan the next batch (leader only, all queues
         // quiescent). The span covers the wait, so its duration is this
         // shard's plan-barrier overhead for the round.
@@ -389,10 +387,7 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
           }
           if (bound >= plan.batch_end) break;
           inner_barrier.ArriveAndWait([] {});
-          if (barrier_drain_) {
-            OCCAMY_TRACE_SPAN(drain_span, "mailbox.drain");
-            barrier_drain_(s);
-          }
+          RunBarrierHooks(s);
           inner_barrier.ArriveAndWait([&] { step = StepBatch(plan); });
           if (step.done) break;
           bound = step.bound;

@@ -126,13 +126,16 @@ class ShardedSimulator {
   // teardown) may schedule into any shard.
   Simulator& shard(int i);
 
-  // Hook run once per shard at every window barrier, on that shard's worker
-  // thread, with all shards quiescent. net::Network registers its mailbox
-  // drain here. Must be set before RunUntil if cross-shard traffic exists.
-  // (Type-erasure is fine here: once per window barrier, not per event.)
+  // Adds a hook run once per shard at every window barrier, on that shard's
+  // worker thread, with all shards quiescent; hooks run in the order added.
+  // net::Network adds its mailbox drain, transport::FlowManager the release
+  // of connections whose flows completed in the window. Must be added
+  // before RunUntil. (Type-erasure is fine here: once per window barrier,
+  // not per event.)
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
-  void set_barrier_drain(std::function<void(int shard)> hook) {
-    barrier_drain_ = std::move(hook);
+  void AddBarrierHook(std::function<void(int shard)> hook) {
+    OCCAMY_CHECK(!running()) << "AddBarrierHook during a run";
+    barrier_hooks_.push_back(std::move(hook));
   }
 
   // Cumulative count of cross-shard records staged since construction
@@ -166,7 +169,8 @@ class ShardedSimulator {
 
   // True while RunUntil is executing (shards may be running on worker
   // threads). Guards against mid-run scheduling from outside the shards —
-  // e.g. FlowManager::StartFlow refuses it (flows must be pre-generated).
+  // e.g. FlowManager::StartFlow refuses it (flows must be registered
+  // before the run).
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
   // Sum of events processed by all shards, ever.
@@ -214,12 +218,15 @@ class ShardedSimulator {
   // batch holding any event (drained arrivals included).
   BatchStep StepBatch(const Plan& plan);
 
+  // Runs every barrier hook for `shard` (on its worker, all shards quiescent).
+  void RunBarrierHooks(int shard);
+
   std::vector<std::unique_ptr<Simulator>> shards_;
   Time lookahead_;
   bool use_threads_;
   int window_batch_;
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
-  std::function<void(int)> barrier_drain_;
+  std::vector<std::function<void(int)>> barrier_hooks_;
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
   std::function<uint64_t()> staged_probe_;
 

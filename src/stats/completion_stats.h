@@ -6,6 +6,7 @@
 // of the same transfer on an unloaded network.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -61,7 +62,15 @@ class CompletionCollector {
     return [max_bytes](const CompletionRecord& r) { return r.bytes < max_bytes; };
   }
 
-  void Clear() { records_.clear(); }
+  // Puts the records in (end, id) order, the order every run reports them
+  // in: sums and percentiles over them then never depend on which shard
+  // or event produced a record first.
+  void SortByEnd() {
+    std::sort(records_.begin(), records_.end(),
+              [](const CompletionRecord& a, const CompletionRecord& b) {
+                return a.end != b.end ? a.end < b.end : a.id < b.id;
+              });
+  }
 
  private:
   std::vector<CompletionRecord> records_;

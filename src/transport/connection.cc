@@ -257,6 +257,10 @@ void Connection::Complete() {
   OCCAMY_ASSERT_SHARD(*sim_);  // completion is sender-side (see below)
   completed_ = true;
   rto_timer_.Cancel();
+  // The manager frees this connection soon; a timer left armed would fire
+  // into freed memory.
+  OCCAMY_CHECK(!rto_timer_.IsPending())
+      << "flow " << params_.id << " completed with its RTO armed";
   OCCAMY_TRACE_INSTANT_ARG("conn.complete", "flow", params_.id);
   // Receiver state (rcv_*) is deliberately left alone: it belongs to the
   // destination host's shard, which may still be processing in-flight
@@ -287,20 +291,7 @@ void Connection::HandleData(const Packet& pkt) {
       rcv_next_ += std::min<int64_t>(cfg.mss, params_.size_bytes - rcv_next_);
     }
   }
-  // Cumulative ACK echoing this packet's CE mark and send timestamp.
-  Packet ack;
-  ack.kind = PacketKind::kAck;
-  ack.flow_id = params_.id;
-  ack.src = params_.dst;
-  ack.dst = params_.src;
-  ack.traffic_class = pkt.traffic_class;
-  ack.ecn_capable = false;  // ACKs are not ECN-capable transport packets
-  ack.size_bytes = static_cast<uint32_t>(cfg.ack_bytes);
-  ack.ack_seq = static_cast<uint64_t>(rcv_next_);
-  ack.ece = pkt.ce;
-  ack.ts_sent = pkt.ts_sent;
-  manager_->mutable_counters().acks_sent++;
-  manager_->host(params_.dst).Send(std::move(ack));
+  manager_->SendAck(params_, pkt, rcv_next_);
 }
 
 }  // namespace occamy::transport

@@ -1,6 +1,10 @@
 // One reliable byte-stream flow: sender congestion control + receiver
 // reassembly/ACK generation.
 //
+// FlowManager creates a connection at its flow's start event and frees it
+// after completion; segments that arrive later are answered from the flow's
+// FlowParams (see flow_manager.h).
+//
 // Shard discipline (sharded fabric runs): the sender half (everything under
 // "Sender state" plus the RTO timer) is touched only by events at the
 // source host, the receiver half (rcv_*) only by events at the destination
@@ -56,8 +60,6 @@ class Connection {
   // The timeout ArmRtoTimer last armed (post-backoff, clamped at max_rto);
   // lets tests pin the exact clamp point under sustained blackholes.
   Time last_rto_timeout() const { return last_rto_timeout_; }
-  // False once the flow completed: Complete() must have cancelled the timer
-  // (a leaked handle here would fire into a dead flow).
   bool rto_timer_pending() const { return rto_timer_.IsPending(); }
 
  private:

@@ -1,7 +1,5 @@
 #include "src/workload/poisson_flows.h"
 
-#include "src/util/check.h"
-
 namespace occamy::workload {
 
 PairSampler DefaultPairSampler(std::vector<net::NodeId> hosts) {
@@ -21,51 +19,6 @@ Time MeanInterarrivalOf(const PoissonFlowConfig& config) {
       static_cast<double>(config.hosts.size());
   const double flows_per_sec = aggregate_bytes_per_sec / mean_size;
   return FromSeconds(1.0 / flows_per_sec);
-}
-
-PoissonFlowGenerator::PoissonFlowGenerator(transport::FlowManager* manager,
-                                           PoissonFlowConfig config)
-    : manager_(manager), config_(std::move(config)), rng_(config_.seed) {
-  OCCAMY_CHECK(!config_.hosts.empty());
-  OCCAMY_CHECK(config_.load > 0.0);
-  if (!config_.pair_sampler) config_.pair_sampler = DefaultPairSampler(config_.hosts);
-}
-
-Time PoissonFlowGenerator::MeanInterarrival() const { return MeanInterarrivalOf(config_); }
-
-void PoissonFlowGenerator::Start() {
-  manager_->sim().At(std::max(config_.start, manager_->sim().now()), [this] {
-    LaunchFlow();
-    ScheduleNext();
-  });
-}
-
-void PoissonFlowGenerator::ScheduleNext() {
-  const double mean = static_cast<double>(MeanInterarrival());
-  const Time gap = static_cast<Time>(rng_.Exponential(mean)) + 1;
-  const Time next = manager_->sim().now() + gap;
-  if (next > config_.stop) return;
-  manager_->sim().At(next, [this] {
-    LaunchFlow();
-    ScheduleNext();
-  });
-}
-
-void PoissonFlowGenerator::LaunchFlow() {
-  const auto [src, dst] = config_.pair_sampler(rng_);
-  OCCAMY_CHECK(src != dst);
-  transport::FlowParams params;
-  params.src = src;
-  params.dst = dst;
-  params.size_bytes = std::max<int64_t>(1, static_cast<int64_t>(config_.size_dist.Sample(rng_)));
-  params.traffic_class = config_.traffic_class;
-  params.cc = config_.cc;
-  params.start_time = manager_->sim().now();
-  if (config_.ideal_fn) params.ideal_duration = config_.ideal_fn(src, dst, params.size_bytes);
-  const uint64_t id = manager_->StartFlow(params);
-  ids_.insert(id);
-  ++flows_generated_;
-  bytes_generated_ += params.size_bytes;
 }
 
 }  // namespace occamy::workload

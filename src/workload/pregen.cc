@@ -16,8 +16,8 @@ std::vector<transport::FlowParams> PregeneratePoissonFlows(PoissonFlowConfig con
   std::vector<transport::FlowParams> out;
   Rng rng(config.seed);
   Time t = std::max<Time>(config.start, 0);
-  // Mirrors the live generator's event chain: LaunchFlow (pair draw, then
-  // size draw) followed by ScheduleNext (gap draw), until `stop`.
+  // Per arrival: the pair, then the size, then the gap to the next arrival,
+  // until `stop`.
   for (;;) {
     const auto [src, dst] = config.pair_sampler(rng);
     OCCAMY_CHECK(src != dst);
@@ -52,8 +52,9 @@ PregeneratedIncast PregenerateIncast(const IncastConfig& config) {
   Rng rng(config.seed);
   Time t = std::max<Time>(config.start, 0);
   uint64_t next_query_id = 1;
-  // Mirrors IncastWorkload: IssueQueryNow (client draw, fanin partial
-  // shuffle), then ScheduleNext (gap draw, max_queries / stop cutoffs).
+  // Per query: the client, then a partial shuffle picking `fanin` servers
+  // other than the client, then the gap to the next query (until
+  // max_queries or `stop`).
   for (;;) {
     const net::NodeId client = config.clients[rng.UniformInt(config.clients.size())];
 
@@ -102,6 +103,51 @@ PregeneratedIncast PregenerateIncast(const IncastConfig& config) {
     if (t > config.stop) break;
   }
   return out;
+}
+
+std::vector<uint64_t> StartFlows(transport::FlowManager& manager,
+                                 std::vector<transport::FlowParams> flows) {
+  std::vector<uint64_t> ids;
+  ids.reserve(flows.size());
+  for (const auto& params : flows) ids.push_back(manager.StartFlow(params));
+  return ids;
+}
+
+stats::CompletionCollector DeriveIncastQct(
+    const PregeneratedIncast& incast, const std::vector<uint64_t>& flow_ids,
+    const stats::CompletionCollector& flows,
+    const std::function<Time(net::NodeId, int64_t)>& query_ideal_fn) {
+  // Flow ids are dense from 1, so each flow's end time is indexed by id.
+  constexpr Time kNotDone = -1;
+  uint64_t max_id = 0;
+  for (const uint64_t id : flow_ids) max_id = std::max(max_id, id);
+  std::vector<Time> flow_end(max_id + 1, kNotDone);
+  for (const auto& rec : flows.records()) {
+    if (rec.id <= max_id) flow_end[rec.id] = rec.end;
+  }
+  stats::CompletionCollector qct;
+  for (const auto& query : incast.queries) {
+    Time end = 0;
+    for (const size_t fi : query.flow_indices) {
+      OCCAMY_CHECK(fi < flow_ids.size());
+      const Time flow_done = flow_end[flow_ids[fi]];
+      if (flow_done == kNotDone) {
+        end = kNotDone;
+        break;
+      }
+      end = std::max(end, flow_done);
+    }
+    if (end == kNotDone) continue;
+    stats::CompletionRecord rec;
+    rec.id = query.id;
+    rec.bytes = incast.query_size_bytes;
+    rec.start = query.issue_time;
+    rec.end = end;
+    if (query_ideal_fn) rec.ideal = query_ideal_fn(query.client, incast.query_size_bytes);
+    qct.Add(rec);
+  }
+  qct.SortByEnd();
+  return qct;
 }
 
 }  // namespace occamy::workload

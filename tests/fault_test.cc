@@ -407,31 +407,32 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
   config.min_rto = config.initial_rto = Milliseconds(5);
   config.max_rto = Milliseconds(50);
   // Transient blackhole: the flow RTOs through the outage, then recovers
-  // and completes; Complete() must cancel the timer (a leaked handle would
-  // fire into a dead flow).
+  // and completes. Complete() CHECKs that it cancelled the timer (the
+  // connection is freed right after, so a leaked handle would fire into a
+  // dead flow); the run reaching its end is that check passing.
   FaultHarness h("blackhole:t=0ns,dur=30ms,node=sw0,port=1", config);
   const uint64_t id = h.Flow(0, 1, 50000);
-  // The manager defers connection destruction past Complete(), so the
-  // timer state is probed from the synchronous completion listener — the
-  // instant after Complete() ran, before the connection is erased.
-  bool probed = false;
-  h.manager->AddCompletionListener(
-      [&](const transport::FlowParams& p, Time /*end*/) {
-        if (p.id != id) return;
-        transport::Connection* conn = h.manager->FindConnection(id);
-        ASSERT_NE(conn, nullptr);
-        EXPECT_TRUE(conn->completed());
-        EXPECT_FALSE(conn->rto_timer_pending())
-            << "Complete() must cancel rto_timer_";
-        EXPECT_EQ(conn->rto_backoff(), 0) << "new ACKs reset the backoff";
-        EXPECT_GE(conn->rto_count(), 1)
-            << "the outage must actually have bitten";
-        probed = true;
-      });
+  // Probe the connection every microsecond until the manager frees it;
+  // the last probe sees it at most 1 us before its completion.
+  int last_backoff = -1;
+  int64_t last_rto_count = -1;
+  Time t = 0;
+  for (; t < Milliseconds(100); t += Microseconds(1)) {
+    h.sim.RunUntil(t);
+    const transport::Connection* conn = h.manager->FindConnection(id);
+    if (conn == nullptr && t > 0) break;
+    if (conn == nullptr) continue;
+    EXPECT_FALSE(conn->completed()) << "a completed connection outlived its event";
+    last_backoff = conn->rto_backoff();
+    last_rto_count = conn->rto_count();
+  }
+  ASSERT_LT(t, Milliseconds(100)) << "flow never completed";
+  ASSERT_EQ(h.manager->completions().Count(), 1u) << "completed, then freed";
+  EXPECT_EQ(last_backoff, 0) << "new ACKs reset the backoff";
+  EXPECT_GE(last_rto_count, 1) << "the outage must actually have bitten";
+  const int64_t rtos_at_completion = h.manager->counters().rtos;
   h.sim.Run();
-
-  EXPECT_TRUE(probed) << "flow never completed";
-  EXPECT_EQ(h.manager->completions().Count(), 1u);
+  EXPECT_EQ(h.manager->counters().rtos, rtos_at_completion) << "no RTO after completion";
   EXPECT_EQ(h.injector->Totals().faults_injected, 2)
       << "blackhole on + off";
 }

@@ -7,6 +7,7 @@
 #include "src/exp/dpdk_run.h"
 #include "src/exp/scenarios.h"
 #include "src/workload/open_loop.h"
+#include "src/workload/pregen.h"
 
 namespace occamy::exp {
 namespace {
@@ -139,10 +140,10 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
 }
 
 TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
-  // Â§6.2 Fig. 15 shape: strict priority; low-priority traffic holds buffer
+  // §6.2 Fig. 15 shape: strict priority; low-priority traffic holds buffer
   // while draining slowly. The LP queues are kept saturated with open-loop
-  // streams (kernel CUBIC with SACK sustains full LP queues in the paper's
-  // testbed; our simplified no-SACK transport cannot, see DESIGN.md). A
+  // streams: kernel CUBIC with SACK sustains full LP queues in the paper's
+  // testbed, and this transport, which has no SACK, cannot. A
   // high-priority DCTCP incast then needs the buffer: Occamy expels the LP
   // over-allocation, DT cannot.
   auto run_qct = [](Scheme scheme, bool with_lp) {
@@ -181,18 +182,20 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
     q.servers = {s.topo.hosts[1], s.topo.hosts[2], s.topo.hosts[3], s.topo.hosts[4],
                  s.topo.hosts[5], s.topo.hosts[1], s.topo.hosts[2], s.topo.hosts[3],
                  s.topo.hosts[4], s.topo.hosts[5]};
-    q.fanin = 10;  // two responders per server host, as in Â§6.2
+    q.fanin = 10;  // two responders per server host, as in §6.2
     q.query_size_bytes = 600 * 1000;  // ~150% of the buffer
     q.traffic_class = 0;
     q.max_queries = 5;
     q.queries_per_second = 150;
     q.stop = Milliseconds(80);
     q.start = Milliseconds(10);  // after LP queues are established
-    workload::IncastWorkload incast(s.manager.get(), q);
-    incast.Start();
+    const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+    const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
     s.sim.RunUntil(Milliseconds(300));
-    EXPECT_EQ(incast.queries_completed(), incast.queries_issued());
-    return incast.qct().DurationsMs().Mean();
+    const stats::CompletionCollector qct =
+        workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr);
+    EXPECT_EQ(qct.Count(), incast.queries.size());
+    return qct.DurationsMs().Mean();
   };
 
   const double dt_with = run_qct(Scheme::kDt, true);
@@ -269,8 +272,8 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   bg.size_dist = workload::WebSearchDistribution();
   bg.stop = Milliseconds(5);
   bg.ideal_fn = s.IdealFn();
-  workload::PoissonFlowGenerator gen(s.manager.get(), bg);
-  gen.Start();
+  const std::vector<uint64_t> bg_ids =
+      workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg));
 
   workload::IncastConfig q;
   q.clients = s.topo.hosts;
@@ -281,16 +284,18 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   q.stop = Milliseconds(5);
   q.ideal_fn = s.IdealFn();
   q.query_ideal_fn = s.QueryIdealFn();
-  workload::IncastWorkload incast(s.manager.get(), q);
-  incast.Start();
+  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
+  const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
 
   s.sim.RunUntil(Milliseconds(60));
-  EXPECT_GT(gen.flows_generated(), 0);
-  EXPECT_GT(incast.queries_issued(), 3);
+  EXPECT_GT(bg_ids.size(), 0u);
+  EXPECT_GT(incast.queries.size(), 3u);
+  const stats::CompletionCollector qct =
+      workload::DeriveIncastQct(incast, ids, s.manager->completions(), q.query_ideal_fn);
   // The vast majority of queries complete within the drain window.
-  EXPECT_GE(incast.queries_completed(), incast.queries_issued() * 8 / 10);
+  EXPECT_GE(qct.Count(), incast.queries.size() * 8 / 10);
   // Slowdowns are sane (>= ~1).
-  const auto slow = incast.qct().Slowdowns();
+  const auto slow = qct.Slowdowns();
   if (!slow.Empty()) {
     EXPECT_GT(slow.Mean(), 0.9);
   }

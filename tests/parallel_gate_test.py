@@ -109,10 +109,11 @@ class ParallelGateTest(unittest.TestCase):
         with open(self.log) as f:
             calls = f.read().splitlines()
         run = " ".join(gate.RUN)
-        self.assertEqual(calls, [
-            f"{run} --shards=1 --window-batch=1", f"{run} --shards=4",
-            f"{run} --shards=4", f"{run} --shards=1 --window-batch=1",
-            f"{run} --shards=4 --window-batch=1"])
+        serial, timed = f"{run} --shards=1 --window-batch=1", f"{run} --shards=4"
+        pairs = [[serial, timed] if i % 2 == 0 else [timed, serial]
+                 for i in range(gate.ROUNDS)]
+        self.assertEqual(calls, [c for pair in pairs for c in pair] +
+                         [f"{run} --shards=4 --window-batch=1"])
 
     def test_differing_deterministic_key_fails_naming_it(self):
         for name in ("timed", "reference"):

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
+#include "src/sim/sharded_simulator.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/open_loop.h"
 
@@ -210,17 +214,130 @@ TEST(TransportTest, ManyParallelFlowsAllComplete) {
   EXPECT_EQ(h.manager->completions().Count(), static_cast<size_t>(n));
 }
 
-TEST(TransportTest, CompletionHookFires) {
-  Harness h;
-  int hooks = 0;
-  h.manager->AddCompletionListener(
-      [&](const FlowParams& p, Time) {
-        ++hooks;
-        EXPECT_EQ(p.size_bytes, 12345);
-      });
-  h.Flow(0, 1, 12345);
-  h.sim.Run();
-  EXPECT_EQ(hooks, 1);
+// A four-host star on either engine. shards == 0 is the legacy engine;
+// otherwise the sharded engine, with the first host (node 1; the switch is
+// node 0) on the last shard and every other node on shard 0.
+struct EngineStar {
+  static constexpr Time kPropagation = Microseconds(1);
+
+  explicit EngineStar(int shards) {
+    if (shards == 0) {
+      sim.emplace(7);
+      net.emplace(&*sim);
+    } else {
+      ssim.emplace(sim::ShardedSimulator::Options{
+          .shards = shards, .lookahead = kPropagation, .seed = 7});
+      net.emplace(&*ssim, [shards](net::NodeId id) { return id == 1 ? shards - 1 : 0; });
+    }
+    net::StarConfig cfg;
+    cfg.num_hosts = 4;
+    cfg.host_rate = Bandwidth::Gbps(10);
+    cfg.link_propagation = kPropagation;
+    cfg.switch_config.tm.buffer_bytes = 500000;
+    cfg.switch_config.scheme_factory = [] {
+      return std::make_unique<bm::DynamicThreshold>();
+    };
+    topo = net::BuildStar(*net, cfg);
+    manager = std::make_unique<FlowManager>(&*net);
+    for (auto h : topo.hosts) manager->AttachHost(h);
+  }
+
+  void RunUntil(Time t) {
+    if (ssim) {
+      ssim->RunUntil(t);
+    } else {
+      sim->RunUntil(t);
+    }
+  }
+  net::Host& host(int i) { return topo.host(*net, i); }
+
+  std::optional<sim::Simulator> sim;
+  std::optional<sim::ShardedSimulator> ssim;
+  std::optional<net::Network> net;
+  net::StarTopology topo;
+  std::unique_ptr<FlowManager> manager;
+};
+
+// A segment of a flow whose connection is already freed gets the ACK the
+// live receiver would send: cumulative over the whole flow, echoing the
+// segment's CE mark. The legacy engine, the 1-shard engine and a 2-shard
+// engine (source and destination on different shards) agree exactly.
+TEST(FinishedFlowTest, LateSegmentDrawsTheFullAckOnEveryEngine) {
+  constexpr int64_t kBytes = 20000;
+  std::vector<FlowManager::Counters> totals;
+  for (const int shards : {0, 1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineStar h(shards);
+    FlowParams p;
+    p.src = h.topo.hosts[0];
+    p.dst = h.topo.hosts[1];
+    p.size_bytes = kBytes;
+    const uint64_t id = h.manager->StartFlow(p);
+    h.RunUntil(Milliseconds(1));
+    ASSERT_EQ(h.manager->counters().flows_completed, 1);
+    EXPECT_EQ(h.manager->FindConnection(id), nullptr) << "freed after completion";
+    const FlowManager::Counters before = h.manager->counters();
+
+    // A late ACK of the finished flow reaches the sender and is dropped.
+    Packet late_ack;
+    late_ack.kind = PacketKind::kAck;
+    late_ack.flow_id = id;
+    late_ack.src = p.dst;
+    late_ack.dst = p.src;
+    late_ack.size_bytes = 64;
+    late_ack.ack_seq = kBytes;
+    h.host(1).Send(late_ack);
+    h.RunUntil(Milliseconds(2));
+
+    // From here on the sender's arrivals are recorded, not dispatched.
+    std::vector<Packet> acks;
+    h.host(0).set_receiver([&acks](const Packet& pkt) { acks.push_back(pkt); });
+    // A duplicate of the flow's second segment, CE-marked, and an open-loop
+    // packet, which has no flow record and must draw no ACK.
+    Packet seg;
+    seg.kind = PacketKind::kData;
+    seg.flow_id = id;
+    seg.src = p.src;
+    seg.dst = p.dst;
+    seg.traffic_class = 0;
+    seg.seq = 1460;
+    seg.payload = 1460;
+    seg.size_bytes = 1500;
+    seg.ce = true;
+    seg.ts_sent = Microseconds(123);
+    Packet open_loop = seg;
+    open_loop.flow_id = net::Network::kOpenLoopFlowIdBase;
+    open_loop.ce = false;
+    h.host(0).Send(seg);
+    h.host(0).Send(open_loop);
+    const int64_t rx_before = h.host(1).rx_packets();
+    h.RunUntil(Milliseconds(3));
+    EXPECT_EQ(h.host(1).rx_packets(), rx_before + 2);
+
+    ASSERT_EQ(acks.size(), 1u);
+    const Packet& ack = acks[0];
+    EXPECT_TRUE(ack.IsAck());
+    EXPECT_EQ(ack.flow_id, id);
+    EXPECT_EQ(ack.src, p.dst);
+    EXPECT_EQ(ack.dst, p.src);
+    EXPECT_EQ(ack.ack_seq, static_cast<uint64_t>(kBytes)) << "cumulative over the whole flow";
+    EXPECT_TRUE(ack.ece) << "echoes the segment's CE mark";
+    EXPECT_EQ(ack.ts_sent, Microseconds(123));
+    const FlowManager::Counters after = h.manager->counters();
+    EXPECT_EQ(after.acks_sent, before.acks_sent + 1);
+    EXPECT_EQ(after.data_packets_sent, before.data_packets_sent);
+    EXPECT_EQ(after.flows_completed, 1);
+    totals.push_back(after);
+  }
+  for (const FlowManager::Counters& c : totals) {
+    EXPECT_EQ(c.flows_started, totals[0].flows_started);
+    EXPECT_EQ(c.flows_completed, totals[0].flows_completed);
+    EXPECT_EQ(c.data_packets_sent, totals[0].data_packets_sent);
+    EXPECT_EQ(c.retransmitted_packets, totals[0].retransmitted_packets);
+    EXPECT_EQ(c.acks_sent, totals[0].acks_sent);
+    EXPECT_EQ(c.rtos, totals[0].rtos);
+    EXPECT_EQ(c.fast_retransmits, totals[0].fast_retransmits);
+  }
 }
 
 // Transport flows and open-loop streams share the network's flow-id space

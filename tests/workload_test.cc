@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/collective.h"
 #include "src/workload/flow_size_dist.h"
-#include "src/workload/incast.h"
-#include "src/workload/poisson_flows.h"
+#include "src/workload/pregen.h"
 
 namespace occamy::workload {
 namespace {
@@ -138,7 +139,7 @@ TEST(TreeTest, AllReduceEdgesAreValidPairs) {
   }
 }
 
-// ---------- Generators on a live network ----------
+// ---------- Schedules on a live network ----------
 
 struct WorkloadHarness {
   WorkloadHarness() : sim(11), net(&sim) {
@@ -171,17 +172,24 @@ TEST(PoissonFlowsTest, GeneratesExpectedFlowCount) {
   cfg.size_dist = FixedSizeDistribution(100000);
   cfg.stop = Milliseconds(20);
   cfg.seed = 5;
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
-  h.sim.Run();
+  const std::vector<transport::FlowParams> flows = PregeneratePoissonFlows(cfg);
   // Expected: load * rate * hosts / size * time
   //         = 0.4 * 1.25e9 * 8 / 1e5 * 0.02 = 800 flows.
-  EXPECT_NEAR(static_cast<double>(gen.flows_generated()), 800.0, 120.0);
-  EXPECT_EQ(h.manager->counters().flows_started, gen.flows_generated());
+  EXPECT_NEAR(static_cast<double>(flows.size()), 800.0, 120.0);
+  for (const auto& f : flows) {
+    EXPECT_GE(f.start_time, 0);
+    EXPECT_LE(f.start_time, cfg.stop);
+  }
+  StartFlows(*h.manager, flows);
+  h.sim.Run();
+  const auto n = static_cast<int64_t>(flows.size());
+  EXPECT_EQ(h.manager->counters().flows_started, n);
   // All flows eventually complete.
-  EXPECT_EQ(h.manager->counters().flows_completed, gen.flows_generated());
+  EXPECT_EQ(h.manager->counters().flows_completed, n);
 }
 
+// The ids StartFlows returns are how a caller finds its own flows among the
+// completion records: dense from 1, in schedule order.
 TEST(PoissonFlowsTest, OwnershipTracking) {
   WorkloadHarness h;
   PoissonFlowConfig cfg;
@@ -189,14 +197,20 @@ TEST(PoissonFlowsTest, OwnershipTracking) {
   cfg.load = 0.2;
   cfg.size_dist = FixedSizeDistribution(10000);
   cfg.stop = Milliseconds(2);
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
+  const std::vector<transport::FlowParams> flows = PregeneratePoissonFlows(cfg);
+  ASSERT_GT(flows.size(), 0u);
+  const std::vector<uint64_t> ids = StartFlows(*h.manager, flows);
+  ASSERT_EQ(ids.size(), flows.size());
+  for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
   h.sim.Run();
-  ASSERT_GT(gen.flows_generated(), 0);
-  for (const auto& rec : h.manager->completions().records()) {
-    EXPECT_TRUE(gen.Owns(rec.id));
+  const auto& records = h.manager->completions().records();
+  EXPECT_EQ(records.size(), flows.size());
+  for (const auto& rec : records) {
+    ASSERT_GE(rec.id, 1u);
+    ASSERT_LE(rec.id, ids.size());
+    EXPECT_EQ(rec.bytes, flows[rec.id - 1].size_bytes);
+    EXPECT_EQ(rec.start, flows[rec.id - 1].start_time);
   }
-  EXPECT_FALSE(gen.Owns(999999));
 }
 
 TEST(IncastTest, SingleQueryQctRecorded) {
@@ -208,16 +222,26 @@ TEST(IncastTest, SingleQueryQctRecorded) {
   cfg.query_size_bytes = 700000;
   cfg.max_queries = 1;
   cfg.stop = Milliseconds(50);
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.IssueQueryNow();
+  cfg.query_ideal_fn = [](net::NodeId, int64_t bytes) { return Microseconds(bytes / 1000); };
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_EQ(incast.queries.size(), 1u);
+  EXPECT_EQ(incast.queries[0].issue_time, 0);
+  EXPECT_EQ(incast.flows.size(), 7u);
+  const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
   h.sim.Run();
-  EXPECT_EQ(incast.queries_issued(), 1);
-  EXPECT_EQ(incast.queries_completed(), 1);
-  ASSERT_EQ(incast.qct().Count(), 1u);
-  const auto& rec = incast.qct().records()[0];
+  const stats::CompletionCollector qct =
+      DeriveIncastQct(incast, ids, h.manager->completions(), cfg.query_ideal_fn);
+  ASSERT_EQ(qct.Count(), 1u);
+  const auto& rec = qct.records()[0];
+  EXPECT_EQ(rec.id, incast.queries[0].id);
   EXPECT_EQ(rec.bytes, 700000);
+  EXPECT_EQ(rec.ideal, Microseconds(700));
   // 700KB into a 10G port takes >= 560us.
   EXPECT_GT(ToMilliseconds(rec.Duration()), 0.5);
+  // The query ends with its last member flow.
+  Time last_end = 0;
+  for (const auto& f : h.manager->completions().records()) last_end = std::max(last_end, f.end);
+  EXPECT_EQ(rec.end, last_end);
 }
 
 TEST(IncastTest, PoissonQueriesComplete) {
@@ -229,12 +253,26 @@ TEST(IncastTest, PoissonQueriesComplete) {
   cfg.query_size_bytes = 100000;
   cfg.queries_per_second = 2000;
   cfg.stop = Milliseconds(10);
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.Start();
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  EXPECT_GT(incast.queries.size(), 5u);
+  for (const auto& query : incast.queries) {
+    EXPECT_LE(query.issue_time, cfg.stop);
+    EXPECT_EQ(query.flow_indices.size(), 4u);
+  }
+  const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
   h.sim.Run();
-  EXPECT_GT(incast.queries_issued(), 5);
-  EXPECT_EQ(incast.queries_completed(), incast.queries_issued());
-  EXPECT_EQ(static_cast<int64_t>(incast.qct().Count()), incast.queries_completed());
+  const stats::CompletionCollector qct =
+      DeriveIncastQct(incast, ids, h.manager->completions(), nullptr);
+  EXPECT_EQ(qct.Count(), incast.queries.size());
+  // (end, id) order, one record per query.
+  std::set<uint64_t> query_ids;
+  for (size_t i = 0; i < qct.Count(); ++i) {
+    query_ids.insert(qct.records()[i].id);
+    if (i > 0) {
+      EXPECT_LE(qct.records()[i - 1].end, qct.records()[i].end);
+    }
+  }
+  EXPECT_EQ(query_ids.size(), incast.queries.size());
 }
 
 TEST(IncastTest, ServersExcludeClient) {
@@ -245,12 +283,21 @@ TEST(IncastTest, ServersExcludeClient) {
   cfg.fanin = 7;
   cfg.query_size_bytes = 70000;
   cfg.max_queries = 3;
-  IncastWorkload incast(h.manager.get(), cfg);
-  incast.IssueQueryNow();
-  incast.IssueQueryNow();
-  incast.IssueQueryNow();
+  const PregeneratedIncast incast = PregenerateIncast(cfg);
+  ASSERT_EQ(incast.queries.size(), 3u);  // max_queries caps the schedule
+  for (const auto& query : incast.queries) {
+    std::set<net::NodeId> servers;
+    for (const size_t fi : query.flow_indices) {
+      const transport::FlowParams& f = incast.flows[fi];
+      EXPECT_NE(f.src, query.client);
+      EXPECT_EQ(f.dst, query.client);
+      servers.insert(f.src);
+    }
+    EXPECT_EQ(servers.size(), 7u) << "fanin distinct servers";
+  }
+  const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
   h.sim.Run();
-  EXPECT_EQ(incast.queries_completed(), 3);
+  EXPECT_EQ(DeriveIncastQct(incast, ids, h.manager->completions(), nullptr).Count(), 3u);
 }
 
 TEST(CollectiveTest, AllReduceFlowsFollowTreeEdges) {
@@ -268,11 +315,12 @@ TEST(CollectiveTest, AllReduceFlowsFollowTreeEdges) {
     EXPECT_TRUE(valid.count(cfg.pair_sampler(rng)) > 0);
   }
   // And the traffic runs to completion.
-  PoissonFlowGenerator gen(h.manager.get(), cfg);
-  gen.Start();
+  const std::vector<transport::FlowParams> flows = PregeneratePoissonFlows(cfg);
+  ASSERT_GT(flows.size(), 0u);
+  for (const auto& f : flows) EXPECT_TRUE(valid.count({f.src, f.dst}) > 0);
+  StartFlows(*h.manager, flows);
   h.sim.Run();
-  EXPECT_GT(gen.flows_generated(), 0);
-  EXPECT_EQ(h.manager->counters().flows_completed, gen.flows_generated());
+  EXPECT_EQ(h.manager->counters().flows_completed, static_cast<int64_t>(flows.size()));
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ import subprocess
 import sys
 
 SHARDS = 4
-ROUNDS = 2
+ROUNDS = 5
 FLOOR_PER_CORE = 0.5
 RUN = ("run", "--scenario=alltoall", "--bm=occamy", "--scale=default",
        "--duration-ms=5", "--seed=1")
