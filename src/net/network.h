@@ -166,12 +166,20 @@ class Network {
   // lane (a switch passes the egress partition index); plain nodes send
   // from lane 0.
   void DeliverAfter(NodeId from, Time delay, LinkEnd to, Packet pkt, int src_lane = 0) {
+    Node& src = node(from);
+    // A lane > 0 requires the source to have bound its lanes (BindNodeLanes
+    // sizes the per-lane sequence counters).
+    OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lane_delivery_seq_.size());
+    // The sequence keys the fault draws on both engines and, sharded, the
+    // canonical cross-shard merge order. It is consumed even when a fault
+    // drops the packet: gaps are harmless to the merge order, while keeping
+    // the numbering a pure function of the lane's send history for any
+    // engine and shard count.
+    const uint64_t seq = src.lane_delivery_seq_[static_cast<size_t>(src_lane)]++;
+    if (faults_ != nullptr && faults_->OnDeliver(from, src_lane, to, seq, src.sim().now(), pkt)) {
+      return;  // dropped on the wire; the injector accounted for it
+    }
     if (ssim_ == nullptr) {
-      if (faults_ != nullptr &&
-          faults_->OnDeliver(from, src_lane, to,
-                             node(from).lane_delivery_seq_[0]++, sim_->now(), pkt)) {
-        return;  // dropped on the wire; the injector accounted for it
-      }
       // Single-threaded: slot 0 directly — no thread-local lookup on the
       // per-packet hot path.
       ++shard_state_[0].delivered_events;
@@ -180,22 +188,11 @@ class Network {
     }
     OCCAMY_CHECK_GE(delay, ssim_->lookahead())
         << "cross-node delay below the conservative lookahead";
-    Node& src = node(from);
     const int src_shard = shard_of(from);
     // SPSC invariant: only the sender's worker may write this outbox row
     // (and only its clock is the right send time).
     OCCAMY_DCHECK_EQ(sim::CurrentShard(), src_shard);
     OCCAMY_ASSERT_SHARD(src.sim());
-    // A lane > 0 requires the source to have bound its lanes (BindNodeLanes
-    // sizes the per-lane sequence counters).
-    OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lane_delivery_seq_.size());
-    // The sequence is consumed even when a fault drops the packet: gaps are
-    // harmless to the canonical merge order, while keeping the numbering a
-    // pure function of the lane's send history for any shard count.
-    const uint64_t seq = src.lane_delivery_seq_[static_cast<size_t>(src_lane)]++;
-    if (faults_ != nullptr && faults_->OnDeliver(from, src_lane, to, seq, src.sim().now(), pkt)) {
-      return;  // dropped on the wire; never staged
-    }
     const Time deliver_time = src.sim().now() + delay;
     const int dst_shard = shard_of(to.node);
     ++shard_state_[static_cast<size_t>(src_shard)].delivered_events;

@@ -37,10 +37,11 @@ class Node {
   NodeId id_ = 0;
   Network* network_ = nullptr;
   sim::Simulator* sim_ = nullptr;
-  // Per-(source, lane) sequence of DeliverAfter calls; part of the
-  // canonical cross-shard merge key (see Network::DeliverAfter). One slot
-  // per lane (plain nodes: just lane 0); only the node's own shard bumps
-  // them, so the counters need no synchronization.
+  // Per-(source, lane) sequence of DeliverAfter calls: the key of the
+  // fault draws on both engines and part of the canonical cross-shard merge
+  // key (see Network::DeliverAfter). One slot per lane (plain nodes: just
+  // lane 0); only the node's own shard bumps them, so the counters need no
+  // synchronization.
   std::vector<uint64_t> lane_delivery_seq_ = {0};
 };
 

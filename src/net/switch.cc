@@ -36,7 +36,7 @@ void SwitchNode::Initialize() {
       (config_.num_ports + config_.ports_per_partition - 1) / config_.ports_per_partition;
   // Partitions are this node's lanes: each sends with its own delivery
   // sequence, and all of them run on the node's simulator.
-  if (network()->sharded()) network()->BindNodeLanes(id(), num_partitions);
+  network()->BindNodeLanes(id(), num_partitions);
   port_partition_.resize(static_cast<size_t>(config_.num_ports));
   port_local_.resize(static_cast<size_t>(config_.num_ports));
   lane_frozen_.assign(static_cast<size_t>(num_partitions), 0);

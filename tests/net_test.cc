@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <tuple>
+#include <vector>
 
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
+#include "src/sim/sharded_simulator.h"
 #include "src/workload/open_loop.h"
 
 namespace occamy::net {
@@ -148,6 +153,85 @@ TEST(StarTest, DropHookFiresOnOverload) {
   EXPECT_EQ(drops, topo.sw(net).TotalDrops());
   // Conservation: sent = delivered + dropped.
   EXPECT_EQ(sender.packets_sent(), topo.host(net, 1).rx_packets() + drops);
+}
+
+// Records the key of every fault draw and drops nothing.
+class RecordingFaultHook : public FaultHook {
+ public:
+  // (sending node, lane, lane's delivery seq, packet's flow id and seq).
+  using Key = std::tuple<NodeId, int, uint64_t, uint64_t, uint64_t>;
+
+  bool OnDeliver(NodeId from, int src_lane, LinkEnd, uint64_t seq, Time, Packet& pkt) override {
+    keys.emplace_back(from, src_lane, seq, pkt.flow_id, pkt.seq);
+    return false;
+  }
+  void OnCorruptedArrival() override {}
+
+  std::vector<Key> keys;
+};
+
+// A switch with two partitions sends from two lanes. Each lane numbers its
+// own deliveries, and the fault draws see the same (lane, seq) keys on the
+// legacy engine as at --shards=1.
+TEST(LaneDeliveryTest, FaultDrawKeysMatchAcrossEngines) {
+  std::vector<std::vector<RecordingFaultHook::Key>> keys_by_engine;
+  for (const int shards : {0, 1}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::optional<sim::Simulator> sim;
+    std::optional<sim::ShardedSimulator> ssim;
+    std::optional<Network> net;
+    if (shards == 0) {
+      sim.emplace();
+      net.emplace(&*sim);
+    } else {
+      ssim.emplace(sim::ShardedSimulator::Options{.shards = 1, .lookahead = Microseconds(1)});
+      net.emplace(&*ssim, [](NodeId) { return 0; });
+    }
+    StarConfig cfg;
+    cfg.num_hosts = 4;
+    cfg.host_rate = Bandwidth::Gbps(10);
+    cfg.link_propagation = Microseconds(1);
+    cfg.switch_config = SmallSwitchConfig();
+    cfg.switch_config.ports_per_partition = 2;  // lane 0: ports 0-1, lane 1: ports 2-3
+    auto topo = BuildStar(*net, cfg);
+    ASSERT_EQ(topo.sw(*net).num_partitions(), 2);
+    RecordingFaultHook hook;
+    net->set_fault_injector(&hook);
+
+    // Host 2 -> host 1 leaves the switch on lane 0, host 0 -> host 3 on
+    // lane 1, at the same times. One egress port per lane keeps each
+    // lane's send order independent of how same-time events are ordered.
+    for (const auto& [src, dst] : {std::pair{2, 1}, std::pair{0, 3}}) {
+      for (uint64_t k = 0; k < 5; ++k) {
+        Packet pkt;
+        pkt.flow_id = static_cast<uint64_t>(src) + 1;
+        pkt.seq = k;
+        pkt.src = topo.hosts[static_cast<size_t>(src)];
+        pkt.dst = topo.hosts[static_cast<size_t>(dst)];
+        pkt.size_bytes = 1000;
+        topo.host(*net, src).Send(pkt);
+      }
+    }
+    if (ssim) {
+      ssim->RunUntil(Milliseconds(1));
+    } else {
+      sim->RunUntil(Milliseconds(1));
+    }
+    EXPECT_EQ(topo.host(*net, 1).rx_packets(), 5);
+    EXPECT_EQ(topo.host(*net, 3).rx_packets(), 5);
+
+    // Every lane that sent numbered its deliveries 0, 1, ... in order.
+    std::map<std::pair<NodeId, int>, uint64_t> next_seq;
+    for (const auto& [from, lane, seq, flow, pkt_seq] : hook.keys) {
+      const uint64_t expected = next_seq[std::pair(from, lane)]++;
+      EXPECT_EQ(seq, expected) << "node " << from << " lane " << lane;
+    }
+    EXPECT_EQ(next_seq[std::pair(topo.switch_id, 0)], 5u);
+    EXPECT_EQ(next_seq[std::pair(topo.switch_id, 1)], 5u);
+    std::sort(hook.keys.begin(), hook.keys.end());
+    keys_by_engine.push_back(hook.keys);
+  }
+  EXPECT_EQ(keys_by_engine[0], keys_by_engine[1]);
 }
 
 // ---------- Leaf-spine ----------
