@@ -7,6 +7,12 @@
 // favour: dequeues force-consume tokens (possibly driving the balance
 // negative), so expulsion pauses automatically whenever the egress side is
 // using the full memory bandwidth — the fixed-priority arbiter of Figure 8.
+//
+// In the chip the comparator bank evaluates every queue all the time and the
+// pipeline issues only while the over-allocation bitmap is non-empty. Here an
+// idle engine stays off the event queue the same way: a kick that may have
+// over-allocated a queue refreshes the bitmap in place and schedules a Step
+// only when some queue is over-allocated.
 #pragma once
 
 #include <algorithm>
@@ -79,19 +85,31 @@ class ExpulsionEngine {
   ExpulsionEngine& operator=(const ExpulsionEngine&) = delete;
 
   // Notifies the engine that TM state changed in a way it cannot attribute
-  // to one queue: the next step rescans every queue. Schedules a step if the
-  // engine is idle. Cheap: no-op when already scheduled.
+  // to one queue: the next refresh rescans every queue. Checked like a
+  // growth kick.
   void Kick() {
     selector_.MarkAllDirty();
-    ScheduleFromKick();
+    if (idle()) KickIdle(/*grew=*/true);
   }
 
-  // Notifies the engine that queue q's length changed (enqueue/dequeue/
-  // head-drop). The next step re-evaluates only q plus whatever the shared
-  // threshold movement implies — the hot-path flavour of Kick().
-  void KickQueue(int q) {
+  // Notifies the engine that queue q grew (enqueue). q, and any queue whose
+  // threshold fell with the free buffer, may now be over-allocated: an idle
+  // engine refreshes the bitmap at once and schedules a Step only if some
+  // queue is over-allocated. The hot-path flavour of Kick().
+  void KickGrowth(int q) {
     selector_.MarkDirty(q);
-    ScheduleFromKick();
+    if (idle()) KickIdle(/*grew=*/true);
+  }
+
+  // Notifies the engine that queue q shrank (dequeue, pushout eviction). An
+  // idle engine found no queue over-allocated at its last refresh, and under
+  // the threshold_key contract (incremental_refresh) no threshold falls when
+  // free bytes rise, so a shrink cannot over-allocate any queue: the dirty
+  // mark is folded into the next refresh. Without the contract it is checked
+  // like a growth kick.
+  void KickShrink(int q) {
+    selector_.MarkDirty(q);
+    if (idle()) KickIdle(/*grew=*/false);
   }
 
   int64_t expelled_packets() const { return expelled_packets_; }
@@ -138,27 +156,29 @@ class ExpulsionEngine {
   }
 
  private:
-  void Step();
-
-  // Kick-side scheduling. While Step() executes (in_step_), kicks only mark
-  // dirty state — Step's epilogue owns the reschedule, so a stray re-entrant
+  // While Step() executes (in_step_) or is pending, kicks only mark dirty
+  // state: Step's epilogue owns the reschedule, so a stray re-entrant
   // Kick() (e.g. a drop hook feeding back into the TM) can neither
   // double-schedule Step nor shortcut the pipeline's OpLatency pacing.
-  // A frozen control plane schedules nothing (the dirty marks accumulate
-  // until the thawing Kick); a lagged one schedules `control_lag_` late.
-  void ScheduleFromKick() {
-    if (scheduled_ || in_step_) return;
-    if (control_frozen_) {
-      ++cp_stalled_steps_;
-      return;
-    }
-    scheduled_ = true;
-    if (control_lag_ > 0) ++cp_stalled_steps_;
-    pending_ = sim_->After(control_lag_, [this] { Step(); });
-  }
+  bool idle() const { return !scheduled_ && !in_step_; }
 
-  // Step-side rescheduling; only valid from inside Step().
-  void Reschedule(Time delay) {
+  // The idle half of a kick (kept out of line, off the TM's per-packet
+  // code). A frozen control plane schedules nothing (the dirty marks
+  // accumulate until the thawing Kick); a lagged one schedules a Step
+  // `control_lag_` late for every kick, since a stale control plane must
+  // not act on the state it sees at the kick. Otherwise the kick checks
+  // over-allocation in place and schedules a Step only if there is work.
+  void KickIdle(bool grew);
+
+  void Step();
+
+  // Step's first stage: refreshes the over-allocation bitmap (the
+  // comparator bank, Figure 9).
+  void RefreshBitmap();
+
+  // Schedules Step `delay` (plus the control lag) from now, unless the
+  // control plane is frozen. Only valid while no Step is pending.
+  void ScheduleStep(Time delay) {
     if (control_frozen_) {
       ++cp_stalled_steps_;
       return;

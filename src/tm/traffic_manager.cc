@@ -109,7 +109,7 @@ TmPartition::EnqueueResult TmPartition::Enqueue(int port, Packet pkt) {
     const buffer::PacketDescriptor evicted = shared_.DequeueHead(*victim);
     ++stats_.pushout_evictions;
     scheme_->OnDequeue(*this, *victim, evicted.cell_count * config_.cell_bytes);
-    if (engine_ != nullptr) engine_->KickQueue(*victim);
+    if (engine_ != nullptr) engine_->KickShrink(*victim);
     RecordDrop(evicted.packet, DropReason::kPushoutEvicted, *victim);
   }
 
@@ -131,7 +131,7 @@ TmPartition::EnqueueResult TmPartition::Enqueue(int port, Packet pkt) {
 
   // Wake Occamy's reactive component: this enqueue may have pushed some
   // queue above the (now lower) threshold.
-  if (engine_ != nullptr) engine_->KickQueue(q);
+  if (engine_ != nullptr) engine_->KickGrowth(q);
   return result;
 }
 
@@ -164,7 +164,7 @@ std::optional<Packet> TmPartition::DequeueForPort(int port) {
   stats_.dequeued_bytes += pd.packet.size_bytes;
   drain_rates_[static_cast<size_t>(q)].Update(bytes, sim_->now());
   scheme_->OnDequeue(*this, q, bytes);
-  if (engine_ != nullptr) engine_->KickQueue(q);
+  if (engine_ != nullptr) engine_->KickShrink(q);
   return pd.packet;
 }
 

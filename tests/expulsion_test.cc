@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/core/expulsion_engine.h"
+#include "src/core/occamy_bm.h"
 #include "src/sim/simulator.h"
+#include "src/tm/traffic_manager.h"
+#include "src/util/rng.h"
 
 namespace occamy::core {
 namespace {
@@ -41,6 +45,7 @@ class FakeTarget : public ExpulsionTarget {
   }
 
   void Push(int q, int64_t cells) { queues_[static_cast<size_t>(q)].push_back(cells); }
+  void Pop(int q) { queues_[static_cast<size_t>(q)].pop_front(); }
   void set_threshold(int64_t t) { threshold_ = t; }
   const std::vector<int>& drops() const { return drops_; }
 
@@ -259,6 +264,206 @@ TEST(ExpulsionEngineTest, ThresholdRisesMidway) {
   EXPECT_GT(f.engine.expelled_packets(), 0);
   EXPECT_LT(f.engine.expelled_packets(), 6);
   EXPECT_GE(f.target.qlen_bytes(0), 8000);
+}
+
+// ---- The kick contract: an idle engine stays off the event queue ----
+
+// FakeTarget honours the threshold_key contract, and a pop never lowers
+// its threshold, so the shrink shortcut of incremental_refresh is exact.
+ExpulsionConfig IncrementalConfig() {
+  ExpulsionConfig cfg;
+  cfg.incremental_refresh = true;
+  return cfg;
+}
+
+TEST(ExpulsionKickTest, GrowthKickUnderThresholdSchedulesNothing) {
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "full rescan");
+    ExpulsionConfig cfg;
+    cfg.incremental_refresh = incremental;
+    EngineFixture f(2, Bandwidth::Gbps(80), 256.0, cfg);
+    f.target.set_threshold(2000);
+    f.target.Push(0, 5);  // 1000 B
+    f.engine.KickGrowth(0);
+    EXPECT_FALSE(f.sim.HasPendingEvents());
+    f.engine.Kick();
+    EXPECT_FALSE(f.sim.HasPendingEvents());
+  }
+}
+
+TEST(ExpulsionKickTest, GrowthKickThatOverAllocatesSchedulesOneStepNow) {
+  EngineFixture f(1, Bandwidth::Gbps(80), 256.0, IncrementalConfig());
+  f.target.set_threshold(4000);
+  f.sim.RunUntil(Microseconds(5));
+  for (int i = 0; i < 10; ++i) {
+    f.target.Push(0, 5);  // 1000 B each: the 5th crosses 4000 B
+    f.engine.KickGrowth(0);
+    EXPECT_EQ(f.sim.HasPendingEvents(), i >= 4) << "after packet " << i;
+  }
+  EXPECT_EQ(f.sim.NextEventTime(), Microseconds(5));
+  // Exactly one event at now: the Step, which expels once and paces the
+  // next Step one op later.
+  EXPECT_EQ(f.sim.RunUntil(Microseconds(5)), 1u);
+  EXPECT_EQ(f.engine.expelled_packets(), 1);
+  f.sim.Run();
+  // The same outcome as ExpelsUntilBelowThreshold.
+  EXPECT_EQ(f.target.qlen_bytes(0), 4000);
+  EXPECT_EQ(f.engine.expelled_packets(), 6);
+}
+
+TEST(ExpulsionKickTest, ShrinkKickIsFoldedIntoTheNextRefresh) {
+  // The full-rescan engine re-evaluates every queue at every kick; the
+  // incremental engine skips the check on shrinks. Both must expel the
+  // same packets at the same times.
+  std::vector<int> reference;
+  Time reference_end = 0;
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "full rescan");
+    ExpulsionConfig cfg;
+    cfg.incremental_refresh = incremental;
+    EngineFixture f(3, Bandwidth::Gbps(80), 256.0, cfg);
+    f.target.set_threshold(3000);
+    for (int q = 0; q < 3; ++q) {
+      for (int i = 0; i < 3; ++i) {
+        f.target.Push(q, 5);  // 1000 B each, up to the threshold
+        f.engine.KickGrowth(q);
+      }
+    }
+    ASSERT_FALSE(f.sim.HasPendingEvents());
+    f.target.Pop(1);
+    f.engine.KickShrink(1);
+    EXPECT_FALSE(f.sim.HasPendingEvents());
+    f.target.Pop(1);
+    f.engine.KickShrink(1);
+    EXPECT_FALSE(f.sim.HasPendingEvents());
+    // The threshold falls below queues 0 and 2 but not queue 1: the growth
+    // kick on queue 2 must see all three.
+    f.target.set_threshold(1500);
+    f.target.Push(2, 5);
+    f.engine.KickGrowth(2);
+    EXPECT_TRUE(f.sim.HasPendingEvents());
+    f.sim.Run();
+    EXPECT_EQ(f.target.qlen_bytes(0), 1000);
+    EXPECT_EQ(f.target.qlen_bytes(1), 1000);
+    EXPECT_EQ(f.target.qlen_bytes(2), 1000);
+    if (!incremental) {
+      reference = f.target.drops();
+      reference_end = f.sim.now();
+      EXPECT_EQ(reference.size(), 5u);
+    } else {
+      EXPECT_EQ(f.target.drops(), reference);
+      EXPECT_EQ(f.sim.now(), reference_end);
+    }
+  }
+}
+
+TEST(ExpulsionKickTest, LaggedControlPlaneSchedulesEveryIdleKick) {
+  // A stale control plane acts later on whatever it then sees, never on
+  // the state at the kick, so even a kick with nothing over-allocated
+  // schedules its Step `lag` late.
+  for (const bool grew : {true, false}) {
+    SCOPED_TRACE(grew ? "growth kick" : "shrink kick");
+    EngineFixture f(1, Bandwidth::Gbps(80), 256.0, IncrementalConfig());
+    f.target.set_threshold(10000);
+    f.target.Push(0, 5);
+    f.target.Push(0, 5);
+    f.engine.set_control_lag(Microseconds(3));
+    f.sim.RunUntil(Microseconds(5));
+    if (grew) {
+      f.engine.KickGrowth(0);
+    } else {
+      f.target.Pop(0);
+      f.engine.KickShrink(0);
+    }
+    EXPECT_EQ(f.sim.NextEventTime(), Microseconds(8));
+    EXPECT_EQ(f.engine.cp_stalled_steps(), 1);
+    EXPECT_EQ(f.sim.Run(), 1u);  // the late Step finds nothing to do
+    EXPECT_EQ(f.engine.expelled_packets(), 0);
+  }
+}
+
+TEST(ExpulsionKickTest, FrozenKickCountsAStallAndThawingKickExpels) {
+  EngineFixture f(1, Bandwidth::Gbps(80), 256.0, IncrementalConfig());
+  f.target.set_threshold(4000);
+  f.engine.SetControlFrozen(true);
+  for (int i = 0; i < 10; ++i) {
+    f.target.Push(0, 5);
+    f.engine.KickGrowth(0);
+  }
+  f.target.Pop(0);
+  f.engine.KickShrink(0);
+  EXPECT_FALSE(f.sim.HasPendingEvents());
+  EXPECT_EQ(f.engine.cp_stalled_steps(), 11);
+  f.engine.SetControlFrozen(false);
+  EXPECT_EQ(f.sim.NextEventTime(), 0);
+  f.sim.Run();
+  EXPECT_EQ(f.target.qlen_bytes(0), 4000);
+  EXPECT_EQ(f.engine.expelled_packets(), 5);
+}
+
+// The kick sites of a TmPartition running Occamy: seeded enqueues and
+// dequeues that stay under every threshold never put the engine on the
+// event queue, and the enqueue that over-allocates a queue schedules
+// exactly one Step.
+TEST(ExpulsionKickTest, TmPartitionUnderThresholdsStaysOffTheEventQueue) {
+  sim::Simulator sim;
+  tm::TmConfig cfg;
+  cfg.buffer_bytes = 200000;
+  cfg.queues_per_port = 2;
+  cfg.port_rates.assign(4, Bandwidth::Gbps(10));
+  cfg.class_configs = {tm::TmQueueConfig{kRecommendedOccamyAlpha, 0},
+                       tm::TmQueueConfig{1.0, 1}};
+  cfg.enable_expulsion = true;
+  tm::TmPartition part(&sim, cfg, std::make_unique<OccamyBm>());
+  const auto any_over_allocated = [&part] {
+    for (int q = 0; q < part.num_queues(); ++q) {
+      if (part.qlen_bytes(q) > part.expulsion_threshold(q)) return true;
+    }
+    return false;
+  };
+
+  // A third of the buffer at most: every threshold stays at or above
+  // alpha * 2/3 of it, above any queue's length.
+  Rng rng(11);
+  Packet pkt;
+  int64_t dequeues = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const int port = static_cast<int>(rng.UniformInt(4));
+    if (rng.UniformInt(2) == 0 && part.occupancy_bytes() < cfg.buffer_bytes / 3 - 1600) {
+      pkt.size_bytes = static_cast<uint32_t>(rng.UniformRange(64, 1500));
+      pkt.traffic_class = static_cast<uint8_t>(rng.UniformInt(2));
+      ASSERT_TRUE(part.Enqueue(port, pkt).accepted);
+    } else if (part.DequeueForPort(port).has_value()) {
+      ++dequeues;
+    }
+    ASSERT_FALSE(any_over_allocated()) << "op " << op;
+    ASSERT_EQ(sim.RunUntil(sim.now() + Nanoseconds(300)), 0u) << "op " << op;
+  }
+  EXPECT_GT(dequeues, 1000);
+  for (int port = 0; port < 4; ++port) {
+    while (part.DequeueForPort(port).has_value()) {
+    }
+  }
+  ASSERT_EQ(part.occupancy_bytes(), 0);
+  ASSERT_FALSE(sim.HasPendingEvents());
+
+  // From an empty buffer, class 1 (alpha 1) of port 0 grows by 1600 B
+  // (8 cells) a packet; its 63rd packet is the first to put it over
+  // T = free, and that enqueue schedules the Step.
+  pkt.size_bytes = 1500;
+  pkt.traffic_class = 1;
+  for (int i = 0; i < 62; ++i) {
+    ASSERT_TRUE(part.Enqueue(0, pkt).accepted);
+    ASSERT_FALSE(any_over_allocated());
+    ASSERT_FALSE(sim.HasPendingEvents()) << "packet " << i;
+  }
+  ASSERT_TRUE(part.Enqueue(0, pkt).accepted);
+  ASSERT_TRUE(any_over_allocated());
+  EXPECT_EQ(sim.NextEventTime(), sim.now());
+  EXPECT_EQ(sim.RunUntil(sim.now()), 1u);
+  sim.Run();
+  EXPECT_GT(part.stats().expelled_packets, 0);
+  EXPECT_FALSE(any_over_allocated());
 }
 
 }  // namespace
