@@ -13,8 +13,7 @@ void ExpulsionEngine::KickIdle(bool grew) {
 
 // Incremental (DT-family schemes only): just the queues marked dirty by the
 // kicks plus those whose threshold moved across their length are
-// re-evaluated. Other schemes rescan every queue, as the pre-optimization
-// engine did.
+// re-evaluated. Other schemes rescan every queue.
 void ExpulsionEngine::RefreshBitmap() {
   const auto qlen = [this](int q) { return target_->qlen_bytes(q); };
   const auto threshold = [this](int q) { return target_->expulsion_threshold(q); };
