@@ -134,12 +134,15 @@ class Network {
       OCCAMY_CHECK_EQ(shard, shard_of(id))
           << "node " << id << " lane " << lane << " is off its node's shard";
     }
-    nodes_[id]->lane_delivery_seq_.assign(static_cast<size_t>(lanes), 0);
+    OCCAMY_CHECK(lanes <= (1 << kLaneBits)) << "node " << id << " has over 2^" << kLaneBits
+                                            << " lanes";
+    nodes_[id]->lanes_.assign(static_cast<size_t>(lanes), Node::Lane{});
   }
 
   // Takes ownership; assigns and returns the node id.
   NodeId AddNode(std::unique_ptr<Node> node) {
     const NodeId id = static_cast<NodeId>(nodes_.size());
+    OCCAMY_CHECK(id < (NodeId{1} << kNodeBits)) << "over 2^" << kNodeBits << " nodes";
     node->id_ = id;
     node->network_ = this;
     int shard = 0;
@@ -169,13 +172,14 @@ class Network {
     Node& src = node(from);
     // A lane > 0 requires the source to have bound its lanes (BindNodeLanes
     // sizes the per-lane sequence counters).
-    OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lane_delivery_seq_.size());
+    OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lanes_.size());
+    Node::Lane& lane = src.lanes_[static_cast<size_t>(src_lane)];
     // The sequence keys the fault draws on both engines and, sharded, the
-    // canonical cross-shard merge order. It is consumed even when a fault
-    // drops the packet: gaps are harmless to the merge order, while keeping
-    // the numbering a pure function of the lane's send history for any
-    // engine and shard count.
-    const uint64_t seq = src.lane_delivery_seq_[static_cast<size_t>(src_lane)]++;
+    // delivery's event order. It is consumed even when a fault drops the
+    // packet: gaps are harmless to the order, while keeping the numbering a
+    // pure function of the lane's send history for any engine and shard
+    // count.
+    const uint64_t seq = lane.seq++;
     if (faults_ != nullptr && faults_->OnDeliver(from, src_lane, to, seq, src.sim().now(), pkt)) {
       return;  // dropped on the wire; the injector accounted for it
     }
@@ -192,21 +196,21 @@ class Network {
     // SPSC invariant: only the sender's worker may write this outbox row
     // (and only its clock is the right send time).
     OCCAMY_DCHECK_EQ(sim::CurrentShard(), src_shard);
-    OCCAMY_ASSERT_SHARD(src.sim());
-    const Time deliver_time = src.sim().now() + delay;
+    sim::Simulator& src_sim = src.sim();
+    OCCAMY_ASSERT_SHARD(src_sim);
+    const Time deliver_time = src_sim.now() + delay;
+    if (lane.window != src_sim.window_index()) {
+      lane.window = src_sim.window_index();
+      lane.window_base = seq;
+    }
+    const uint64_t order = src_sim.DeliveryOrder(
+        deliver_time, DeliveryTiebreak(from, src_lane, seq - lane.window_base));
     const int dst_shard = shard_of(to.node);
     ++shard_state_[static_cast<size_t>(src_shard)].delivered_events;
     ++shard_state_[static_cast<size_t>(src_shard)].staged_mail;
-    Mail mail;
-    mail.time = deliver_time;
-    mail.src_node = from;
-    mail.src_lane = src_lane;
-    mail.seq = seq;
-    mail.to = to;
-    mail.pkt = std::move(pkt);
     outboxes_[static_cast<size_t>(src_shard) * static_cast<size_t>(num_shards()) +
               static_cast<size_t>(dst_shard)]
-        .Push(std::move(mail));
+        .Push(Mail{deliver_time, order, to, std::move(pkt)});
   }
 
   uint64_t delivered_events() const {
@@ -301,43 +305,50 @@ class Network {
   };
   static_assert(sim::Callback::FitsInline<Arrival>(), "a packet arrival must not allocate");
 
-  // One staged packet arrival. (time, src_node, src_lane, seq) is a total
-  // order that depends only on simulated execution, never on sharding or
-  // thread timing: each (src_node, src_lane) pair is produced by its node's
-  // shard, in that lane's deterministic event order.
+  // A delivery's tiebreak in the event order (sim::EventQueue): its source
+  // node, source lane and sequence within the sending window, most
+  // significant first. Each (node, lane) pair is produced by its node's
+  // shard, in that lane's deterministic event order, so the order never
+  // depends on sharding or thread timing. AddNode and BindNodeLanes check
+  // the node and lane ranges.
+  static constexpr int kSeqBits = 18;
+  static constexpr int kLaneBits = 5;
+  static constexpr int kNodeBits = 12;
+  static_assert(kNodeBits + kLaneBits + kSeqBits == sim::EventQueue::kTiebreakBits);
+
+  static uint64_t DeliveryTiebreak(NodeId from, int src_lane, uint64_t seq_in_window) {
+    OCCAMY_CHECK(seq_in_window >> kSeqBits == 0)
+        << "node " << from << " lane " << src_lane << " sent over 2^" << kSeqBits
+        << " deliveries in one window";
+    return (uint64_t{from} << (kLaneBits + kSeqBits)) |
+           (static_cast<uint64_t>(src_lane) << kSeqBits) | seq_in_window;
+  }
+
+  // One staged packet arrival, with its order word from the sender's
+  // simulator.
   struct Mail {
     Time time = 0;
-    NodeId src_node = 0;
-    int src_lane = 0;
-    uint64_t seq = 0;
+    uint64_t order = 0;
     LinkEnd to;
     Packet pkt;
   };
 
-  // Barrier hook: moves everything staged for `shard` into its event queue,
-  // in canonical order. Runs on `shard`'s worker with all shards quiescent.
+  // Barrier hook: moves everything staged for `shard` into its event queue.
+  // Each record carries its place in the event order, so the drain needs
+  // no sort. Runs on `shard`'s worker with all shards quiescent.
   void DrainInbound(int shard) {
-    OCCAMY_ASSERT_SHARD(ssim_->shard(shard));
-    auto& scratch = shard_state_[static_cast<size_t>(shard)].drain_scratch;
-    scratch.clear();
-    const size_t n = static_cast<size_t>(num_shards());
-    for (size_t src = 0; src < n; ++src) {
-      outboxes_[src * n + static_cast<size_t>(shard)].DrainInto(scratch);
-    }
-    if (scratch.empty()) return;
-    shard_state_[static_cast<size_t>(shard)].drained_mail += scratch.size();
-    std::sort(scratch.begin(), scratch.end(), [](const Mail& a, const Mail& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.src_node != b.src_node) return a.src_node < b.src_node;
-      if (a.src_lane != b.src_lane) return a.src_lane < b.src_lane;
-      return a.seq < b.seq;
-    });
     sim::Simulator& sim = ssim_->shard(shard);
-    for (Mail& mail : scratch) {
-      if (drain_probe_) drain_probe_(mail.time, sim.now());
-      sim.At(mail.time, Arrival{this, &node(mail.to.node), mail.to.port, std::move(mail.pkt)});
+    OCCAMY_ASSERT_SHARD(sim);
+    const size_t n = static_cast<size_t>(num_shards());
+    uint64_t drained = 0;
+    for (size_t src = 0; src < n; ++src) {
+      drained += outboxes_[src * n + static_cast<size_t>(shard)].Drain([&](Mail& mail) {
+        if (drain_probe_) drain_probe_(mail.time, sim.now());
+        sim.AtOrdered(mail.time, mail.order,
+                      Arrival{this, &node(mail.to.node), mail.to.port, std::move(mail.pkt)});
+      });
     }
-    scratch.clear();
+    shard_state_[static_cast<size_t>(shard)].drained_mail += drained;
   }
 
   // Per-shard mutable state, padded so shards never share a cache line.
@@ -345,7 +356,6 @@ class Network {
     uint64_t delivered_events = 0;
     uint64_t staged_mail = 0;
     uint64_t drained_mail = 0;
-    std::vector<Mail> drain_scratch;
   };
 
   sim::Simulator* sim_ = nullptr;

@@ -38,11 +38,16 @@ class Node {
   Network* network_ = nullptr;
   sim::Simulator* sim_ = nullptr;
   // Per-(source, lane) sequence of DeliverAfter calls: the key of the
-  // fault draws on both engines and part of the canonical cross-shard merge
-  // key (see Network::DeliverAfter). One slot per lane (plain nodes: just
-  // lane 0); only the node's own shard bumps them, so the counters need no
-  // synchronization.
-  std::vector<uint64_t> lane_delivery_seq_ = {0};
+  // fault draws on both engines and, counted from the lane's first delivery
+  // of the sending window, part of a delivery's event order (see
+  // Network::DeliverAfter). One slot per lane (plain nodes: just lane 0);
+  // only the node's own shard bumps them, so they need no synchronization.
+  struct Lane {
+    uint64_t seq = 0;
+    int64_t window = -1;       // the window of the lane's last delivery
+    uint64_t window_base = 0;  // seq of its first delivery in that window
+  };
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
 };
 
 }  // namespace net

@@ -1,17 +1,39 @@
 // Event queue for the discrete-event engine.
 //
-// A 4-ary min-heap ordered by (time, sequence). The sequence number makes
-// ordering of same-time events deterministic (FIFO in scheduling order).
+// A 4-ary min-heap ordered by (time, order). `order` decides between
+// same-time events; a bare queue (Push) keeps them FIFO in scheduling
+// order.
+//
+// The order word. A simulator that runs on a window grid (the sharded
+// engine, see src/sim/simulator.h) orders same-time events by the window
+// that scheduled them, then by class, then by a tiebreak:
+//  - bits 39..36: kMaxAhead - ahead, where `ahead` is the number of windows
+//    between the scheduling window and the event's own window, saturated
+//    at kMaxAhead. So at equal times an event scheduled in an older window
+//    pops first.
+//  - bit 35: the class. 0 = a packet delivery (net::Network), whose window
+//    is the one after the window that sent it; 1 = any other (local) event.
+//    So a delivery pops before the local events of the window it enters.
+//  - bits 34..0: the tiebreak. Local events take the queue's insertion
+//    counter; deliveries take their (source node, source lane, sequence
+//    within the sending window), built by the network.
+// This is the order in which the engine's barrier used to merge its
+// mailboxes: mail staged in window k entered the queue after every event
+// scheduled up to window k and before any event scheduled from window k+1
+// on, sorted by source. Saturation is exact as long as every delivery lands
+// fewer than kMaxAhead windows after the one it enters (Simulator checks
+// it): a saturated entry is then always local, and the insertion counter
+// already orders local events by window.
 //
 // Three decisions drive the hot path:
-//  - Heap entries are 16 bytes: the time plus a packed (seq << 24 | slot)
-//    word. The sort key (time, seq) is embedded, so sifting is pure
+//  - Heap entries are 16 bytes: the time plus a packed (order << 24 | slot)
+//    word. The sort key (time, order) is embedded, so sifting is pure
 //    sequential-array work — comparisons never dereference into the arena —
-//    and since seq occupies the high bits, comparing the packed word
-//    compares seq. Times are never negative, so (time, seq_slot) read as
-//    one unsigned 128-bit number orders entries exactly as (time, seq).
-//    This caps the arena at 2^24 concurrent events and one queue at 2^40
-//    total events; both are checked.
+//    and since order occupies the high bits, comparing the packed word
+//    compares order. Times are never negative, so (time, seq_slot) read as
+//    one unsigned 128-bit number orders entries exactly as (time, order).
+//    This caps the arena at 2^24 concurrent events and one queue at 2^35
+//    local events; both are checked.
 //  - Pops remove the root bottom-up (Floyd): the hole walks to a leaf
 //    along the smallest child, picked from four with conditional selects,
 //    and the heap's last entry then sifts up from that leaf. That entry
@@ -96,7 +118,30 @@ class EventQueue {
   }
 #endif
 
-  EventHandle Push(Time time, Callback cb) {
+  // Windows an order word can tell apart (see the file comment).
+  static constexpr int kMaxAhead = 15;
+  // Width of the order word's tiebreak field.
+  static constexpr int kTiebreakBits = 35;
+
+  // The order word of a delivery that enters its window `ahead` windows
+  // before its time's window (0 <= ahead < kMaxAhead), with `tiebreak`
+  // below 2^kTiebreakBits.
+  static uint64_t DeliveryOrder(int ahead, uint64_t tiebreak) {
+    return AheadBits(ahead) | tiebreak;
+  }
+
+  // A local event, FIFO among same-time pushes.
+  EventHandle Push(Time time, Callback cb) { return PushLocal(time, 0, std::move(cb)); }
+
+  // A local event scheduled `ahead` windows before its own (saturated at
+  // kMaxAhead).
+  EventHandle PushLocal(Time time, int ahead, Callback cb) {
+    OCCAMY_CHECK(next_seq_ >> kTiebreakBits == 0) << "event sequence overflow";
+    return PushOrdered(time, AheadBits(ahead) | kLocalBit | next_seq_++, std::move(cb));
+  }
+
+  // An event with an explicit order word (a delivery, see DeliveryOrder).
+  EventHandle PushOrdered(Time time, uint64_t order, Callback cb) {
     // The pop path invokes unconditionally (the old queue silently skipped
     // null callbacks); reject the programming error at schedule time.
     OCCAMY_CHECK(static_cast<bool>(cb)) << "scheduling a null callback";
@@ -115,8 +160,7 @@ class EventQueue {
     Slot& s = slots_[slot];
     s.cancelled = false;
     s.callback = std::move(cb);
-    OCCAMY_CHECK(next_seq_ >> (64 - kSlotBits) == 0) << "event sequence overflow";
-    heap_.push_back(Entry{time, (next_seq_++ << kSlotBits) | slot});
+    heap_.push_back(Entry{time, (order << kSlotBits) | slot});
     SiftUp(heap_.size() - 1);
     ++live_;
     return EventHandle(this, slot, s.generation);
@@ -156,14 +200,20 @@ class EventQueue {
   friend class EventHandle;
 
   // Arena slot index width inside Entry::seq_slot; the high 40 bits hold
-  // the scheduling sequence number.
+  // the order word.
   static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kLocalBit = uint64_t{1} << kTiebreakBits;
 
-  // Heap entry: the (time, seq) sort key is embedded so comparisons stay in
-  // this contiguous array; the slot part points at callback/liveness state.
+  static uint64_t AheadBits(int ahead) {
+    return static_cast<uint64_t>(kMaxAhead - ahead) << (kTiebreakBits + 1);
+  }
+
+  // Heap entry: the (time, order) sort key is embedded so comparisons stay
+  // in this contiguous array; the slot part points at callback/liveness
+  // state.
   struct Entry {
     Time time;
-    uint64_t seq_slot;  // (seq << kSlotBits) | slot
+    uint64_t seq_slot;  // (order << kSlotBits) | slot
   };
 
   static uint32_t SlotOf(const Entry& e) {
@@ -199,9 +249,10 @@ class EventQueue {
   }
 
   // The sort key as one unsigned 128-bit number: time in the high half,
-  // seq_slot in the low. seq sits in the high bits of seq_slot, so this
-  // orders by (time, seq) (slot bits only separate identical seqs, which
-  // cannot happen), and it is exact because times are never negative.
+  // seq_slot in the low. The order word sits in the high bits of seq_slot,
+  // so this orders by (time, order) (slot bits only separate identical
+  // order words, which cannot happen), and it is exact because times are
+  // never negative.
   __extension__ using Key = unsigned __int128;
   static Key KeyOf(const Entry& e) {
     return (static_cast<Key>(static_cast<uint64_t>(e.time)) << 64) | e.seq_slot;
@@ -302,7 +353,7 @@ class EventQueue {
   }
 
   // Removes every cancelled entry and rebuilds the heap in O(n). The pop
-  // order is unchanged: (time, seq) is a total order, so any valid heap of
+  // order is unchanged: (time, order) is a total order, so any valid heap of
   // the same live set yields the identical extraction sequence.
   void Compact() {
     size_t kept = 0;
@@ -321,9 +372,9 @@ class EventQueue {
 
   std::vector<Slot> slots_;     // arena; indexed by EventHandle::slot_
   std::vector<uint32_t> free_;  // recycled arena slots
-  std::vector<Entry> heap_;     // 4-ary min-heap keyed by (time, seq)
+  std::vector<Entry> heap_;     // 4-ary min-heap keyed by (time, order)
   size_t live_ = 0;             // heap entries not cancelled
-  uint64_t next_seq_ = 0;
+  uint64_t next_seq_ = 0;       // insertion counter of local events
 };
 
 inline bool EventHandle::Cancel() {

@@ -22,13 +22,15 @@ class SpscMailbox {
   // call this, and only during window execution.
   void Push(T record) { records_.push_back(std::move(record)); }
 
-  // Consumer side: move every staged record into `out` (appending) and
-  // reset. Only the owning consumer shard may call this, and only at a
-  // window barrier.
-  void DrainInto(std::vector<T>& out) {
-    if (records_.empty()) return;
-    for (auto& r : records_) out.push_back(std::move(r));
+  // Consumer side: hand every staged record, in staging order, to
+  // `consume(T&)`, reset, and return how many there were. Only the owning
+  // consumer shard may call this, and only at a window barrier.
+  template <typename F>
+  size_t Drain(F&& consume) {
+    for (auto& r : records_) consume(r);
+    const size_t n = records_.size();
     records_.clear();
+    return n;
   }
 
   bool Empty() const { return records_.empty(); }

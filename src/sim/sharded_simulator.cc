@@ -125,6 +125,8 @@ ShardedSimulator::ShardedSimulator(const Options& options)
     // seed depends only on (seed, i), never on n.
     shards_.push_back(std::make_unique<Simulator>(
         SplitMix64(options.seed ^ (0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(i + 1)))));
+    // The window grid is the event order's (see src/sim/event_queue.h).
+    shards_.back()->set_window(lookahead_);
   }
 }
 

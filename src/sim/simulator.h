@@ -33,13 +33,47 @@ class Simulator {
   // Schedules `cb` at absolute time `t` (must not be in the past).
   EventHandle At(Time t, Callback cb) {
     OCCAMY_CHECK_GE(t, now_) << "scheduling into the past";
-    return queue_.Push(t, std::move(cb));
+    return queue_.PushLocal(t, WindowsAhead(t), std::move(cb));
   }
 
   // Schedules `cb` after `delay` (>= 0) from now.
   EventHandle After(Time delay, Callback cb) {
     OCCAMY_CHECK_GE(delay, 0);
-    return queue_.Push(now_ + delay, std::move(cb));
+    const Time t = now_ + delay;
+    return queue_.PushLocal(t, WindowsAhead(t), std::move(cb));
+  }
+
+  // Puts this simulator on a grid of windows of length `window` (> 0), the
+  // grid its event order is built on (see src/sim/event_queue.h). Call it
+  // before scheduling anything. Without a grid, same-time events run FIFO.
+  void set_window(Time window) {
+    OCCAMY_CHECK(window > 0) << "window must be positive";
+    OCCAMY_CHECK(queue_.Empty()) << "set_window after scheduling";
+    window_ = window;
+    EnterWindowOf(now_);
+  }
+
+  // Index of the window holding now(), on a simulator with a grid.
+  int64_t window_index() const { return window_index_; }
+
+  // The order word of a delivery sent now that arrives at `t`: it enters
+  // the window after the current one, so `t` must lie in one of the
+  // EventQueue::kMaxAhead windows from there on. `tiebreak` orders the
+  // deliveries of one window that arrive at one time.
+  uint64_t DeliveryOrder(Time t, uint64_t tiebreak) const {
+    const Time past_end = t - window_end_;
+    OCCAMY_CHECK(past_end >= 0 && past_end < EventQueue::kMaxAhead * window_)
+        << "delivery at " << t << " outside the " << EventQueue::kMaxAhead
+        << " windows after window " << window_index_;
+    const int ahead = past_end < window_ ? 0 : static_cast<int>(past_end / window_);
+    return EventQueue::DeliveryOrder(ahead, tiebreak);
+  }
+
+  // Schedules a delivery whose order word came from the sender's
+  // DeliveryOrder (possibly on another simulator of the same grid).
+  EventHandle AtOrdered(Time t, uint64_t order, Callback cb) {
+    OCCAMY_CHECK_GE(t, now_) << "scheduling into the past";
+    return queue_.PushOrdered(t, order, std::move(cb));
   }
 
   // Runs until the queue is empty, `until` is reached, or Stop() is called.
@@ -47,7 +81,7 @@ class Simulator {
   // stopped. Returns the number of events processed by the call.
   uint64_t RunUntil(Time until) {
     const uint64_t n = RunCore(until);
-    if (!stopped_ && now_ < until) now_ = until;
+    if (!stopped_ && now_ < until) SetNow(until);
     return n;
   }
 
@@ -85,7 +119,7 @@ class Simulator {
       Callback cb;
       const Time t = queue_.PopLive(cb);
       OCCAMY_DCHECK_GE(t, now_);  // At() rejects past times; debug-only here
-      now_ = t;
+      SetNow(t);
       cb();
       ++n;
       ++processed_;
@@ -94,8 +128,32 @@ class Simulator {
     return n;
   }
 
+  void SetNow(Time t) {
+    now_ = t;
+    if (t >= window_end_) EnterWindowOf(t);
+  }
+
+  void EnterWindowOf(Time t) {
+    window_index_ = t / window_;
+    window_end_ = (window_index_ + 1) * window_;
+  }
+
+  // Windows between now's window and `t`'s, saturated at kMaxAhead. Without
+  // a grid window_end_ never passes, so every event is 0 windows ahead.
+  int WindowsAhead(Time t) const {
+    if (t < window_end_) return 0;
+    const Time past_end = t - window_end_;
+    if (past_end >= (EventQueue::kMaxAhead - 1) * window_) return EventQueue::kMaxAhead;
+    return 1 + static_cast<int>(past_end / window_);
+  }
+
   EventQueue queue_;
   Time now_ = 0;
+  // The window grid: length 0 = none; else now() lies in
+  // [window_end_ - window_, window_end_), the window numbered window_index_.
+  Time window_ = 0;
+  int64_t window_index_ = 0;
+  Time window_end_ = std::numeric_limits<Time>::max();
   bool stopped_ = false;
   uint64_t processed_ = 0;
   int bound_shard_ = -1;

@@ -475,7 +475,7 @@ TEST(ShardedSimTest, SpscMailboxDrainsFifo) {
   box.Push(3);
   EXPECT_EQ(box.Size(), 3u);
   std::vector<int> out{0};
-  box.DrainInto(out);
+  EXPECT_EQ(box.Drain([&out](int& v) { out.push_back(v); }), 3u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_TRUE(box.Empty());
 }
