@@ -14,7 +14,8 @@ KeyVolatility TelemetryKeyVolatility(std::string_view key) {
     if (key == k) return KeyVolatility::kWallClock;
   }
   for (const std::string_view k :
-       {"shards", "window_batch", "windows_run", "windows_executed", "max_window_batch"}) {
+       {"shards", "window_batch", "windows_run", "windows_executed", "max_window_batch",
+        "mailbox_staged_events", "mailbox_drained_events"}) {
     if (key == k) return KeyVolatility::kEngineSetting;
   }
   return KeyVolatility::kDeterministic;
@@ -26,8 +27,8 @@ void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
   // the PdQueue enqueue timestamps, simulated time, reported in ns),
   // worst-single-queue drop/delay counters, and the sharded engine's
   // cross-shard mailbox traffic. Every value is an exact integer produced by
-  // commutative folds (obs::BufferObs / obs::CounterRegistry), so it is
-  // byte-identical for any shard count >= 1.
+  // commutative folds (obs::BufferObs / obs::CounterRegistry); all but the
+  // two mailbox counters are byte-identical for any shard count >= 1.
   obs::CounterRegistry reg;
   reg.Add("mailbox_staged_events", static_cast<int64_t>(t.mailbox_staged));
   reg.Add("mailbox_drained_events", static_cast<int64_t>(t.mailbox_drained));

@@ -206,8 +206,16 @@ class Network {
     const uint64_t order = src_sim.DeliveryOrder(
         deliver_time, DeliveryTiebreak(from, src_lane, seq - lane.window_base));
     const int dst_shard = shard_of(to.node);
-    ++shard_state_[static_cast<size_t>(src_shard)].delivered_events;
-    ++shard_state_[static_cast<size_t>(src_shard)].staged_mail;
+    ShardState& state = shard_state_[static_cast<size_t>(src_shard)];
+    ++state.delivered_events;
+    if (dst_shard == src_shard) {
+      // Same shard: the order word puts the arrival exactly where a drain
+      // would, so it goes straight into the queue.
+      src_sim.AtOrdered(deliver_time, order,
+                        Arrival{this, &node(to.node), to.port, std::move(pkt)});
+      return;
+    }
+    ++state.staged_mail;
     outboxes_[static_cast<size_t>(src_shard) * static_cast<size_t>(num_shards()) +
               static_cast<size_t>(dst_shard)]
         .Push(Mail{deliver_time, order, to, std::move(pkt)});
@@ -220,10 +228,11 @@ class Network {
   }
 
   // Cross-shard mailbox telemetry (schema v6 counter registry). Staged =
-  // records pushed by DeliverAfter in sharded mode (0 on the legacy
-  // engine); drained = records merged back in at window barriers. Both
-  // count simulated deliveries only, so they are byte-identical for any
-  // shard count >= 1. Read after the run.
+  // deliveries DeliverAfter sent to another shard's mailbox (a delivery
+  // within one shard skips the mailbox; 0 on the legacy engine); drained =
+  // records merged back in at window barriers. Both depend on how nodes
+  // are spread over shards, so they are engine-setting keys, and the two
+  // are equal after every run. Read after the run.
   uint64_t mailbox_staged() const {
     uint64_t total = 0;
     for (const auto& s : shard_state_) total += s.staged_mail;

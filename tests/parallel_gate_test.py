@@ -125,6 +125,15 @@ class ParallelGateTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("extra_key: <missing> vs 1", err)
 
+    def test_mailbox_counters_may_differ_across_shard_counts(self):
+        # One shard stages nothing; four stage every cross-shard delivery.
+        mail = {"mailbox_staged_events": 23516, "mailbox_drained_events": 23516}
+        triple = legs(serial={"mailbox_staged_events": 0,
+                              "mailbox_drained_events": 0},
+                      timed=mail, reference=mail)
+        code, _, err = self.gate(self.stub(triple))
+        self.assertEqual(code, 0, err)
+
     def test_batching_that_does_not_cut_rounds_fails(self):
         code, _, err = self.gate(self.stub(legs(timed={"windows_run": 898})))
         self.assertEqual(code, 1)

@@ -44,7 +44,7 @@ RUN = ("run", "--scenario=alltoall", "--bm=occamy", "--scale=default",
 VOLATILE = frozenset((
     "wall_ms", "events_per_sec", "parallel_efficiency",
     "shards", "window_batch", "windows_run", "windows_executed",
-    "max_window_batch"))
+    "max_window_batch", "mailbox_staged_events", "mailbox_drained_events"))
 NUMERIC = ("wall_ms", "sim_events", "windows_run", "parallel_efficiency",
            "bg_flows_completed", "delivered_bytes")
 
