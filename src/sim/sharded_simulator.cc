@@ -249,7 +249,6 @@ ShardedSimulator::BatchStep ShardedSimulator::StepBatch(const Plan& plan) {
   // protocol exactly — there too the boundary drains first and the stop is
   // noticed by the plan step that follows.
   if (stop_requested_.load(std::memory_order_relaxed)) {
-    ++batch_truncations_;
     step.done = true;
     return step;
   }
@@ -281,7 +280,6 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   running_.store(true, std::memory_order_relaxed);
   windows_run_ = 0;
   windows_executed_ = 0;
-  batch_truncations_ = 0;
   max_window_batch_ = 0;
   batch_limit_ = 1;  // auto policy starts conservative and doubles up
   staged_seen_ = staged_probe_ ? staged_probe_() : 0;
@@ -298,7 +296,34 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   std::vector<uint64_t> busy_ns(static_cast<size_t>(n), 0);
   const WallClock::time_point wall_start = WallClock::now();
 
-  if (!use_threads_ || n == 1) {
+  if (n == 1) {
+    // One shard stages no mail, so a batch needs no inner boundary: the
+    // shard runs straight to the batch's end, and the barrier hooks and the
+    // plan step run only between batches. The event order (see
+    // src/sim/event_queue.h) is the same as with a boundary per window.
+    internal::ShardScope scope(0);
+    Simulator& sim = *shards_[0];
+    const uint64_t active_before = sim.active_windows();
+    for (;;) {
+      RunBarrierHooks(0);
+      {
+        OCCAMY_TRACE_SPAN(plan_span, "barrier.plan");
+        plan = PlanBatch(until);
+        if (!plan.done) {
+          OCCAMY_TRACE_SPAN_ARG(plan_span, "batch_windows", plan.windows);
+        }
+      }
+      if (plan.done) break;
+      OCCAMY_TRACE_SPAN(window_span, "window.execute");
+      const WallClock::time_point t0 = WallClock::now();
+      sim.RunUntil(plan.batch_end);
+      busy_ns[0] += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(WallClock::now() - t0).count());
+    }
+    // The windows that ran an event, as the inner boundaries would count
+    // them.
+    windows_executed_ = sim.active_windows() - active_before;
+  } else if (!use_threads_) {
     // Identical windowed algorithm, round-robin on the calling thread: the
     // same PlanBatch / StepBatch decision sequence at the same boundaries,
     // so results match the threaded path byte for byte.

@@ -190,9 +190,8 @@ class ShardedSimulator {
   // pre-batching meaning of windows_run()).
   uint64_t windows_executed() const { return windows_executed_; }
 
-  // Of the last RunUntil: batches cut short by Stop(), and the largest
-  // batch (in windows) the planner issued.
-  uint64_t batch_truncations() const { return batch_truncations_; }
+  // Of the last RunUntil: the largest batch (in windows) the planner
+  // issued.
   uint64_t max_window_batch() const { return max_window_batch_; }
 
  private:
@@ -250,7 +249,6 @@ class ShardedSimulator {
   double parallel_efficiency_ = 1.0;
   uint64_t windows_run_ = 0;
   uint64_t windows_executed_ = 0;
-  uint64_t batch_truncations_ = 0;
   uint64_t max_window_batch_ = 0;
 };
 

@@ -93,6 +93,10 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   uint64_t processed_events() const { return processed_; }
+
+  // Windows of the grid in which an event ran, counted at each window's
+  // first event (1 in all on a simulator without a grid).
+  uint64_t active_windows() const { return active_windows_; }
   bool HasPendingEvents() const { return queue_.live_size() > 0; }
 
   // True if the last Run/RunUntil exited via Stop().
@@ -120,6 +124,10 @@ class Simulator {
       const Time t = queue_.PopLive(cb);
       OCCAMY_DCHECK_GE(t, now_);  // At() rejects past times; debug-only here
       SetNow(t);
+      if (window_index_ != last_active_window_) {
+        last_active_window_ = window_index_;
+        ++active_windows_;
+      }
       cb();
       ++n;
       ++processed_;
@@ -154,6 +162,8 @@ class Simulator {
   Time window_ = 0;
   int64_t window_index_ = 0;
   Time window_end_ = std::numeric_limits<Time>::max();
+  int64_t last_active_window_ = -1;
+  uint64_t active_windows_ = 0;
   bool stopped_ = false;
   uint64_t processed_ = 0;
   int bound_shard_ = -1;
