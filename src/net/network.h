@@ -86,6 +86,7 @@ class Network {
   Network(sim::ShardedSimulator* ssim, std::function<int(NodeId)> shard_of,
           LaneShardFn lane_shard_of = nullptr)
       : ssim_(ssim),
+        lookahead_(ssim->lookahead()),
         shard_assign_(std::move(shard_of)),
         lane_shard_assign_(std::move(lane_shard_of)) {
     OCCAMY_CHECK(ssim != nullptr);
@@ -184,19 +185,14 @@ class Network {
       return;  // dropped on the wire; the injector accounted for it
     }
     if (ssim_ == nullptr) {
-      // Single-threaded: slot 0 directly — no thread-local lookup on the
-      // per-packet hot path.
-      ++shard_state_[0].delivered_events;
       sim_->After(delay, Arrival{this, &node(to.node), to.port, std::move(pkt)});
       return;
     }
-    OCCAMY_CHECK_GE(delay, ssim_->lookahead())
-        << "cross-node delay below the conservative lookahead";
-    const int src_shard = shard_of(from);
-    // SPSC invariant: only the sender's worker may write this outbox row
-    // (and only its clock is the right send time).
-    OCCAMY_DCHECK_EQ(sim::CurrentShard(), src_shard);
+    OCCAMY_CHECK_GE(delay, lookahead_) << "cross-node delay below the conservative lookahead";
     sim::Simulator& src_sim = src.sim();
+    // SPSC invariant: only the sender's worker may write its outbox row
+    // (and only its clock is the right send time).
+    OCCAMY_DCHECK_EQ(sim::CurrentShard(), shard_of(from));
     OCCAMY_ASSERT_SHARD(src_sim);
     const Time deliver_time = src_sim.now() + delay;
     if (lane.window != src_sim.window_index()) {
@@ -205,26 +201,18 @@ class Network {
     }
     const uint64_t order = src_sim.DeliveryOrder(
         deliver_time, DeliveryTiebreak(from, src_lane, seq - lane.window_base));
-    const int dst_shard = shard_of(to.node);
-    ShardState& state = shard_state_[static_cast<size_t>(src_shard)];
-    ++state.delivered_events;
-    if (dst_shard == src_shard) {
+    Node& dst = node(to.node);
+    if (&dst.sim() == &src_sim) {
       // Same shard: the order word puts the arrival exactly where a drain
       // would, so it goes straight into the queue.
-      src_sim.AtOrdered(deliver_time, order,
-                        Arrival{this, &node(to.node), to.port, std::move(pkt)});
+      src_sim.AtOrdered(deliver_time, order, Arrival{this, &dst, to.port, std::move(pkt)});
       return;
     }
-    ++state.staged_mail;
-    outboxes_[static_cast<size_t>(src_shard) * static_cast<size_t>(num_shards()) +
-              static_cast<size_t>(dst_shard)]
+    const size_t src_shard = static_cast<size_t>(shard_of(from));
+    ++shard_state_[src_shard].staged_mail;
+    outboxes_[src_shard * static_cast<size_t>(num_shards()) +
+              static_cast<size_t>(shard_of(to.node))]
         .Push(Mail{deliver_time, order, to, std::move(pkt)});
-  }
-
-  uint64_t delivered_events() const {
-    uint64_t total = 0;
-    for (const auto& s : shard_state_) total += s.delivered_events;
-    return total;
   }
 
   // Cross-shard mailbox telemetry (schema v6 counter registry). Staged =
@@ -362,13 +350,13 @@ class Network {
 
   // Per-shard mutable state, padded so shards never share a cache line.
   struct alignas(64) ShardState {
-    uint64_t delivered_events = 0;
     uint64_t staged_mail = 0;
     uint64_t drained_mail = 0;
   };
 
   sim::Simulator* sim_ = nullptr;
   sim::ShardedSimulator* ssim_ = nullptr;
+  Time lookahead_ = 0;  // the engine's, the least delay of a delivery
   std::function<int(NodeId)> shard_assign_;
   LaneShardFn lane_shard_assign_;
   std::vector<std::unique_ptr<Node>> nodes_;

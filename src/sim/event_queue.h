@@ -134,17 +134,20 @@ class EventQueue {
   EventHandle Push(Time time, Callback cb) { return PushLocal(time, 0, std::move(cb)); }
 
   // A local event scheduled `ahead` windows before its own (saturated at
-  // kMaxAhead).
-  EventHandle PushLocal(Time time, int ahead, Callback cb) {
-    OCCAMY_CHECK(next_seq_ >> kTiebreakBits == 0) << "event sequence overflow";
+  // kMaxAhead). The callback is taken by reference down to its arena slot,
+  // so a push moves it once, whichever of these the compiler inlines.
+  EventHandle PushLocal(Time time, int ahead, Callback&& cb) {
     return PushOrdered(time, AheadBits(ahead) | kLocalBit | next_seq_++, std::move(cb));
   }
 
   // An event with an explicit order word (a delivery, see DeliveryOrder).
-  EventHandle PushOrdered(Time time, uint64_t order, Callback cb) {
+  EventHandle PushOrdered(Time time, uint64_t order, Callback&& cb) {
     // The pop path invokes unconditionally (the old queue silently skipped
     // null callbacks); reject the programming error at schedule time.
     OCCAMY_CHECK(static_cast<bool>(cb)) << "scheduling a null callback";
+    // Checked here rather than in PushLocal, so that the inlined local push
+    // stays small: a counter past its field would corrupt the class bit.
+    OCCAMY_CHECK(next_seq_ >> kTiebreakBits == 0) << "event sequence overflow";
     // The unsigned heap key (KeyOf) orders only non-negative times.
     OCCAMY_DCHECK_GE(time, 0);
     uint32_t slot;

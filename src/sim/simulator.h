@@ -148,9 +148,12 @@ class Simulator {
 
   // Windows between now's window and `t`'s, saturated at kMaxAhead. Without
   // a grid window_end_ never passes, so every event is 0 windows ahead.
+  // The next window and the saturated far future, the common cases after
+  // now's own window, take no division.
   int WindowsAhead(Time t) const {
     if (t < window_end_) return 0;
     const Time past_end = t - window_end_;
+    if (past_end < window_) return 1;
     if (past_end >= (EventQueue::kMaxAhead - 1) * window_) return EventQueue::kMaxAhead;
     return 1 + static_cast<int>(past_end / window_);
   }

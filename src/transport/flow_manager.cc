@@ -78,9 +78,9 @@ FlowManager::Counters FlowManager::counters() const {
 }
 
 FlowManager::ShardState& FlowManager::slot() {
-  // Single-threaded mode takes slot 0 without the thread-local lookup —
-  // this sits on the per-packet hot path (data/ack/retx counters).
-  if (!net_->sharded()) return shard_state_[0];
+  // One shard takes slot 0 without the thread-local lookup — this sits on
+  // the per-packet hot path (data/ack/retx counters).
+  if (shard_state_.size() == 1) return shard_state_[0];
   return shard_state_[static_cast<size_t>(sim::CurrentShard())];
 }
 
