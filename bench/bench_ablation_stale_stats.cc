@@ -38,8 +38,8 @@ int main() {
       ApplyScheme(cfg.switch_config.tm, scheme, {4.0});
       cfg.switch_config.scheme_factory = MakeFactory(scheme);
 
-      sim::Simulator sim(1);
-      net::Network net(&sim);
+      sim::ShardedSimulator engine({.shards = 1, .lookahead = cfg.link_propagation, .seed = 1});
+      net::Network net(&engine, [](net::NodeId) { return 0; });
       auto topo = net::BuildStar(net, cfg);
 
       int64_t burst_drops = 0;
@@ -69,7 +69,7 @@ int main() {
       workload::OpenLoopSender burst_sender(&net, burst);
       burst_sender.Start();
 
-      sim.RunUntil(Milliseconds(4));
+      engine.RunUntil(Milliseconds(4));
       const double loss = burst_sender.packets_sent() == 0
                               ? 0.0
                               : static_cast<double>(burst_drops) /

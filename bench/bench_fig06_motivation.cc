@@ -56,7 +56,7 @@ double RunQuery(StarScenario& s, int64_t query_bytes, uint8_t tc, int num_querie
   q.stop = start + Milliseconds(60);
   const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
   const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
-  s.sim.RunUntil(start + Milliseconds(400));
+  s.ssim.RunUntil(start + Milliseconds(400));
   return workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr)
       .DurationsMs()
       .Mean();

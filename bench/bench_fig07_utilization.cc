@@ -29,7 +29,7 @@ UtilizationCdfs Run(double alpha, double load) {
   FabricSpec spec;
   spec.scheme = Scheme::kDt;
   spec.alphas = {alpha};
-  FabricScenario s(spec);
+  FabricScenario s(spec, GetBenchScale());
   const Time duration = DefaultFabricDuration(GetBenchScale());
 
   workload::PoissonFlowConfig bg;
@@ -52,7 +52,7 @@ UtilizationCdfs Run(double alpha, double load) {
   q.stop = duration * 2;
   workload::StartFlows(*s.manager, workload::PregenerateIncast(q).flows);
 
-  s.sim.RunUntil(duration * 2 + Milliseconds(20));
+  s.ssim.RunUntil(duration * 2 + Milliseconds(20));
 
   UtilizationCdfs out;
   auto collect = [&out](net::SwitchNode& sw) {

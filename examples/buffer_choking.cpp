@@ -62,7 +62,7 @@ double RunOnce(Scheme scheme, bool with_low_priority) {
   const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
   const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
 
-  s.sim.RunUntil(Milliseconds(300));
+  s.ssim.RunUntil(Milliseconds(300));
   return workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr)
       .DurationsMs()
       .Mean();

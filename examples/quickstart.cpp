@@ -4,7 +4,7 @@
 //   $ ./build/quickstart
 //
 // Walks through the core public API:
-//   1. a Simulator + Network,
+//   1. the engine (one shard) + Network,
 //   2. a star topology around one switch with a chosen BM scheme,
 //   3. a transport layer (DCTCP) and an incast (partition-aggregate) query,
 //   4. the statistics every experiment in this repo is built on.
@@ -14,15 +14,19 @@
 
 #include "src/core/occamy_bm.h"
 #include "src/net/topology.h"
+#include "src/sim/sharded_simulator.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/pregen.h"
 
 using namespace occamy;
 
 int main() {
-  // 1. The discrete-event simulator that drives everything.
-  sim::Simulator simulator(/*seed=*/42);
-  net::Network network(&simulator);
+  // 1. The discrete-event engine that drives everything, on one shard. It
+  //    runs in windows as long as the shortest link delay (its lookahead),
+  //    so every node lives on shard 0.
+  const Time propagation = Microseconds(2);
+  sim::ShardedSimulator engine({.shards = 1, .lookahead = propagation, .seed = 42});
+  net::Network network(&engine, [](net::NodeId) { return 0; });
 
   // 2. Eight 10G hosts around one switch with a 410KB shared buffer
   //    (5.12KB/port/Gbps, the Tomahawk ratio) managed by Occamy:
@@ -30,7 +34,7 @@ int main() {
   net::StarConfig star;
   star.num_hosts = 8;
   star.host_rate = Bandwidth::Gbps(10);
-  star.link_propagation = Microseconds(2);
+  star.link_propagation = propagation;
   star.switch_config.tm.buffer_bytes = 410 * 1000;
   star.switch_config.tm.ecn_threshold_bytes = 65 * 1500;  // DCTCP marking
   star.switch_config.tm.class_configs = {{.alpha = 8.0, .priority = 0}};
@@ -58,7 +62,7 @@ int main() {
   const std::vector<uint64_t> flow_ids = workload::StartFlows(flows, incast.flows);
 
   // 4. Run and report: a query completes when its last flow does.
-  simulator.RunUntil(Milliseconds(200));
+  engine.RunUntil(Milliseconds(200));
 
   const auto qct =
       workload::DeriveIncastQct(incast, flow_ids, flows.completions(), nullptr).DurationsMs();
@@ -79,7 +83,7 @@ int main() {
               static_cast<long long>(flows.counters().rtos),
               static_cast<long long>(flows.counters().fast_retransmits));
   std::printf("sim:           %llu events, %.1f ms simulated\n",
-              static_cast<unsigned long long>(simulator.processed_events()),
-              ToMilliseconds(simulator.now()));
+              static_cast<unsigned long long>(engine.processed_events()),
+              ToMilliseconds(network.now()));
   return 0;
 }

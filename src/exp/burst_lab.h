@@ -2,15 +2,13 @@
 // one shared buffer; a long-lived overload to receiver A and a measured
 // burst to receiver B, both open-loop (Pktgen substitute).
 //
-// One body (RunBurstLabOn) runs both engines: shards == 0 is the legacy
-// single-threaded engine, shards == 1 the one-shard partition-parallel one
-// (ShardedStarScenario). Both engines inject the open-loop senders live.
-// Queue-length traces (sample_every) are a single-threaded-engine feature.
+// The lab runs on one shard of the partition-parallel engine
+// (StarScenario); the open-loop senders inject live, and the optional
+// queue-length traces sample the switch from events on that shard.
 #pragma once
 
 #include <functional>
 #include <optional>
-#include <type_traits>
 
 #include "src/exp/fault_setup.h"
 #include "src/exp/scenarios.h"
@@ -31,8 +29,7 @@ struct BurstLabSpec : RunSettings {
   int64_t burst_bytes = 600 * 1000;
   Time burst_start = Microseconds(400);
   Time horizon = Milliseconds(4);
-  // Sampling interval for queue-length traces (0 = no traces). Only the
-  // single-threaded engine supports traces.
+  // Sampling interval for queue-length traces (0 = no traces).
   Time sample_every = 0;
 };
 
@@ -70,10 +67,9 @@ inline StarSpec MakeBurstLabStarSpec(const BurstLabSpec& spec) {
 inline constexpr uint64_t kBurstLabLongFlow = net::Network::kOpenLoopFlowIdBase + 1;
 inline constexpr uint64_t kBurstLabBurstFlow = net::Network::kOpenLoopFlowIdBase + 2;
 
-// The lab on either engine: `engine` is the scenario's sim::Simulator or
-// sim::ShardedSimulator.
-template <typename Scenario, typename Engine>
-BurstLabResult RunBurstLabOn(const BurstLabSpec& spec, Scenario& s, Engine& engine) {
+inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
+  OCCAMY_CHECK_EQ(spec.shards, 1) << "P4 runs take one shard";
+  StarScenario s(MakeBurstLabStarSpec(spec), spec.shard_threads);
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, spec.faults, StarFaultTopology(s.topo));
 
@@ -107,39 +103,25 @@ BurstLabResult RunBurstLabOn(const BurstLabSpec& spec, Scenario& s, Engine& engi
   workload::OpenLoopSender burst_sender(&s.net, burst);
   burst_sender.Start();
 
-  if constexpr (std::is_same_v<Engine, sim::Simulator>) {
-    // Queue-length traces of the long-lived (q1) and burst (q2) queues and
-    // q1's threshold; they read switch state mid-run.
-    std::function<void()> sample = [&s, &result]() {
-      auto& part = s.sw().partition(0);
-      const Time now = s.sim.now();
-      result.q_long.Record(now, static_cast<double>(s.sw().QueueLengthBytes(2, 0)) / 1000.0);
-      result.q_burst.Record(now, static_cast<double>(s.sw().QueueLengthBytes(3, 0)) / 1000.0);
-      result.threshold.Record(
-          now, static_cast<double>(part.ThresholdBytes(part.QueueIndex(2, 0))) / 1000.0);
-    };
-    for (Time t = 0; spec.sample_every > 0 && t <= spec.horizon; t += spec.sample_every) {
-      s.sim.At(t, sample);
-    }
+  // Queue-length traces of the long-lived (q1) and burst (q2) queues and
+  // q1's threshold; they read switch state mid-run, on the switch's shard.
+  sim::Simulator& sim = s.net.sim_of(s.topo.switch_id);
+  std::function<void()> sample = [&s, &sim, &result]() {
+    auto& part = s.sw().partition(0);
+    const Time now = sim.now();
+    result.q_long.Record(now, static_cast<double>(s.sw().QueueLengthBytes(2, 0)) / 1000.0);
+    result.q_burst.Record(now, static_cast<double>(s.sw().QueueLengthBytes(3, 0)) / 1000.0);
+    result.threshold.Record(
+        now, static_cast<double>(part.ThresholdBytes(part.QueueIndex(2, 0))) / 1000.0);
+  };
+  for (Time t = 0; spec.sample_every > 0 && t <= spec.horizon; t += spec.sample_every) {
+    sim.At(t, sample);
   }
 
-  engine.RunUntil(spec.horizon);
+  s.ssim.RunUntil(spec.horizon);
   result.burst_packets = burst_sender.packets_sent();
-  CollectRunTelemetry(engine, s.net, injector, result.telemetry);
+  CollectRunTelemetry(s.ssim, s.net, injector, result.telemetry);
   return result;
-}
-
-inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
-  const StarSpec star = MakeBurstLabStarSpec(spec);
-  if (spec.shards >= 1) {
-    OCCAMY_CHECK_EQ(spec.shards, 1) << "P4 runs take one shard";
-    OCCAMY_CHECK(spec.sample_every == 0)
-        << "queue-length traces need the single-threaded engine (shards=0)";
-    ShardedStarScenario s(star, spec.shard_threads);
-    return RunBurstLabOn(spec, s, s.ssim);
-  }
-  StarScenario s(star);
-  return RunBurstLabOn(spec, s, s.sim);
 }
 
 }  // namespace occamy::exp

@@ -2,15 +2,10 @@
 // 10G around one 410KB shared-buffer switch, DCTCP query (incast) traffic
 // plus a configurable background, reporting QCT / FCT statistics.
 //
-// One body (RunDpdkOn) runs both engines: shards == 0 is the legacy
-// single-threaded engine, shards == 1 the one-shard partition-parallel
-// engine (ShardedStarScenario). On both, the Poisson and incast arrivals are
-// pre-generated and registered before the run, the saturating-LP streams
-// inject live, and QCT is derived from the merged completion records. The
-// engines assign the same flow ids; their results differ only through the
-// order in which same-time deliveries fire (the sharded engine hands every
-// delivery over at a window barrier) and, under faults, through the keys of
-// per-delivery fault draws and route epochs rounded to its window grid.
+// The star runs on one shard of the partition-parallel engine
+// (StarScenario). The Poisson and incast arrivals are pre-generated and
+// registered before the run, the saturating-LP streams inject live, and QCT
+// is derived from the merged completion records.
 #pragma once
 
 #include <algorithm>
@@ -69,7 +64,7 @@ struct DpdkRunResult {
   RunTelemetry telemetry;
 };
 
-// ---------------- config shared by both engines ----------------
+// ---------------- config ----------------
 
 inline StarSpec MakeDpdkStarSpec(const DpdkRunSpec& run) {
   StarSpec star;
@@ -145,10 +140,9 @@ inline std::vector<workload::OpenLoopConfig> MakeDpdkLpConfigs(
 }
 
 // Starts the saturating-LP streams on `s`. Open loop is shard-confined, so
-// both engines inject them live.
-template <typename Scenario>
-std::vector<std::unique_ptr<workload::OpenLoopSender>> StartDpdkLpStreams(
-    const DpdkRunSpec& run, Scenario& s, Time duration) {
+// they inject live.
+inline std::vector<std::unique_ptr<workload::OpenLoopSender>> StartDpdkLpStreams(
+    const DpdkRunSpec& run, StarScenario& s, Time duration) {
   std::vector<std::unique_ptr<workload::OpenLoopSender>> senders;
   for (const auto& cfg : MakeDpdkLpConfigs(run, s.topo.hosts, duration)) {
     senders.push_back(std::make_unique<workload::OpenLoopSender>(&s.net, cfg));
@@ -183,11 +177,11 @@ inline workload::IncastConfig MakeDpdkQueryConfig(
   return q;
 }
 
-// RTO tails drained after the traffic window, both engines.
+// RTO tails drained after the traffic window.
 inline Time DpdkDrain() { return Milliseconds(300); }
 
-// QCT / FCT / volume metrics shared by both engines. `bg_filter` selects
-// the background flows among the completion records.
+// QCT / FCT / volume metrics. `bg_filter` selects the background flows
+// among the completion records.
 inline void FillDpdkCompletionMetrics(
     DpdkRunResult& result, const stats::CompletionCollector& qct,
     const stats::CompletionCollector& flows, bool have_bg,
@@ -205,12 +199,10 @@ inline void FillDpdkCompletionMetrics(
   result.delivered_bytes = CollectDelivered(flows, result.telemetry);
 }
 
-// The star runner on either engine: `engine` is the scenario's
-// sim::Simulator or sim::ShardedSimulator, used only to run and for its
-// telemetry.
-template <typename Scenario, typename Engine>
-DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& s,
-                        Engine& engine) {
+inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
+  OCCAMY_CHECK_EQ(run.shards, 1) << "star runs take one shard";
+  const StarSpec star = MakeDpdkStarSpec(run);
+  StarScenario s(star, run.shard_threads);
   const Time duration = DpdkDuration(run, star, run.scale.value_or(GetBenchScale()));
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, run.faults, StarFaultTopology(s.topo));
@@ -226,9 +218,9 @@ DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& 
       run, s.topo.hosts, star, duration, s.IdealFn(),
       [&s](net::NodeId, int64_t bytes) { return s.IdealFct(bytes); });
 
-  // Pre-generated arrivals, the same on both engines. Background flows take
-  // the low contiguous id range the post-run filter keys on; QCT is derived
-  // from the merged completion records.
+  // Pre-generated arrivals. Background flows take the low contiguous id
+  // range the post-run filter keys on; QCT is derived from the merged
+  // completion records.
   uint64_t bg_last_id = 0;
   if (bg) {
     bg_last_id =
@@ -238,7 +230,7 @@ DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& 
   // The manager keeps the flows; after the run only the queries are read.
   const std::vector<uint64_t> incast_ids =
       workload::StartFlows(*s.manager, std::move(incast.flows));
-  engine.RunUntil(duration + DpdkDrain());
+  s.ssim.RunUntil(duration + DpdkDrain());
   const stats::CompletionCollector& flows = s.manager->completions();
   DpdkRunResult result;
   FillDpdkCompletionMetrics(
@@ -249,19 +241,8 @@ DpdkRunResult RunDpdkOn(const DpdkRunSpec& run, const StarSpec& star, Scenario& 
   result.buffer_bytes = run.buffer_bytes;
   result.duration_ms = ToMilliseconds(duration);
   result.drain_ms = ToMilliseconds(DpdkDrain());
-  CollectRunTelemetry(engine, s.net, injector, result.telemetry);
+  CollectRunTelemetry(s.ssim, s.net, injector, result.telemetry);
   return result;
-}
-
-inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
-  const StarSpec star = MakeDpdkStarSpec(run);
-  if (run.shards >= 1) {
-    OCCAMY_CHECK_EQ(run.shards, 1) << "star runs take one shard";
-    ShardedStarScenario s(star, run.shard_threads);
-    return RunDpdkOn(run, star, s, s.ssim);
-  }
-  StarScenario s(star);
-  return RunDpdkOn(run, star, s, s.sim);
 }
 
 }  // namespace occamy::exp

@@ -2,15 +2,12 @@
 // fabric + background traffic (web-search / all-to-all / all-reduce) +
 // incast query traffic, reporting QCT/FCT slowdowns.
 //
-// One body (RunFabricOn) runs both engines: shards == 0 is the legacy
-// single-threaded engine, shards >= 1 the partition-parallel engine. On
-// both, arrivals are pre-generated and registered before the run (each flow
+// The fabric runs on the partition-parallel engine at any shard count.
+// Arrivals are pre-generated and registered before the run (each flow
 // starts from its source host's start chain, on that host's shard), and
 // QCT/FCT metrics are derived from completion records merged in (end, id)
-// order. Results are byte-identical for any shards >= 1 (see
-// src/sim/sharded_simulator.h); the legacy engine assigns the same flow ids
-// and differs only in the order same-time deliveries fire and, under
-// faults, in fault-draw keys and route-epoch rounding (see dpdk_run.h).
+// order. Results are byte-identical for any shard count (see
+// src/sim/sharded_simulator.h).
 #pragma once
 
 #include <algorithm>
@@ -72,7 +69,7 @@ inline Time DefaultFabricDuration(BenchScale scale) {
   return Milliseconds(20);
 }
 
-// Background traffic config shared by both engines.
+// Background traffic config.
 inline workload::PoissonFlowConfig MakeFabricBgConfig(
     const FabricRunSpec& run, const std::vector<net::NodeId>& hosts,
     Bandwidth host_rate, Time duration, workload::IdealFn ideal_fn) {
@@ -104,7 +101,7 @@ inline workload::PoissonFlowConfig MakeFabricBgConfig(
   return bg;
 }
 
-// Incast query config shared by both engines.
+// Incast query config.
 inline workload::IncastConfig MakeFabricQueryConfig(
     const FabricRunSpec& run, const std::vector<net::NodeId>& hosts, int n_hosts,
     Bandwidth host_rate, int64_t buffer_per_partition, Time duration,
@@ -126,10 +123,9 @@ inline workload::IncastConfig MakeFabricQueryConfig(
   return q;
 }
 
-// QCT / FCT / volume metrics shared by both engines, so the two runners
-// can never drift in metric definitions. `qct` holds one record per
-// completed query; `flows` is the flow-completion collector; `bg_filter`
-// selects background flow records.
+// QCT / FCT / volume metrics. `qct` holds one record per completed query;
+// `flows` is the flow-completion collector; `bg_filter` selects background
+// flow records.
 inline void FillFabricCompletionMetrics(
     FabricRunResult& result, const stats::CompletionCollector& qct,
     const stats::CompletionCollector& flows,
@@ -163,12 +159,9 @@ inline FabricSpec MakeFabricSpec(const FabricRunSpec& run) {
   return spec;
 }
 
-// The fabric runner on either engine: `engine` is the scenario's
-// sim::Simulator or sim::ShardedSimulator, used only to run and for its
-// telemetry.
-template <typename Scenario, typename Engine>
-FabricRunResult RunFabricOn(const FabricRunSpec& run, BenchScale scale, Scenario& s,
-                            Engine& engine) {
+inline FabricRunResult RunFabric(const FabricRunSpec& run) {
+  const BenchScale scale = run.scale.value_or(GetBenchScale());
+  FabricScenario s(MakeFabricSpec(run), scale, run.shards, run.shard_threads);
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, run.faults, FabricFaultTopology(s.topo));
 
@@ -181,16 +174,16 @@ FabricRunResult RunFabricOn(const FabricRunSpec& run, BenchScale scale, Scenario
                             s.buffer_per_partition, duration, s.IdealFn(), s.QueryIdealFn());
 
   // Pre-generate both arrival processes (they are open loop: a pure function
-  // of their Rng) and register every flow before the run, the same on both
-  // engines. Background flows get the low contiguous id range, queries the
-  // next — the post-run filters key on that.
+  // of their Rng) and register every flow before the run. Background flows
+  // get the low contiguous id range, queries the next — the post-run
+  // filters key on that.
   const uint64_t bg_last_id =
       workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg)).back();
   workload::PregeneratedIncast incast = workload::PregenerateIncast(q_cfg);
   // The manager keeps the flows; after the run only the queries are read.
   const std::vector<uint64_t> incast_ids =
       workload::StartFlows(*s.manager, std::move(incast.flows));
-  engine.RunUntil(duration + run.drain);
+  s.ssim.RunUntil(duration + run.drain);
   const stats::CompletionCollector& flows = s.manager->completions();
   FabricRunResult result;
   FillFabricCompletionMetrics(
@@ -199,18 +192,8 @@ FabricRunResult RunFabricOn(const FabricRunSpec& run, BenchScale scale, Scenario
   result.buffer_bytes = s.buffer_per_partition;
   result.duration_ms = ToMilliseconds(duration);
   result.drain_ms = ToMilliseconds(run.drain);
-  CollectRunTelemetry(engine, s.net, injector, result.telemetry);
+  CollectRunTelemetry(s.ssim, s.net, injector, result.telemetry);
   return result;
-}
-
-inline FabricRunResult RunFabric(const FabricRunSpec& run) {
-  const BenchScale scale = run.scale.value_or(GetBenchScale());
-  if (run.shards >= 1) {
-    ShardedFabricScenario s(MakeFabricSpec(run), scale, run.shards, run.shard_threads);
-    return RunFabricOn(run, scale, s, s.ssim);
-  }
-  FabricScenario s(MakeFabricSpec(run), scale);
-  return RunFabricOn(run, scale, s, s.sim);
 }
 
 }  // namespace occamy::exp

@@ -1,7 +1,7 @@
 // Shared fault-injection wiring for the scenario runners.
 //
-// Every runner (burst lab, DPDK star, leaf-spine fabric; single-threaded
-// and sharded) arms faults the same way: parse the already-validated spec
+// Every runner (burst lab, DPDK star, leaf-spine fabric) arms faults the
+// same way: parse the already-validated spec
 // string, emplace the injector (it is pinned once armed — scheduled toggles
 // capture its address), and Arm it against the scenario's topology before
 // any workload runs. Spec strings reaching this point were validated by the

@@ -325,8 +325,8 @@ PointResult RunPoint(const PointSpec& spec) {
     result.error = "unknown scenario: " + spec.scenario + " (see --list)";
     return result;
   }
-  if (spec.shards < 0 || spec.shards > 64) {
-    result.error = "shards out of range (want 0..64): " + std::to_string(spec.shards);
+  if (spec.shards < 1 || spec.shards > 64) {
+    result.error = "shards out of range (want 1..64): " + std::to_string(spec.shards);
     return result;
   }
   result.error = ShardsError(*entry, spec.shards);

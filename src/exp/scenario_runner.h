@@ -68,17 +68,16 @@ struct PointSpec {
   std::string faults;
   double loss_rate = 0;  // 0 = none; must be < 1
 
-  // 0 = single-threaded engine, >= 1 = partition-parallel engine with that
-  // many shards (node-affinity sharding; above 1 on fabric scenarios only,
-  // see ShardsError). Results are byte-identical for any value >= 1 (the
-  // determinism contract of sim::ShardedSimulator), so this is an
-  // execution knob, not a sweep dimension.
-  int shards = 0;
-  // Sharded engine only: windows per plan barrier. 0 = adaptive, 1 = the
-  // legacy one-window-per-drain schedule, N = fixed batch of N windows
-  // (<= sim::ShardedSimulator::kMaxWindowBatch, validated in RunPoint).
-  // Metrics are byte-identical at every setting — like shards, an
-  // execution knob, not a sweep dimension.
+  // Shards of the partition-parallel engine, 1..64 (node-affinity
+  // sharding; above 1 on fabric scenarios only, see ShardsError). Results
+  // are byte-identical for any value (the determinism contract of
+  // sim::ShardedSimulator), so this is an execution knob, not a sweep
+  // dimension.
+  int shards = 1;
+  // Windows per plan barrier. 0 = adaptive, 1 = one window per plan round,
+  // N = fixed batch of N windows (<= sim::ShardedSimulator::kMaxWindowBatch,
+  // validated in RunPoint). Metrics are byte-identical at every setting —
+  // like shards, an execution knob, not a sweep dimension.
   int window_batch = 0;
 };
 

@@ -71,16 +71,16 @@ inline BenchScale GetBenchScale() {
 struct RunSettings {
   uint64_t seed = 1;
   // Fault schedule (src/fault grammar); empty = healthy run. Parsed and
-  // validated upstream; armed on both engines before any workload starts.
+  // validated upstream; armed before any workload starts.
   std::string faults;
-  // 0 = legacy single-threaded engine; >= 1 = partition-parallel engine
-  // with that many shards (1 is the deterministic single-shard oracle).
-  // Star and P4 runs take at most one shard (ShardedStarScenario).
-  int shards = 0;
-  // Sharded engine only: run shards on worker threads (off = same windowed
-  // algorithm inline; byte-identical either way — a determinism test knob).
+  // Shards of the partition-parallel engine (1..64). Results are
+  // byte-identical for any count. Star and P4 runs take one shard
+  // (StarScenario).
+  int shards = 1;
+  // Run shards on worker threads (off = same windowed algorithm inline;
+  // byte-identical either way — a determinism test knob).
   bool shard_threads = true;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -101,7 +101,7 @@ struct StarSpec {
   Scheme scheme = Scheme::kDt;
   std::vector<double> alphas;  // per class; empty = scheme default
   uint64_t seed = 1;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
   // at every setting.
   int window_batch = 0;
@@ -125,46 +125,13 @@ inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
   return cfg;
 }
 
-// Ideal duration of a `bytes` transfer on the unloaded star (base RTT is
-// two host<->switch round trips). Shared by the single-threaded and sharded
-// star scenarios so slowdown denominators can never diverge between engines.
-inline Time StarIdealFct(const StarSpec& spec, int64_t bytes) {
-  const int64_t segments = (bytes + kDefaultMss - 1) / kDefaultMss;
-  return 4 * spec.link_propagation +
-         spec.host_rate.TxTime(bytes + segments * kHeaderBytes);
-}
-
-struct StarScenario {
-  explicit StarScenario(const StarSpec& spec)
-      : spec_(spec), sim(spec.seed), net(&sim) {
-    topo = net::BuildStar(net, MakeStarConfig(spec));
-    manager = std::make_unique<transport::FlowManager>(&net);
-    for (auto h : topo.hosts) manager->AttachHost(h);
-  }
-
-  // Ideal duration of a `bytes` transfer on the unloaded star.
-  Time IdealFct(int64_t bytes) const { return StarIdealFct(spec_, bytes); }
-
-  workload::IdealFn IdealFn() const {
-    return [this](net::NodeId, net::NodeId, int64_t bytes) { return IdealFct(bytes); };
-  }
-
-  net::SwitchNode& sw() { return topo.sw(net); }
-
-  StarSpec spec_;
-  sim::Simulator sim;
-  net::Network net;
-  net::StarTopology topo;
-  std::unique_ptr<transport::FlowManager> manager;
-};
-
-// The same star testbed on the partition-parallel engine, on one shard:
-// the testbeds have one shared buffer, so the switch and every host sit on
+// The star testbed on the partition-parallel engine, on one shard: the
+// testbeds have one shared buffer, so the switch and every host sit on
 // shard 0. The conservative lookahead is the star's uniform link
-// propagation, and — as for the sharded fabric — every flow is registered
-// before RunUntil (src/workload/pregen.h).
-struct ShardedStarScenario {
-  explicit ShardedStarScenario(const StarSpec& spec, bool use_threads = true)
+// propagation, and every flow is registered before RunUntil
+// (src/workload/pregen.h).
+struct StarScenario {
+  explicit StarScenario(const StarSpec& spec, bool use_threads = true)
       : spec_(spec),
         // Conservative window: the star's (uniform) link propagation — every
         // host<->switch delivery carries exactly this delay, so it is the
@@ -180,7 +147,13 @@ struct ShardedStarScenario {
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
 
-  Time IdealFct(int64_t bytes) const { return StarIdealFct(spec_, bytes); }
+  // Ideal duration of a `bytes` transfer on the unloaded star (base RTT is
+  // two host<->switch round trips).
+  Time IdealFct(int64_t bytes) const {
+    const int64_t segments = (bytes + kDefaultMss - 1) / kDefaultMss;
+    return 4 * spec_.link_propagation +
+           spec_.host_rate.TxTime(bytes + segments * kHeaderBytes);
+  }
 
   workload::IdealFn IdealFn() const {
     return [this](net::NodeId, net::NodeId, int64_t bytes) { return IdealFct(bytes); };
@@ -206,13 +179,13 @@ struct FabricSpec {
   double buffer_per_port_per_gbps = 5120.0;
   double ecn_bdp_fraction = 0.72;  // paper: ECN = 0.72 BDP
   uint64_t seed = 1;
-  // Sharded engine only: windows per plan barrier (0 = adaptive, see
+  // Windows per plan barrier (0 = adaptive, see
   // sim::ShardedSimulator::Options::window_batch).
   int window_batch = 0;
 };
 
 // Builds the leaf-spine config (scale geometry, buffer density, ECN, BM
-// scheme) shared by the single-threaded and sharded fabric scenarios.
+// scheme).
 // `buffer_per_partition` receives the derived per-partition buffer size.
 inline net::LeafSpineConfig MakeFabricLeafSpineConfig(const FabricSpec& spec,
                                                       BenchScale scale,
@@ -255,9 +228,7 @@ inline net::LeafSpineConfig MakeFabricLeafSpineConfig(const FabricSpec& spec,
   return cfg;
 }
 
-// Ideal (unloaded-network) transfer models for the leaf-spine fabric,
-// shared by the single-threaded and sharded scenarios so the slowdown
-// denominators can never diverge between engines.
+// Ideal (unloaded-network) transfer models for the leaf-spine fabric.
 inline int FabricHostIndexOf(const net::LeafSpineTopology& topo, net::NodeId id) {
   for (size_t i = 0; i < topo.hosts.size(); ++i) {
     if (topo.hosts[i] == id) return static_cast<int>(i);
@@ -278,46 +249,14 @@ inline Time FabricQueryIdealFct(const net::LeafSpineTopology& topo, int64_t byte
   return Microseconds(80) + topo.config.host_rate.TxTime(bytes + segments * kHeaderBytes);
 }
 
-struct FabricScenario {
-  explicit FabricScenario(const FabricSpec& spec, BenchScale scale = GetBenchScale())
-      : sim(spec.seed), net(&sim) {
-    net::LeafSpineConfig cfg = MakeFabricLeafSpineConfig(spec, scale, buffer_per_partition);
-    topo = net::BuildLeafSpine(net, cfg);
-    manager = std::make_unique<transport::FlowManager>(&net);
-    for (auto h : topo.hosts) manager->AttachHost(h);
-  }
-
-  int HostIndexOf(net::NodeId id) const { return FabricHostIndexOf(topo, id); }
-
-  Time IdealFct(net::NodeId src, net::NodeId dst, int64_t bytes) const {
-    return FabricIdealFct(topo, src, dst, bytes);
-  }
-
-  workload::IdealFn IdealFn() {
-    return [this](net::NodeId s, net::NodeId d, int64_t b) {
-      return FabricIdealFct(topo, s, d, b);
-    };
-  }
-
-  std::function<Time(net::NodeId, int64_t)> QueryIdealFn() {
-    return [this](net::NodeId, int64_t bytes) { return FabricQueryIdealFct(topo, bytes); };
-  }
-
-  sim::Simulator sim;
-  net::Network net;
-  net::LeafSpineTopology topo;
-  std::unique_ptr<transport::FlowManager> manager;
-  int64_t buffer_per_partition = 0;
-};
-
-// The same leaf-spine fabric on the partition-parallel engine: each leaf and
-// its hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead
-// is the fabric's uniform link propagation, and every flow is registered
+// The leaf-spine fabric on the partition-parallel engine: each leaf and its
+// hosts are pinned to one shard (net::LeafSpineShardOf), the lookahead is
+// the fabric's uniform link propagation, and every flow is registered
 // before RunUntil (src/workload/pregen.h), so no workload code mutates
 // shared state while shards run. See src/exp/fabric_run.h for the runner.
-struct ShardedFabricScenario {
-  ShardedFabricScenario(const FabricSpec& spec, BenchScale scale, int shards,
-                        bool use_threads = true)
+struct FabricScenario {
+  FabricScenario(const FabricSpec& spec, BenchScale scale, int shards = 1,
+                 bool use_threads = true)
       : cfg(MakeFabricLeafSpineConfig(spec, scale, buffer_per_partition)),
         ssim({.shards = shards,
               .lookahead = cfg.link_propagation,

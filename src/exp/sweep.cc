@@ -71,7 +71,7 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                     p.spec.seed = spec.base_seed + static_cast<uint64_t>(si);
                     // Execution knob, not a sweep dimension: results are
                     // byte-identical for any shard count.
-                    if (spec.shards > 0) p.spec.shards = spec.shards;
+                    p.spec.shards = spec.shards;
                     if (spec.window_batch > 0) {
                       p.spec.window_batch = spec.window_batch;
                     }

@@ -26,9 +26,9 @@ std::vector<RunRecord> RunSweep(const std::vector<SweepPoint>& points,
   // A run that is itself sharded brings its own worker threads; cap the
   // sweep pool so jobs x shards fits the machine. The cap is computed from
   // the most-sharded point and applies to the whole pool, which is
-  // conservative for mixed grids (single-threaded points also run under the
+  // conservative for mixed grids (one-shard points also run under the
   // reduced job count); a per-point dynamic cap is not worth the scheduler
-  // complexity while mixed sharded/unsharded sweeps stay rare.
+  // complexity while sweeps that mix shard counts stay rare.
   int shards_per_run = 0;
   for (const auto& p : points) shards_per_run = std::max(shards_per_run, p.spec.shards);
   const int jobs =

@@ -8,7 +8,7 @@ namespace occamy::exp {
 // the simulated run. The CSV summary (src/exp/sinks.cc) drops the wall-clock
 // ones so it stays byte-reproducible; the golden and differential
 // fingerprints (tests/differential.h) drop both kinds, which is what lets
-// every --shards >= 1 and --window-batch setting map onto the same golden.
+// every --shards and --window-batch setting map onto the same golden.
 KeyVolatility TelemetryKeyVolatility(std::string_view key) {
   for (const std::string_view k : {"wall_ms", "events_per_sec", "parallel_efficiency"}) {
     if (key == k) return KeyVolatility::kWallClock;
@@ -65,17 +65,14 @@ void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
   m.Set("events_per_sec",
         wall_ms > 0 ? static_cast<double>(t.sim_events) / wall_ms * 1e3 : 0.0);
 
-  // Schema v4/v5: which engine ran the point (0 = single-threaded) and, for
-  // sharded runs, worker utilization plus the adaptive window planner's
-  // telemetry.
+  // Schema v4/v5: the engine's shard count, worker utilization and the
+  // adaptive window planner's telemetry.
   m.Set("shards", int64_t{t.shards});
-  if (t.shards >= 1) {
-    m.Set("parallel_efficiency", t.parallel_efficiency);
-    m.Set("window_batch", int64_t{window_batch});
-    m.Set("windows_run", static_cast<int64_t>(t.windows_run));
-    m.Set("windows_executed", static_cast<int64_t>(t.windows_executed));
-    m.Set("max_window_batch", static_cast<int64_t>(t.max_window_batch));
-  }
+  m.Set("parallel_efficiency", t.parallel_efficiency);
+  m.Set("window_batch", int64_t{window_batch});
+  m.Set("windows_run", static_cast<int64_t>(t.windows_run));
+  m.Set("windows_executed", static_cast<int64_t>(t.windows_executed));
+  m.Set("max_window_batch", static_cast<int64_t>(t.max_window_batch));
 }
 
 }  // namespace occamy::exp

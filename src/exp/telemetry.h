@@ -1,6 +1,6 @@
 // Run telemetry every scenario runner reports the same way (burst lab, DPDK
-// star, leaf-spine fabric; both engines): engine, switch, mailbox, fault and
-// delivery counters. One reader per source fills it and one
+// star, leaf-spine fabric): engine, switch, mailbox, fault and delivery
+// counters. One reader per source fills it and one
 // AddTelemetryFields emits it into a run's metrics.
 #pragma once
 
@@ -17,20 +17,19 @@
 #include "src/net/switch.h"
 #include "src/obs/counters.h"
 #include "src/sim/sharded_simulator.h"
-#include "src/sim/simulator.h"
 #include "src/stats/completion_stats.h"
 
 namespace occamy::exp {
 
 struct RunTelemetry {
   int64_t sim_events = 0;          // simulator events processed (deterministic)
-  int shards = 0;                  // engine: 0 = single-threaded, >= 1 = sharded
-  double parallel_efficiency = 0;  // sharded engine only; wall-clock derived
-  uint64_t windows_run = 0;        // sharded engine: barrier (drain+plan) rounds
-  uint64_t windows_executed = 0;   // sharded engine: conservative windows run
-  uint64_t max_window_batch = 0;   // sharded engine: widest batch planned
+  int shards = 0;                  // the engine's shard count
+  double parallel_efficiency = 0;  // wall-clock derived
+  uint64_t windows_run = 0;        // barrier (drain+plan) rounds
+  uint64_t windows_executed = 0;   // conservative windows that ran an event
+  uint64_t max_window_batch = 0;   // widest batch planned
   obs::BufferObs obs;              // per-queue delay/drop aggregate (schema v6)
-  uint64_t mailbox_staged = 0;     // cross-shard records staged (sharded engine)
+  uint64_t mailbox_staged = 0;     // cross-shard records staged
   uint64_t mailbox_drained = 0;    // cross-shard records drained at barriers
   fault::FaultCounters faults;     // injected-fault counters (schema v7)
   // Delivered bytes bucketed by the completing transfer's end time in
@@ -44,10 +43,6 @@ struct RunTelemetry {
   int64_t peak_occupancy_bytes = 0;
 };
 
-inline void ReadEngineTelemetry(const sim::Simulator& sim, RunTelemetry& t) {
-  t.sim_events = static_cast<int64_t>(sim.processed_events());
-}
-
 inline void ReadEngineTelemetry(const sim::ShardedSimulator& ssim, RunTelemetry& t) {
   t.sim_events = static_cast<int64_t>(ssim.processed_events());
   t.shards = ssim.num_shards();
@@ -58,7 +53,7 @@ inline void ReadEngineTelemetry(const sim::ShardedSimulator& ssim, RunTelemetry&
 }
 
 // Switch and mailbox counters, read after the run. Every value is an
-// integer sum or maximum, so it is the same on both engines and for any
+// integer sum or maximum; all but the mailbox counters are the same for any
 // shard count.
 inline void CollectSwitchTelemetry(net::Network& net, RunTelemetry& t) {
   for (size_t id = 0; id < net.num_nodes(); ++id) {
@@ -78,9 +73,9 @@ inline void CollectSwitchTelemetry(net::Network& net, RunTelemetry& t) {
 }
 
 // Everything a runner reads from its engine, network and injector after the run.
-template <typename Engine>
-void CollectRunTelemetry(const Engine& engine, net::Network& net,
-                         const std::optional<fault::FaultInjector>& injector, RunTelemetry& t) {
+inline void CollectRunTelemetry(const sim::ShardedSimulator& engine, net::Network& net,
+                                const std::optional<fault::FaultInjector>& injector,
+                                RunTelemetry& t) {
   ReadEngineTelemetry(engine, t);
   CollectSwitchTelemetry(net, t);
   if (injector) t.faults = injector->Totals();
@@ -104,7 +99,7 @@ using PerfClock = std::chrono::steady_clock;
 // Emits `t` into `m`: the obs counter registry (mailbox, fault and queue
 // counters, name-sorted), then perf (sim_events, wall time since `start`),
 // then the engine fields. `window_batch` is the run's --window-batch
-// setting, echoed on sharded runs.
+// setting, echoed.
 void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
                         PerfClock::time_point start);
 

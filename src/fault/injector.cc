@@ -265,9 +265,9 @@ std::optional<std::string> FaultInjector::ArmReroutes() {
   // Every route change is known at Arm time (the plan is static), so each
   // affected switch gets its complete epoch schedule up front. Activation
   // times round *up* to the engine's conservative-window quantum: an epoch
-  // boundary then coincides with a window barrier, so for any --shards>=1
-  // every packet is routed under exactly the same epoch as the
-  // single-threaded oracle.
+  // boundary then coincides with a window barrier, so for any --shards
+  // every packet is routed under exactly the same epoch as on the
+  // one-shard oracle.
   struct Delta {
     Time t = 0;
     int port = 0;

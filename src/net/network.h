@@ -5,19 +5,17 @@
 // propagation delay and hands the packet to the peer node. This keeps every
 // queueing decision inside the explicit buffer models.
 //
-// Two execution modes share this class:
-//  * Single-threaded (the legacy testbed scenarios): one sim::Simulator,
-//    DeliverAfter schedules the arrival directly.
-//  * Sharded (sim::ShardedSimulator): every node is owned by one shard and
-//    all of its events run on that shard's Simulator. DeliverAfter then
-//    *stages* the arrival in a per-(src-shard, dst-shard) SPSC mailbox; the
-//    engine's window barrier drains each shard's inbound mailboxes and
-//    inserts the arrivals in canonical (deliver_time, src_node, src_lane,
-//    per-(source,lane) seq) order. That order is independent of the
-//    node->shard partition and of thread timing, which is what keeps
-//    sharded runs byte-identical for any shard count. Conservative
-//    correctness requires every link's propagation delay to be >= the
-//    engine's lookahead (checked per delivery).
+// Every node is owned by one shard of a sim::ShardedSimulator, and all of
+// its events run on that shard's Simulator. A delivery carries its place in
+// the event order (sim::EventQueue): the window after the one that sent it,
+// then (src_node, src_lane, per-(source, lane) seq). That order is
+// independent of the node->shard partition and of thread timing, which is
+// what keeps runs byte-identical for any shard count. A delivery within one
+// shard goes straight into the shard's queue; one to another shard is
+// *staged* in a per-(src-shard, dst-shard) SPSC mailbox, and the engine's
+// window barrier drains each shard's inbound mailboxes into its queue.
+// Conservative correctness requires every link's propagation delay to be
+// >= the engine's lookahead (checked per delivery).
 //
 // Lanes. A switch sends from one *lane* per buffer partition (its
 // TmPartitions; BindNodeLanes sizes the per-lane delivery counters). A
@@ -72,26 +70,19 @@ class Network {
   // Shard of a node's lane, as (node id, lane index) -> shard.
   using LaneShardFn = std::function<int(NodeId, int)>;
 
-  // Single-threaded mode: every node runs on `sim`.
-  explicit Network(sim::Simulator* sim) : sim_(sim) {
-    OCCAMY_CHECK(sim != nullptr);
-    shard_state_.resize(1);
-  }
-
-  // Sharded mode: `shard_of(node_id)` assigns each node (at AddNode time) to
-  // a shard of `ssim`; the result is clamped into range. The assignment must
-  // be a pure function of the node id so that it is reproducible.
-  // `lane_shard_of`, when given, must put every lane on its node's shard:
-  // BindNodeLanes CHECK-fails otherwise.
+  // `shard_of(node_id)` assigns each node (at AddNode time) to a shard of
+  // `ssim`; the result is clamped into range. The assignment must be a pure
+  // function of the node id so that it is reproducible. `lane_shard_of`,
+  // when given, must put every lane on its node's shard: BindNodeLanes
+  // CHECK-fails otherwise.
   Network(sim::ShardedSimulator* ssim, std::function<int(NodeId)> shard_of,
           LaneShardFn lane_shard_of = nullptr)
       : ssim_(ssim),
-        lookahead_(ssim->lookahead()),
         shard_assign_(std::move(shard_of)),
         lane_shard_assign_(std::move(lane_shard_of)) {
     OCCAMY_CHECK(ssim != nullptr);
     OCCAMY_CHECK(shard_assign_ != nullptr);
-    sim_ = &ssim_->shard(0);
+    lookahead_ = ssim_->lookahead();
     const size_t n = static_cast<size_t>(ssim_->num_shards());
     shard_state_.resize(n);
     outboxes_.resize(n * n);
@@ -105,24 +96,20 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // The control simulator: the sole Simulator in single-threaded mode,
-  // shard 0 in sharded mode. Workloads and setup code use it; node code
-  // should prefer Node::sim() (its owning shard).
-  sim::Simulator& sim() { return *sim_; }
-  Time now() const { return sim_->now(); }
+  // The control simulator, shard 0. Workloads and setup code use it; node
+  // code should prefer Node::sim() (its owning shard).
+  sim::Simulator& sim() { return ssim_->shard(0); }
+  Time now() { return sim().now(); }
 
-  bool sharded() const { return ssim_ != nullptr; }
-  // True while a sharded RunUntil is executing on worker threads.
-  bool sharded_run_active() const { return ssim_ != nullptr && ssim_->running(); }
-  int num_shards() const { return ssim_ != nullptr ? ssim_->num_shards() : 1; }
+  // True while a RunUntil is executing (possibly on worker threads).
+  bool run_active() const { return ssim_->running(); }
+  int num_shards() const { return ssim_->num_shards(); }
   int shard_of(NodeId id) const {
     OCCAMY_CHECK(id < shard_of_.size());
     return shard_of_[id];
   }
   // The simulator that runs node `id`'s events.
-  sim::Simulator& sim_of(NodeId id) {
-    return ssim_ != nullptr ? ssim_->shard(shard_of(id)) : *sim_;
-  }
+  sim::Simulator& sim_of(NodeId id) { return ssim_->shard(shard_of(id)); }
 
   // Declares that node `id` sends from `lanes` lanes and sizes its per-lane
   // delivery counters. Must be called before any traffic leaves the node;
@@ -146,11 +133,7 @@ class Network {
     OCCAMY_CHECK(id < (NodeId{1} << kNodeBits)) << "over 2^" << kNodeBits << " nodes";
     node->id_ = id;
     node->network_ = this;
-    int shard = 0;
-    if (ssim_ != nullptr) {
-      shard = std::clamp(shard_assign_(id), 0, ssim_->num_shards() - 1);
-    }
-    shard_of_.push_back(shard);
+    shard_of_.push_back(std::clamp(shard_assign_(id), 0, num_shards() - 1));
     node->sim_ = &sim_of(id);
     nodes_.push_back(std::move(node));
     return id;
@@ -165,28 +148,22 @@ class Network {
 
   // Schedules arrival of `pkt` at `to` after `delay` (the propagation time;
   // serialization already elapsed at the sender). `from` is the sending
-  // node; in sharded mode it keys the canonical cross-shard merge order and
-  // must be the node whose event is executing. `src_lane` is the sending
-  // lane (a switch passes the egress partition index); plain nodes send
-  // from lane 0.
+  // node; it keys the delivery's event order and must be the node whose
+  // event is executing. `src_lane` is the sending lane (a switch passes the
+  // egress partition index); plain nodes send from lane 0.
   void DeliverAfter(NodeId from, Time delay, LinkEnd to, Packet pkt, int src_lane = 0) {
     Node& src = node(from);
     // A lane > 0 requires the source to have bound its lanes (BindNodeLanes
     // sizes the per-lane sequence counters).
     OCCAMY_DCHECK(static_cast<size_t>(src_lane) < src.lanes_.size());
     Node::Lane& lane = src.lanes_[static_cast<size_t>(src_lane)];
-    // The sequence keys the fault draws on both engines and, sharded, the
-    // delivery's event order. It is consumed even when a fault drops the
-    // packet: gaps are harmless to the order, while keeping the numbering a
-    // pure function of the lane's send history for any engine and shard
-    // count.
+    // The sequence keys the fault draws and the delivery's event order. It
+    // is consumed even when a fault drops the packet: gaps are harmless to
+    // the order, while keeping the numbering a pure function of the lane's
+    // send history for any shard count.
     const uint64_t seq = lane.seq++;
     if (faults_ != nullptr && faults_->OnDeliver(from, src_lane, to, seq, src.sim().now(), pkt)) {
       return;  // dropped on the wire; the injector accounted for it
-    }
-    if (ssim_ == nullptr) {
-      sim_->After(delay, Arrival{this, &node(to.node), to.port, std::move(pkt)});
-      return;
     }
     OCCAMY_CHECK_GE(delay, lookahead_) << "cross-node delay below the conservative lookahead";
     sim::Simulator& src_sim = src.sim();
@@ -217,8 +194,8 @@ class Network {
 
   // Cross-shard mailbox telemetry (schema v6 counter registry). Staged =
   // deliveries DeliverAfter sent to another shard's mailbox (a delivery
-  // within one shard skips the mailbox; 0 on the legacy engine); drained =
-  // records merged back in at window barriers. Both depend on how nodes
+  // within one shard skips the mailbox, so one shard stages none); drained
+  // = records merged back in at window barriers. Both depend on how nodes
   // are spread over shards, so they are engine-setting keys, and the two
   // are equal after every run. Read after the run.
   uint64_t mailbox_staged() const {
@@ -257,34 +234,29 @@ class Network {
   void set_fault_injector(FaultHook* hook) { faults_ = hook; }
   bool fault_injection_active() const { return faults_ != nullptr; }
 
-  // Quantum for fault-driven route-epoch activation times: on the sharded
-  // engine the conservative lookahead (so epoch flips land exactly on
-  // window boundaries and stay byte-identical for any shard count), 0 on
-  // the legacy single-threaded engine (no rounding needed).
-  Time route_epoch_quantum() const { return ssim_ != nullptr ? ssim_->lookahead() : 0; }
+  // Quantum for fault-driven route-epoch activation times: the engine's
+  // lookahead, so epoch flips land exactly on window boundaries and stay
+  // byte-identical for any shard count.
+  Time route_epoch_quantum() const { return lookahead_; }
 
-  // Sharded engine: adds a hook run once per shard at every window barrier,
-  // after the mailbox drain (sim::ShardedSimulator::AddBarrierHook). The
-  // legacy engine has no barriers, so there it must not be called.
+  // Adds a hook run once per shard at every window barrier, after the
+  // mailbox drain (sim::ShardedSimulator::AddBarrierHook).
   void AddBarrierHook(std::function<void(int shard)> hook) {
-    OCCAMY_CHECK(ssim_ != nullptr) << "barrier hooks need the sharded engine";
     ssim_->AddBarrierHook(std::move(hook));
   }
 
-  // Registers a sim-time drain fence with the sharded engine's adaptive
-  // window planner (no-op on the legacy engine): window batches never
-  // cross it, so a mailbox drain is guaranteed at the barrier entering its
-  // window. fault::FaultInjector::Arm fences every armed fault toggle and
+  // Registers a sim-time drain fence with the engine's adaptive window
+  // planner: window batches never cross it, so a mailbox drain is
+  // guaranteed at the barrier entering its window.
+  // fault::FaultInjector::Arm fences every armed fault toggle and
   // quantum-aligned route-epoch boundary.
-  void AddDrainFence(Time t) {
-    if (ssim_ != nullptr) ssim_->AddDrainFence(t);
-  }
+  void AddDrainFence(Time t) { ssim_->AddDrainFence(t); }
 
  private:
   // The event that hands a delivered packet to its destination node, on
-  // the destination's simulator (both engines schedule it). It carries the
-  // packet, so it is the largest per-packet closure: sim::Callback's inline
-  // buffer is sized to hold it.
+  // the destination's simulator. It carries the packet, so it is the
+  // largest per-packet closure: sim::Callback's inline buffer is sized to
+  // hold it.
   struct Arrival {
     Network* net;
     Node* dst;
@@ -354,8 +326,7 @@ class Network {
     uint64_t drained_mail = 0;
   };
 
-  sim::Simulator* sim_ = nullptr;
-  sim::ShardedSimulator* ssim_ = nullptr;
+  sim::ShardedSimulator* ssim_;
   Time lookahead_ = 0;  // the engine's, the least delay of a delivery
   std::function<int(NodeId)> shard_assign_;
   LaneShardFn lane_shard_assign_;

@@ -27,9 +27,8 @@ class Node {
   NodeId id() const { return id_; }
   Network* network() const { return network_; }
 
-  // The simulator that runs this node's events: the network's sole
-  // Simulator in single-threaded mode, the owning shard's in sharded mode.
-  // Set by Network::AddNode; all of a node's scheduling must go through it.
+  // The simulator that runs this node's events: its owning shard's. Set by
+  // Network::AddNode; all of a node's scheduling must go through it.
   sim::Simulator& sim() const { return *sim_; }
 
  private:
@@ -38,9 +37,8 @@ class Node {
   Network* network_ = nullptr;
   sim::Simulator* sim_ = nullptr;
   // Per-(source, lane) sequence of DeliverAfter calls: the key of the
-  // fault draws on both engines and, counted from the lane's first delivery
-  // of the sending window, part of a delivery's event order (see
-  // Network::DeliverAfter). One slot per lane (plain nodes: just lane 0);
+  // fault draws and, counted from the lane's first delivery of the sending
+  // window, part of a delivery's event order (see Network::DeliverAfter). One slot per lane (plain nodes: just lane 0);
   // only the node's own shard bumps them, so they need no synchronization.
   struct Lane {
     uint64_t seq = 0;

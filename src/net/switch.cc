@@ -150,7 +150,7 @@ void SwitchNode::ReceivePacket(int /*in_port*/, Packet pkt) {
   OCCAMY_CHECK(initialized_);
   OCCAMY_ASSERT_SHARD(sim());
   // Arrival closures run at exactly the deliver time, so the clock is the
-  // packet's arrival time on both engines.
+  // packet's arrival time.
   const int egress = RoutePort(pkt, sim().now());
   if (egress < 0) {
     DropRouteless(pkt);

@@ -124,8 +124,8 @@ ProfileReport BuildProfileReport(const std::vector<TraceEvent>& events, int shar
       ++report.density[bucket];
     }
   }
-  // A single-threaded (non-sharded) run has run.core spans but no
-  // window.execute wrappers; fall back so utilization still reads.
+  // A trace with run.core spans but no window.execute wrappers (a bare
+  // Simulator's run); fall back so utilization still reads.
   for (size_t s = 0; s < report.shards.size(); ++s) {
     if (report.shards[s].busy_ns == 0 && report.shards[s].windows == 0) {
       report.shards[s].busy_ns = core_fallback[s].busy_ns;

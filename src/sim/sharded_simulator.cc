@@ -399,8 +399,8 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
         // (window, drain) schedule. Every shard computes the same break
         // conditions from the leader-shared plan/step, so all of them
         // leave the inner loop together; a single-window batch never
-        // touches the spin barrier, which keeps --window-batch=1 the exact
-        // legacy protocol.
+        // touches the spin barrier, which keeps --window-batch=1 at one
+        // window per plan round.
         Time bound = plan.bound;
         for (;;) {
           {

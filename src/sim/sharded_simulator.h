@@ -13,28 +13,31 @@
 //
 // Determinism contract. Results are byte-identical for any shard count
 // (including 1) because
-//  * every shard's own events run in the usual deterministic (time, seq)
-//    order,
-//  * all cross-shard influence flows through the barrier drain hook, whose
-//    implementation (net::Network) inserts staged records in the canonical
-//    (deliver_time, src_node, per-source sequence) order — an order that
-//    does not depend on how nodes are partitioned or on thread timing, and
+//  * every event's place in its shard's queue is a pure function of
+//    simulated history: the order word (src/sim/event_queue.h) ranks
+//    same-time events by the window that scheduled them, and a packet
+//    delivery (net::Network) by (window after the send, src_node, src_lane,
+//    sequence) — an order that does not depend on how nodes are
+//    partitioned or on thread timing;
+//  * a cross-shard delivery reaches its queue at the barrier after the
+//    window that sent it, before any event it could precede runs; and
 //  * the window grid is fixed (aligned multiples of `lookahead`), so the
-//    barrier at which a record is handed over depends only on simulated
-//    time, never on wall-clock interleaving.
-// The single-shard configuration runs the identical windowed algorithm on
-// one thread, which is what makes `--shards=1` a byte-exact oracle for
-// `--shards=N`.
+//    window a push belongs to depends only on simulated time, never on
+//    wall-clock interleaving.
+// So `--shards=1` is a byte-exact oracle for `--shards=N`. One shard stages
+// nothing, so it runs each planned batch straight through, with no barrier
+// inside it.
 //
 // Adaptive window batching. A full condvar drain + plan round per window
 // is pure synchronization overhead, and short-lookahead scenarios (the
 // star's 2us windows) pay for tens of thousands of them. The planner
 // therefore plans a *batch* of up to k consecutive windows per condvar
-// round: inside a batch, shards run window after window separated only by
-// cheap spin-barrier rounds. Each inner boundary performs the SAME
-// handover as an outer barrier — quiesce, drain every shard's mailboxes,
-// then let the leader pick the next window — so a batched run executes
-// the byte-identical sequence of (window, drain) steps as batch=1; the
+// round: inside a batch, several shards run window after window separated
+// only by cheap spin-barrier rounds (one shard runs the batch straight
+// through). Each inner boundary performs the SAME handover as an outer
+// barrier — quiesce, drain every shard's mailboxes, then let the leader
+// pick the next window — so a batched run executes the byte-identical
+// sequence of (window, drain) steps as batch=1; the
 // only things batching elides are the condvar parks and the per-window
 // plan work (policy feedback, fence scan, horizon checks). The leader
 // also hops windows with no events anywhere, which merges the empty and
@@ -42,8 +45,8 @@
 // truncate early only for Stop(); armed fault/route-epoch boundaries
 // register drain fences (AddDrainFence), and batches never cross one, so
 // every fault toggle still enters its window through a full plan round.
-// `--window-batch` selects the policy: 1 = legacy, N = fixed bound,
-// auto = the density- and mail-feedback policy described at
+// `--window-batch` selects the policy: 1 = one window per plan round, N =
+// fixed bound, auto = the density- and mail-feedback policy described at
 // Options::window_batch.
 //
 // Stop() semantics: the shard that calls Stop() halts immediately; every
@@ -96,8 +99,8 @@ class ShardedSimulator {
     // and for debugging; results are byte-identical either way).
     bool use_threads = true;
     // Windows per condvar plan round ("window batching"); clamped to
-    // [0, kMaxWindowBatch]. 1 = the legacy schedule (full drain + plan
-    // barrier every window). N > 1 = plan a fixed bound of N windows per
+    // [0, kMaxWindowBatch]. 1 = one window per plan round (full drain +
+    // plan barrier every window). N > 1 = plan a fixed bound of N windows per
     // plan round. 0 = auto: the leader widens the bound (doubling, up to
     // kMaxWindowBatch) while rounds are silent — no cross-shard mail
     // staged — or dense (execution dominates, so spin rounds are cheap
@@ -186,7 +189,7 @@ class ShardedSimulator {
   // condvar barrier. Equals windows_executed() at window_batch = 1.
   uint64_t windows_run() const { return windows_run_; }
 
-  // Conservative windows actually executed by the last RunUntil (the
+  // Conservative windows of the last RunUntil that ran an event (the
   // pre-batching meaning of windows_run()).
   uint64_t windows_executed() const { return windows_executed_; }
 

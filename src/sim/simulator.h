@@ -2,11 +2,12 @@
 //
 // This replaces the paper's ns-3 / hardware testbeds: components schedule
 // callbacks at absolute or relative simulated times and the simulator runs
-// them in deterministic order. Single-threaded by design: one Simulator is
-// either the whole simulation (the legacy mode every testbed scenario uses)
-// or one shard of a ShardedSimulator (src/sim/sharded_simulator.h), which
-// drives it window-by-window through the same RunUntil interface and never
-// touches it from two threads at once.
+// them in deterministic order. Single-threaded by design: every scenario
+// runs on a ShardedSimulator (src/sim/sharded_simulator.h), which owns one
+// Simulator per shard, puts it on its window grid (set_window), drives it
+// through RunUntil and never touches it from two threads at once. A bare
+// Simulator, with no grid, runs same-time events FIFO; unit tests and the
+// benchmark's ladder drive components on one directly.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@ FlowManager::FlowManager(net::Network* net, TransportConfig config)
   OCCAMY_CHECK(net != nullptr);
   OCCAMY_CHECK(config_.mss > 0);
   shard_state_.resize(static_cast<size_t>(net_->num_shards()));
-  if (net_->sharded()) net_->AddBarrierHook([this](int shard) { FreeFinished(shard); });
+  net_->AddBarrierHook([this](int shard) { FreeFinished(shard); });
 }
 
 void FlowManager::AttachHost(net::NodeId host_id) {
@@ -21,8 +21,8 @@ void FlowManager::AttachHost(net::NodeId host_id) {
 }
 
 uint64_t FlowManager::StartFlow(FlowParams params) {
-  OCCAMY_CHECK(!net_->sharded_run_active())
-      << "StartFlow during a sharded run; register the schedule before RunUntil";
+  OCCAMY_CHECK(!net_->run_active())
+      << "StartFlow during a run; register the schedule before RunUntil";
   if (params.id == 0) params.id = net_->NextFlowId();
   OCCAMY_CHECK(params.id < net::Network::kOpenLoopFlowIdBase)
       << "flow id " << params.id << " is in the open-loop range";
@@ -135,13 +135,9 @@ void FlowManager::OnConnectionComplete(Connection* conn, Time end_time) {
   ShardState& s = slot();
   s.counters.flows_completed++;
   s.completions.Add(rec);
-  // We are inside the connection's own call stack: free it later.
-  const uint64_t id = p.id;
-  if (net_->sharded()) {
-    s.finished.push_back(id);
-  } else {
-    net_->sim().After(0, [this, id] { connections_[id].reset(); });
-  }
+  // We are inside the connection's own call stack: free it at the next
+  // barrier.
+  s.finished.push_back(p.id);
 }
 
 void FlowManager::FreeFinished(int shard) {
@@ -153,10 +149,10 @@ void FlowManager::FreeFinished(int shard) {
 }
 
 const stats::CompletionCollector& FlowManager::completions() {
-  OCCAMY_CHECK(!net_->sharded_run_active()) << "completions() during a sharded run";
+  OCCAMY_CHECK(!net_->run_active()) << "completions() during a run";
   for (auto& s : shard_state_) {
     if (completions_.Count() == 0) {
-      std::swap(completions_, s.completions);  // the legacy engine's one slot: no copy
+      std::swap(completions_, s.completions);  // one shard's slot: no copy
     } else {
       for (const auto& rec : s.completions.records()) completions_.Add(rec);
       s.completions = {};

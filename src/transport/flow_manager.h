@@ -1,8 +1,7 @@
 // FlowManager: the per-network transport layer.
 //
 // Registers every flow, installs the receive demultiplexer on each host,
-// and records flow completions (FCT + slowdown). One lifecycle on both
-// engines:
+// and records flow completions (FCT + slowdown). The lifecycle:
 //  * StartFlow records the flow's FlowParams in a table indexed by its id
 //    (ids are dense from 1) and queues the flow on its source host's start
 //    chain. A chain keeps one pending event; it starts one flow per event,
@@ -10,21 +9,22 @@
 //    then arms the host's next start. A chain is armed only by StartFlow
 //    and by its own host's events, so its place in the event order is the
 //    same for any shard count.
-//  * Completion records go to the completing shard's slot (slot 0 on the
-//    legacy engine); completions() merges them in (end, id) order.
-//  * A completed flow's Connection is freed outside its own call stack: one
-//    event later on the legacy engine, at the next window barrier on the
-//    sharded engine (the destination shard may still be handling a segment
-//    of the flow in the same window).
+//  * Completion records go to the completing shard's slot; completions()
+//    merges them in (end, id) order.
+//  * A completed flow's Connection is freed outside its own call stack, at
+//    the engine's next barrier (the destination shard may still be handling
+//    a segment of the flow in the same window): after each window on
+//    several shards, after each batch of up to 16 windows on one. The free
+//    schedules no event.
 //  * A data segment of a finished flow gets the cumulative ACK for the
 //    whole flow, built from its FlowParams — what the receiver half sends
 //    while the connection lives, so the moment of the free is invisible.
 //    ACKs of finished flows and packets with no flow record (open-loop
 //    streams) are dropped.
 //
-// Sharded runs register every flow before RunUntil: StartFlow would
-// otherwise resize the tables and arm a foreign shard's queue under the
-// workers' feet.
+// Runs register every flow before RunUntil: StartFlow would otherwise
+// resize the tables and arm a foreign shard's queue under the workers'
+// feet.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,8 @@ namespace occamy::transport {
 
 class FlowManager {
  public:
-  // Sharded engine: also adds the connection release to `net`'s window
-  // barrier, so the manager must outlive the engine's last run.
+  // Adds the connection release to `net`'s window barrier, so the manager
+  // must outlive the engine's last run.
   explicit FlowManager(net::Network* net, TransportConfig config = {});
 
   FlowManager(const FlowManager&) = delete;
@@ -100,8 +100,7 @@ class FlowManager {
     sim::EventHandle armed;          // the chain's one pending start event
   };
 
-  // Per-shard mutable slots, padded against false sharing. Slot 0 doubles
-  // as the single-threaded slot.
+  // Per-shard mutable slots, padded against false sharing.
   struct alignas(64) ShardState {
     Counters counters;
     stats::CompletionCollector completions;

@@ -1,4 +1,4 @@
-// Pre-generated workload schedules: the one workload path of both engines.
+// Pre-generated workload schedules: the one workload path of every run.
 //
 // The Poisson background and incast query arrival processes are open loop:
 // every arrival time, endpoint pair, and size is a function of the workload

@@ -11,7 +11,7 @@
 //
 // The bound is per event, not per dequeued packet: on the P4 burst lab most
 // packets drop before any dequeue. The paths it pins are the four closures
-// that carry a Packet (host and switch TX completion, both engines'
+// that carry a Packet (host and switch TX completion, and the delivery's
 // arrival), which sim::Callback stores inline, and the receiver's in-order
 // fast path. What remains is mostly the host NIC queue's std::deque, which
 // allocates one block per 8 packets (src/net/host.h).
@@ -97,7 +97,7 @@ constexpr double kMaxAllocationsPerEvent = 0.1;
 
 struct GateCase {
   const char* scenario;
-  int shards;  // 0 = the default single-threaded engine
+  int shards;
 };
 
 void PrintTo(const GateCase& gate, std::ostream* os) {
@@ -141,14 +141,12 @@ TEST_P(AllocGateTest, AtMostOneAllocationPerTenExtraEvents) {
       << gate.scenario << " at shards=" << gate.shards << " allocates on the packet path";
 }
 
-// Star (choking) and P4 (burst) on both engines; the fabric (websearch) on
-// the single-threaded engine and at 1 and 2 shards, where deliveries cross
-// the mailboxes.
+// Star (choking) and P4 (burst) on their one shard; the fabric (websearch)
+// at 1 shard and at 2, where deliveries cross the mailboxes.
 INSTANTIATE_TEST_SUITE_P(
     PacketPath, AllocGateTest,
-    ::testing::Values(GateCase{"choking", 0}, GateCase{"choking", 1}, GateCase{"burst", 0},
-                      GateCase{"burst", 1}, GateCase{"websearch", 0},
-                      GateCase{"websearch", 1}, GateCase{"websearch", 2}),
+    ::testing::Values(GateCase{"choking", 1}, GateCase{"burst", 1}, GateCase{"websearch", 1},
+                      GateCase{"websearch", 2}),
     [](const ::testing::TestParamInfo<GateCase>& info) {
       return std::string(info.param.scenario) + "_shards" + std::to_string(info.param.shards);
     });

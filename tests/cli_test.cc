@@ -425,24 +425,24 @@ TEST(CliRun, WindowBatchRunsMatchAndReduceBarrierRounds) {
   opts.duration_ms = 2;
   opts.shards = 1;
   opts.window_batch = 1;
-  const SimResult legacy = RunScenario(opts);
-  ASSERT_TRUE(legacy.ok) << legacy.error;
+  const SimResult per_window = RunScenario(opts);
+  ASSERT_TRUE(per_window.ok) << per_window.error;
   opts.window_batch = 0;  // auto
   const SimResult adaptive = RunScenario(opts);
   ASSERT_TRUE(adaptive.ok) << adaptive.error;
   for (const char* key :
        {"delivered_bytes", "qct_p99_ms", "fct_avg_ms", "sim_events", "drops"}) {
-    EXPECT_EQ(JsonNumber(legacy.json, key), JsonNumber(adaptive.json, key)) << key;
+    EXPECT_EQ(JsonNumber(per_window.json, key), JsonNumber(adaptive.json, key)) << key;
   }
-  EXPECT_EQ(JsonNumber(legacy.json, "window_batch"), 1);
+  EXPECT_EQ(JsonNumber(per_window.json, "window_batch"), 1);
   EXPECT_EQ(JsonNumber(adaptive.json, "window_batch"), 0);
-  EXPECT_EQ(JsonNumber(legacy.json, "max_window_batch"), 1);
+  EXPECT_EQ(JsonNumber(per_window.json, "max_window_batch"), 1);
   EXPECT_GT(JsonNumber(adaptive.json, "max_window_batch"), 1);
   EXPECT_LT(JsonNumber(adaptive.json, "windows_run"),
-            JsonNumber(legacy.json, "windows_run"));
+            JsonNumber(per_window.json, "windows_run"));
   // Batching rearranges barriers, never the windows that actually execute.
   EXPECT_EQ(JsonNumber(adaptive.json, "windows_executed"),
-            JsonNumber(legacy.json, "windows_executed"));
+            JsonNumber(per_window.json, "windows_executed"));
 }
 
 // An OCCAMY_TRACE=OFF build carries no recorder, so asking it for a trace

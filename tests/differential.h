@@ -1,9 +1,8 @@
-// Differential-oracle test harness for the partition-parallel engines.
+// Differential-oracle test harness for the partition-parallel engine.
 //
-// The engines' determinism contract (src/sim/sharded_simulator.h) says a
-// scenario's JSON metrics are byte-identical for ANY shard count >= 1, with
-// shards=1 — the identical windowed algorithm on one thread — as the
-// single-threaded oracle. This header turns that contract into a reusable
+// The engine's determinism contract (src/sim/sharded_simulator.h) says a
+// scenario's JSON metrics are byte-identical for ANY shard count, with
+// shards=1 — the default, which stages no mail — as the oracle. This header turns that contract into a reusable
 // assertion: run any exp::PointSpec at shards=1 and shards=N and diff the
 // *deterministic fingerprint* of the metrics — every metric except the
 // wall-clock fields, rendered with round-trip-exact doubles. Exact equality
@@ -106,13 +105,13 @@ inline void ExpectShardCountInvariant(exp::PointSpec spec,
 }
 
 // The window-batching twin of ExpectShardCountInvariant: `spec` run at
-// window_batch=1 (one drain barrier per conservative window — the legacy
-// schedule) must produce a byte-identical deterministic fingerprint at
+// window_batch=1 (one drain barrier per conservative window) must produce
+// a byte-identical deterministic fingerprint at
 // every setting in `batches` (0 = adaptive). `spec.shards` must already be
 // >= 1; only `spec.window_batch` is overwritten.
 inline void ExpectWindowBatchInvariant(exp::PointSpec spec,
                                        std::initializer_list<int> batches) {
-  ASSERT_GE(spec.shards, 1) << "window batching is a sharded-engine knob";
+  ASSERT_GE(spec.shards, 1) << "the engine runs at least one shard";
   spec.window_batch = 1;
   const exp::Metrics oracle_metrics = RunPointOrFail(spec);
   const std::string oracle = DeterministicFingerprint(oracle_metrics);

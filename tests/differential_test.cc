@@ -1,7 +1,7 @@
 // Differential-oracle suite for the partition-parallel engine: every fabric
 // scenario must produce byte-identical JSON metrics at --shards=1/2/4.
-// shards=1 runs the identical windowed algorithm single-threaded, so it is
-// the oracle; see tests/differential.h for the comparison machinery. Star
+// shards=1 stages no mail and runs on one thread, so it is the oracle; see
+// tests/differential.h for the comparison machinery. Star
 // and P4 scenarios run on one shard, where window batching and worker
 // threads on/off must still leave every deterministic metric unchanged.
 //
@@ -161,7 +161,7 @@ TEST(DifferentialTest, FabricThreadedAndInlineBatchedExecutionMatch) {
 
 // Property: with faults armed (reroute via link_down + gilbert loss), the
 // batched fingerprint is byte-identical to batch=1 for several seeds — and
-// the adaptive run never does *more* barrier rounds than legacy.
+// the adaptive run never does *more* barrier rounds than batch=1.
 TEST(DifferentialProperty, BatchedFingerprintsMatchUnderFaults) {
   for (const uint64_t seed : {3u, 11u}) {
     exp::PointSpec spec = SmokePoint("burst_absorption", "occamy", 2, seed);
@@ -170,14 +170,14 @@ TEST(DifferentialProperty, BatchedFingerprintsMatchUnderFaults) {
         "link_down:t=400us,dur=200us,node=sw0,port=2;"
         "gilbert:p_gb=0.1,p_bg=0.2,loss_bad=0.5,slot=50us,seed=7";
     spec.window_batch = 1;
-    const exp::Metrics legacy = testing::RunPointOrFail(spec);
-    const std::string oracle = testing::DeterministicFingerprint(legacy);
+    const exp::Metrics per_window = testing::RunPointOrFail(spec);
+    const std::string oracle = testing::DeterministicFingerprint(per_window);
     for (const int batch : {0, 8}) {
       spec.window_batch = batch;
       const exp::Metrics batched = testing::RunPointOrFail(spec);
       EXPECT_EQ(oracle, testing::DeterministicFingerprint(batched))
           << "seed=" << seed << " window_batch=" << batch;
-      EXPECT_LE(batched.Number("windows_run"), legacy.Number("windows_run"))
+      EXPECT_LE(batched.Number("windows_run"), per_window.Number("windows_run"))
           << "seed=" << seed << " window_batch=" << batch;
     }
   }
@@ -205,10 +205,9 @@ TEST(DifferentialTest, ObsCountersEmittedInMetrics) {
   EXPECT_GE(m.Number("queue_delay_max_ns"), m.Number("queue_delay_p99_ns"));
 }
 
-// The mailbox counters are deterministic per engine: DeliverAfter always
-// stages its record in sharded mode, so staged == drained and both are
-// invariant across shard counts >= 1 (the fingerprint tests enforce that);
-// here the conservation law itself, on a run whose mail crosses shards.
+// The mailbox counters count cross-shard deliveries, so they depend on the
+// shard count and stay out of the fingerprint; here their conservation law,
+// staged == drained, on a run whose mail crosses shards.
 TEST(DifferentialTest, MailboxStagedEqualsDrained) {
   exp::PointSpec spec = SmokePoint("websearch", "occamy", 2);
   spec.shards = 4;
@@ -235,8 +234,8 @@ TEST(DifferentialTest, BurstLabThreadedAndInlineExecutionMatch) {
   EXPECT_GT(threaded.telemetry.sim_events, 0);
   EXPECT_EQ(threaded.telemetry.shards, 1);
   EXPECT_GT(threaded.telemetry.parallel_efficiency, 0.0);
-  const exp::BurstLabResult legacy = exp::RunBurstLab(exp::BurstLabSpec{});
-  EXPECT_EQ(legacy.telemetry.shards, 0);
+  const exp::BurstLabResult defaults = exp::RunBurstLab(exp::BurstLabSpec{});
+  EXPECT_EQ(defaults.telemetry.shards, 1);
 }
 
 }  // namespace

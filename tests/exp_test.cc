@@ -35,7 +35,8 @@ SweepSpec SmallRealSpec() {
 // run to run; every other byte of the JSONL must be identical. The fields
 // are never first in a record (run_key is), so each is preceded by a comma.
 std::string StripPerfFields(std::string jsonl) {
-  for (const std::string key : {"\"wall_ms\":", "\"events_per_sec\":"}) {
+  for (const std::string key :
+       {"\"wall_ms\":", "\"events_per_sec\":", "\"parallel_efficiency\":"}) {
     size_t pos = 0;
     while ((pos = jsonl.find(key, pos)) != std::string::npos) {
       const size_t value_end = jsonl.find_first_of(",}", pos + key.size());
@@ -307,8 +308,8 @@ TEST(SweepJobsCap, RunSweepWarnsWhenCapping) {
   }
 }
 
-// Every platform has a sharded engine, so the execution knob applies to
-// the whole grid at one shard.
+// Every platform runs on the partition-parallel engine, so the execution
+// knob applies to the whole grid at one shard.
 TEST(SweepExpand, ShardsKnobAppliesToEveryPlatform) {
   SweepSpec spec;
   spec.scenarios = {"incast", "websearch", "burst"};

@@ -89,10 +89,9 @@ TEST(FabricParallelTest, ShardedResultCarriesEngineFields) {
   const FabricRunResult r = RunFabric(run);
   EXPECT_EQ(r.telemetry.shards, 2);
   EXPECT_GT(r.telemetry.parallel_efficiency, 0.0);
-  run.shards = 0;  // legacy engine reports itself as such
-  const FabricRunResult legacy = RunFabric(run);
-  EXPECT_EQ(legacy.telemetry.shards, 0);
-  EXPECT_GT(legacy.queries_completed, 0);
+  const FabricRunResult one = RunFabric(SmokeSpec(BgPattern::kWebSearch));
+  EXPECT_EQ(one.telemetry.shards, 1) << "the default is one shard";
+  EXPECT_GT(one.queries_completed, 0);
 }
 
 }  // namespace

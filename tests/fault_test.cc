@@ -34,6 +34,7 @@
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
 #include "tests/differential.h"
+#include "tests/one_shard.h"
 #include "tools/sim_cli.h"
 
 namespace occamy {
@@ -346,7 +347,7 @@ TEST(FaultCli, GoodFaultsAccepted) {
 struct FaultHarness {
   explicit FaultHarness(const std::string& spec,
                         transport::TransportConfig config = {})
-      : sim(7), net(&sim) {
+      : engine(Microseconds(1), 7), net(engine.net) {
     net::StarConfig cfg;
     cfg.num_hosts = 4;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -371,8 +372,11 @@ struct FaultHarness {
     return manager->StartFlow(p);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  void Run() { engine.Run(); }
+  void RunUntil(Time t) { engine.RunUntil(t); }
+
+  testing::OneShardNet engine;
+  net::Network& net;
   net::StarTopology topo;
   std::optional<fault::FaultInjector> injector;
   std::unique_ptr<transport::FlowManager> manager;
@@ -386,7 +390,7 @@ TEST(FaultTransport, RtoBackoffClampsAtMaxRtoUnderSustainedBlackhole) {
   // no ACK ever returns, the sender times out forever.
   FaultHarness h("blackhole:node=sw0,port=1", config);
   const uint64_t id = h.Flow(0, 1, 100000);
-  h.sim.RunUntil(Milliseconds(400));
+  h.RunUntil(Milliseconds(400));
 
   transport::Connection* conn = h.manager->FindConnection(id);
   ASSERT_NE(conn, nullptr);
@@ -418,7 +422,7 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
   int64_t last_rto_count = -1;
   Time t = 0;
   for (; t < Milliseconds(100); t += Microseconds(1)) {
-    h.sim.RunUntil(t);
+    h.RunUntil(t);
     const transport::Connection* conn = h.manager->FindConnection(id);
     if (conn == nullptr && t > 0) break;
     if (conn == nullptr) continue;
@@ -431,7 +435,7 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
   EXPECT_EQ(last_backoff, 0) << "new ACKs reset the backoff";
   EXPECT_GE(last_rto_count, 1) << "the outage must actually have bitten";
   const int64_t rtos_at_completion = h.manager->counters().rtos;
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->counters().rtos, rtos_at_completion) << "no RTO after completion";
   EXPECT_EQ(h.injector->Totals().faults_injected, 2)
       << "blackhole on + off";
@@ -442,8 +446,8 @@ TEST(FaultTransport, CompleteCancelsRtoTimerAfterBlackholeLifts) {
 // duplicate completion records from retransmits racing the new path), and
 // the whole batch finishes despite the mid-flow outage.
 TEST(FaultTransport, InFlightPacketsSurviveEcmpRehashWithoutDuplicateCompletion) {
-  sim::Simulator sim(7);
-  net::Network net(&sim);
+  testing::OneShardNet h(Microseconds(10), 7);
+  net::Network& net = h.net;
   net::LeafSpineConfig cfg;
   cfg.num_spines = 2;
   cfg.num_leaves = 2;
@@ -477,7 +481,7 @@ TEST(FaultTransport, InFlightPacketsSurviveEcmpRehashWithoutDuplicateCompletion)
     p.start_time = Microseconds(50 * i);
     ids.push_back(manager.StartFlow(p));
   }
-  sim.RunUntil(Milliseconds(400));
+  h.RunUntil(Milliseconds(400));
 
   EXPECT_GT(injector->Totals().reroutes, 0);
   std::map<uint64_t, int> completions_per_flow;

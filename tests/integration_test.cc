@@ -63,7 +63,7 @@ BurstResult RunBurst(Scheme scheme, double alpha, int64_t burst_bytes) {
   workload::OpenLoopSender burst_sender(&s.net, burst);
   burst_sender.Start();
 
-  s.sim.RunUntil(Milliseconds(4));
+  s.ssim.RunUntil(Milliseconds(4));
   result.burst_packets = burst_sender.packets_sent();
   result.delivered_to_burst_receiver = s.topo.host(s.net, 3).rx_packets();
   return result;
@@ -101,7 +101,6 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
   // expulsion uses only redundant memory bandwidth.
   const BurstResult dt = RunBurst(Scheme::kDt, 4.0, 0);     // no burst: pure egress
   const BurstResult occ = RunBurst(Scheme::kOccamy, 4.0, 0);
-  sim::Simulator sim_dt, sim_occ;
   // Compare long-lived deliveries at receiver 2 via a dedicated run below.
   (void)dt;
   (void)occ;
@@ -130,7 +129,7 @@ TEST(LineRateTest, ExpulsionDoesNotDegradeEgress) {
     second.flow_id = net::Network::kOpenLoopFlowIdBase + 2;
     workload::OpenLoopSender sender2(&s.net, second);
     sender2.Start();
-    s.sim.RunUntil(Milliseconds(2));
+    s.ssim.RunUntil(Milliseconds(2));
     return s.topo.host(s.net, 2).rx_bytes() + s.topo.host(s.net, 3).rx_bytes();
   };
   const int64_t dt_bytes = run_delivered(Scheme::kDt);
@@ -191,7 +190,7 @@ TEST(ChokingTest, OccamyShieldsHighPriorityFromLowPriorityBuffer) {
     q.start = Milliseconds(10);  // after LP queues are established
     const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
     const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
-    s.sim.RunUntil(Milliseconds(300));
+    s.ssim.RunUntil(Milliseconds(300));
     const stats::CompletionCollector qct =
         workload::DeriveIncastQct(incast, ids, s.manager->completions(), nullptr);
     EXPECT_EQ(qct.Count(), incast.queries.size());
@@ -247,7 +246,7 @@ TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
     run.seed = seed;
     const StarSpec star = MakeDpdkStarSpec(run);
     const Time duration = DpdkDuration(run, star, BenchScale::kDefault);
-    ShardedStarScenario s(star, /*use_threads=*/false);
+    StarScenario s(star, /*use_threads=*/false);
     const auto lp = StartDpdkLpStreams(run, s, duration);
     const workload::PregeneratedIncast incast = workload::PregenerateIncast(
         MakeDpdkQueryConfig(run, s.topo.hosts, star, duration, s.IdealFn(), nullptr));
@@ -287,7 +286,7 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
   const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
 
-  s.sim.RunUntil(Milliseconds(60));
+  s.ssim.RunUntil(Milliseconds(60));
   EXPECT_GT(bg_ids.size(), 0u);
   EXPECT_GT(incast.queries.size(), 3u);
   const stats::CompletionCollector qct =

@@ -7,6 +7,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/workload/open_loop.h"
+#include "tests/one_shard.h"
 
 namespace occamy::net {
 namespace {
@@ -20,8 +21,8 @@ SwitchConfig MinimalSwitch() {
 }
 
 TEST(SwitchConfigTest, EmptyRateVectorsDefault) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   auto sw = std::make_unique<SwitchNode>(MinimalSwitch());
   SwitchNode* ptr = sw.get();
   net.AddNode(std::move(sw));
@@ -31,8 +32,8 @@ TEST(SwitchConfigTest, EmptyRateVectorsDefault) {
 }
 
 TEST(SwitchTest, RouteMissDropsSilently) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   auto sw = std::make_unique<SwitchNode>(MinimalSwitch());
   SwitchNode* ptr = sw.get();
   net.AddNode(std::move(sw));
@@ -45,8 +46,8 @@ TEST(SwitchTest, RouteMissDropsSilently) {
 }
 
 TEST(HostTest, TxQueueLimitDropsExcess) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -72,8 +73,8 @@ TEST(HostTest, TxQueueLimitDropsExcess) {
 }
 
 TEST(OpenLoopTest, StopsAtTotalBytes) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -86,14 +87,14 @@ TEST(OpenLoopTest, StopsAtTotalBytes) {
   ol.total_bytes = 5500;  // 6 packets (last one crosses the limit)
   workload::OpenLoopSender sender(&net, ol);
   sender.Start();
-  sim.Run();
+  h.Run();
   EXPECT_EQ(sender.packets_sent(), 6);
   EXPECT_EQ(topo.host(net, 1).rx_packets(), 6);
 }
 
 TEST(OpenLoopTest, StopsAtStopTime) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -106,22 +107,22 @@ TEST(OpenLoopTest, StopsAtStopTime) {
   ol.stop = Microseconds(10);
   workload::OpenLoopSender sender(&net, ol);
   sender.Start();
-  sim.Run();
+  h.Run();
   // Injection every 1us from t=0 through t=10: 11 packets.
   EXPECT_EQ(sender.packets_sent(), 11);
 }
 
 TEST(NetworkTest, NodeIdsSequential) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   EXPECT_EQ(net.AddNode(std::make_unique<Host>()), 0u);
   EXPECT_EQ(net.AddNode(std::make_unique<Host>()), 1u);
   EXPECT_EQ(net.num_nodes(), 2u);
 }
 
 TEST(NetworkTest, FlowIdsUnique) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(2));
+  Network& net = h.net;
   const uint64_t a = net.NextFlowId();
   const uint64_t b = net.NextFlowId();
   EXPECT_NE(a, b);

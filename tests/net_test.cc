@@ -1,16 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
-#include "src/sim/sharded_simulator.h"
 #include "src/workload/open_loop.h"
+#include "tests/one_shard.h"
 
 namespace occamy::net {
 namespace {
@@ -32,8 +30,8 @@ StarTopology MakeStar(Network& net, int hosts = 4, Bandwidth rate = Bandwidth::G
 }
 
 TEST(StarTest, PacketDeliveredEndToEnd) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   auto topo = MakeStar(net);
   int received = 0;
   topo.host(net, 1).set_receiver([&](const Packet& p) {
@@ -45,13 +43,14 @@ TEST(StarTest, PacketDeliveredEndToEnd) {
   pkt.dst = topo.hosts[1];
   pkt.size_bytes = 1500;
   topo.host(net, 0).Send(pkt);
-  sim.Run();
+  h.Run();
   EXPECT_EQ(received, 1);
 }
 
 TEST(StarTest, EndToEndLatencyIsSerializationPlusPropagation) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
+  sim::Simulator& sim = h.sim;
   auto topo = MakeStar(net, 4, Bandwidth::Gbps(10));
   Time arrival = -1;
   topo.host(net, 1).set_receiver([&](const Packet&) { arrival = sim.now(); });
@@ -60,14 +59,15 @@ TEST(StarTest, EndToEndLatencyIsSerializationPlusPropagation) {
   pkt.dst = topo.hosts[1];
   pkt.size_bytes = 1250;  // 1us at 10G
   topo.host(net, 0).Send(pkt);
-  sim.Run();
+  h.Run();
   // host tx (1us) + prop (1us) + switch tx (1us) + prop (1us) = 4us.
   EXPECT_EQ(arrival, Microseconds(4));
 }
 
 TEST(StarTest, NicSerializesBackToBack) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
+  sim::Simulator& sim = h.sim;
   auto topo = MakeStar(net);
   std::vector<Time> arrivals;
   topo.host(net, 1).set_receiver([&](const Packet&) { arrivals.push_back(sim.now()); });
@@ -78,7 +78,7 @@ TEST(StarTest, NicSerializesBackToBack) {
     pkt.size_bytes = 1250;
     topo.host(net, 0).Send(pkt);
   }
-  sim.Run();
+  h.Run();
   ASSERT_EQ(arrivals.size(), 3u);
   // Pipelined: spaced by one serialization time (1us).
   EXPECT_EQ(arrivals[1] - arrivals[0], Microseconds(1));
@@ -87,8 +87,8 @@ TEST(StarTest, NicSerializesBackToBack) {
 
 TEST(StarTest, SwitchQueuesWhenReceiverSlower) {
   // 100G sender into a 10G receiver port: packets pile up in the switch.
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rates = {Bandwidth::Gbps(100), Bandwidth::Gbps(10)};
@@ -104,16 +104,16 @@ TEST(StarTest, SwitchQueuesWhenReceiverSlower) {
   ol.total_bytes = 150000;  // 100 packets
   workload::OpenLoopSender sender(&net, ol);
   sender.Start();
-  sim.RunUntil(Microseconds(13));
+  h.RunUntil(Microseconds(13));
   auto& sw = topo.sw(net);
   EXPECT_GT(sw.QueueLengthBytes(1, 0), 50000);  // backlog on the 10G port
-  sim.Run();
+  h.Run();
   EXPECT_EQ(topo.host(net, 1).rx_packets(), 100);  // all eventually delivered
 }
 
 TEST(StarTest, PartitioningSplitsPorts) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 16;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -130,8 +130,8 @@ TEST(StarTest, PartitioningSplitsPorts) {
 }
 
 TEST(StarTest, DropHookFiresOnOverload) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   StarConfig cfg;
   cfg.num_hosts = 2;
   cfg.host_rates = {Bandwidth::Gbps(100), Bandwidth::Gbps(10)};
@@ -148,7 +148,7 @@ TEST(StarTest, DropHookFiresOnOverload) {
   ol.total_bytes = 1500 * 500;
   workload::OpenLoopSender sender(&net, ol);
   sender.Start();
-  sim.Run();
+  h.Run();
   EXPECT_GT(drops, 0);
   EXPECT_EQ(drops, topo.sw(net).TotalDrops());
   // Conservation: sent = delivered + dropped.
@@ -170,68 +170,48 @@ class RecordingFaultHook : public FaultHook {
   std::vector<Key> keys;
 };
 
-// A switch with two partitions sends from two lanes. Each lane numbers its
-// own deliveries, and the fault draws see the same (lane, seq) keys on the
-// legacy engine as at --shards=1.
+// A switch with two partitions sends from two lanes, and each lane numbers
+// its own deliveries: the fault draws see (lane, seq) keys 0, 1, ... per
+// lane.
 TEST(LaneDeliveryTest, FaultDrawKeysMatchAcrossEngines) {
-  std::vector<std::vector<RecordingFaultHook::Key>> keys_by_engine;
-  for (const int shards : {0, 1}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    std::optional<sim::Simulator> sim;
-    std::optional<sim::ShardedSimulator> ssim;
-    std::optional<Network> net;
-    if (shards == 0) {
-      sim.emplace();
-      net.emplace(&*sim);
-    } else {
-      ssim.emplace(sim::ShardedSimulator::Options{.shards = 1, .lookahead = Microseconds(1)});
-      net.emplace(&*ssim, [](NodeId) { return 0; });
-    }
-    StarConfig cfg;
-    cfg.num_hosts = 4;
-    cfg.host_rate = Bandwidth::Gbps(10);
-    cfg.link_propagation = Microseconds(1);
-    cfg.switch_config = SmallSwitchConfig();
-    cfg.switch_config.ports_per_partition = 2;  // lane 0: ports 0-1, lane 1: ports 2-3
-    auto topo = BuildStar(*net, cfg);
-    ASSERT_EQ(topo.sw(*net).num_partitions(), 2);
-    RecordingFaultHook hook;
-    net->set_fault_injector(&hook);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
+  StarConfig cfg;
+  cfg.num_hosts = 4;
+  cfg.host_rate = Bandwidth::Gbps(10);
+  cfg.link_propagation = Microseconds(1);
+  cfg.switch_config = SmallSwitchConfig();
+  cfg.switch_config.ports_per_partition = 2;  // lane 0: ports 0-1, lane 1: ports 2-3
+  auto topo = BuildStar(net, cfg);
+  ASSERT_EQ(topo.sw(net).num_partitions(), 2);
+  RecordingFaultHook hook;
+  net.set_fault_injector(&hook);
 
-    // Host 2 -> host 1 leaves the switch on lane 0, host 0 -> host 3 on
-    // lane 1, at the same times. One egress port per lane keeps each
-    // lane's send order independent of how same-time events are ordered.
-    for (const auto& [src, dst] : {std::pair{2, 1}, std::pair{0, 3}}) {
-      for (uint64_t k = 0; k < 5; ++k) {
-        Packet pkt;
-        pkt.flow_id = static_cast<uint64_t>(src) + 1;
-        pkt.seq = k;
-        pkt.src = topo.hosts[static_cast<size_t>(src)];
-        pkt.dst = topo.hosts[static_cast<size_t>(dst)];
-        pkt.size_bytes = 1000;
-        topo.host(*net, src).Send(pkt);
-      }
+  // Host 2 -> host 1 leaves the switch on lane 0, host 0 -> host 3 on
+  // lane 1, at the same times.
+  for (const auto& [src, dst] : {std::pair{2, 1}, std::pair{0, 3}}) {
+    for (uint64_t k = 0; k < 5; ++k) {
+      Packet pkt;
+      pkt.flow_id = static_cast<uint64_t>(src) + 1;
+      pkt.seq = k;
+      pkt.src = topo.hosts[static_cast<size_t>(src)];
+      pkt.dst = topo.hosts[static_cast<size_t>(dst)];
+      pkt.size_bytes = 1000;
+      topo.host(net, src).Send(pkt);
     }
-    if (ssim) {
-      ssim->RunUntil(Milliseconds(1));
-    } else {
-      sim->RunUntil(Milliseconds(1));
-    }
-    EXPECT_EQ(topo.host(*net, 1).rx_packets(), 5);
-    EXPECT_EQ(topo.host(*net, 3).rx_packets(), 5);
-
-    // Every lane that sent numbered its deliveries 0, 1, ... in order.
-    std::map<std::pair<NodeId, int>, uint64_t> next_seq;
-    for (const auto& [from, lane, seq, flow, pkt_seq] : hook.keys) {
-      const uint64_t expected = next_seq[std::pair(from, lane)]++;
-      EXPECT_EQ(seq, expected) << "node " << from << " lane " << lane;
-    }
-    EXPECT_EQ(next_seq[std::pair(topo.switch_id, 0)], 5u);
-    EXPECT_EQ(next_seq[std::pair(topo.switch_id, 1)], 5u);
-    std::sort(hook.keys.begin(), hook.keys.end());
-    keys_by_engine.push_back(hook.keys);
   }
-  EXPECT_EQ(keys_by_engine[0], keys_by_engine[1]);
+  h.RunUntil(Milliseconds(1));
+  EXPECT_EQ(topo.host(net, 1).rx_packets(), 5);
+  EXPECT_EQ(topo.host(net, 3).rx_packets(), 5);
+
+  // Every lane that sent numbered its deliveries 0, 1, ... in order.
+  std::map<std::pair<NodeId, int>, uint64_t> next_seq;
+  for (const auto& [from, lane, seq, flow, pkt_seq] : hook.keys) {
+    const uint64_t expected = next_seq[std::pair(from, lane)]++;
+    EXPECT_EQ(seq, expected) << "node " << from << " lane " << lane;
+  }
+  EXPECT_EQ(next_seq[std::pair(topo.switch_id, 0)], 5u);
+  EXPECT_EQ(next_seq[std::pair(topo.switch_id, 1)], 5u);
 }
 
 // ---------- Leaf-spine ----------
@@ -250,8 +230,8 @@ LeafSpineConfig SmallFabric() {
 }
 
 TEST(LeafSpineTest, TopologyShape) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   EXPECT_EQ(topo.num_hosts(), 8);
   EXPECT_EQ(topo.leaves.size(), 2u);
@@ -263,8 +243,8 @@ TEST(LeafSpineTest, TopologyShape) {
 }
 
 TEST(LeafSpineTest, IntraRackDelivery) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   int received = 0;
   topo.host(net, 1).set_receiver([&](const Packet&) { ++received; });
@@ -273,13 +253,13 @@ TEST(LeafSpineTest, IntraRackDelivery) {
   pkt.dst = topo.hosts[1];
   pkt.size_bytes = 1000;
   topo.host(net, 0).Send(pkt);
-  sim.Run();
+  h.Run();
   EXPECT_EQ(received, 1);
 }
 
 TEST(LeafSpineTest, CrossRackDelivery) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   int received = 0;
   topo.host(net, 5).set_receiver([&](const Packet&) { ++received; });
@@ -289,13 +269,13 @@ TEST(LeafSpineTest, CrossRackDelivery) {
   pkt.size_bytes = 1000;
   pkt.flow_id = 42;
   topo.host(net, 0).Send(pkt);
-  sim.Run();
+  h.Run();
   EXPECT_EQ(received, 1);
 }
 
 TEST(LeafSpineTest, EcmpSpreadsFlowsAcrossSpines) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   LeafSpineConfig cfg = SmallFabric();
   cfg.num_spines = 4;
   auto topo = BuildLeafSpine(net, cfg);
@@ -314,7 +294,7 @@ TEST(LeafSpineTest, EcmpSpreadsFlowsAcrossSpines) {
     pkt.size_bytes = 100;
     topo.host(net, 0).Send(pkt);
   }
-  sim.Run();
+  h.Run();
   EXPECT_EQ(received, kFlows);
   for (size_t s = 0; s < topo.spines.size(); ++s) {
     const int64_t enq = topo.spine(net, static_cast<int>(s)).TotalEnqueued();
@@ -324,8 +304,8 @@ TEST(LeafSpineTest, EcmpSpreadsFlowsAcrossSpines) {
 }
 
 TEST(LeafSpineTest, SameFlowStaysOnOnePath) {
-  sim::Simulator sim;
-  Network net(&sim);
+  testing::OneShardNet h(Microseconds(1));
+  Network& net = h.net;
   auto topo = BuildLeafSpine(net, SmallFabric());
   // All packets of one flow must traverse exactly one spine.
   for (int f = 1; f <= 20; ++f) {
@@ -338,7 +318,7 @@ TEST(LeafSpineTest, SameFlowStaysOnOnePath) {
       topo.host(net, 0).Send(pkt);
     }
   }
-  sim.Run();
+  h.Run();
   // Each flow's 5 packets landed on a single spine: counts are multiples of 5.
   for (size_t s = 0; s < topo.spines.size(); ++s) {
     const int64_t enq = topo.spine(net, static_cast<int>(s)).TotalEnqueued();

@@ -359,8 +359,8 @@ TEST(ProfileReportTest, AggregatesSpansPerShard) {
 }
 
 TEST(ProfileReportTest, RunCoreFallbackWhenNoWindowSpans) {
-  // Single-threaded runs emit run.core spans only; busy time must fall back
-  // to them instead of reading zero.
+  // A bare Simulator's run emits run.core spans only; busy time must fall
+  // back to them instead of reading zero.
   std::vector<TraceEvent> events;
   TraceEvent core;
   core.name = kSpanRunCore;
@@ -445,7 +445,7 @@ TEST(ProfileReportTest, WindowBatchingLineAggregatesPlanSpanArgs) {
 }
 
 TEST(ProfileReportTest, NoWindowBatchingLineWithoutPlanRounds) {
-  // A single-threaded run has no plan spans at all; the report must omit
+  // A bare Simulator's run has no plan spans at all; the report must omit
   // the batching line instead of dividing by zero rounds.
   std::vector<TraceEvent> events;
   TraceEvent core;

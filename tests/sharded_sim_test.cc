@@ -221,7 +221,7 @@ TEST(ShardedSimTest, RunUntilAdvancesAllClocksAndHopsEmptyWindows) {
 
 // ---- window batching ----
 
-// Every window-batch setting (adaptive, legacy, fixed, max) must produce
+// Every window-batch setting (adaptive, one window, fixed, max) must produce
 // the same arrival logs as batch=1 — batching only elides plan rounds,
 // never a drain — across shard counts and threading modes.
 TEST(ShardedSimTest, WindowBatchSettingsAreByteIdentical) {
@@ -292,18 +292,18 @@ TEST(ShardedSimTest, AdaptiveBatchingReducesBarrierRounds) {
                     ssim.max_window_batch()};
   };
 
-  const Counters legacy = run(1);
+  const Counters per_window = run(1);
   const Counters adaptive = run(0);
-  EXPECT_EQ(legacy.rounds, static_cast<uint64_t>(kBusyWindows));
-  EXPECT_EQ(legacy.max_batch, 1u);
-  EXPECT_LT(adaptive.rounds, legacy.rounds);
+  EXPECT_EQ(per_window.rounds, static_cast<uint64_t>(kBusyWindows));
+  EXPECT_EQ(per_window.max_batch, 1u);
+  EXPECT_LT(adaptive.rounds, per_window.rounds);
   EXPECT_GT(adaptive.max_batch, 1u);
   // Batching changes how many barriers ran, never how many windows did.
-  EXPECT_EQ(adaptive.executed, legacy.executed);
+  EXPECT_EQ(adaptive.executed, per_window.executed);
 }
 
 // A drain fence at every window start forces the planner back to the
-// legacy schedule: no batch may cross a fence, so barrier rounds match
+// one-window schedule: no batch may cross a fence, so barrier rounds match
 // batch=1 exactly. This is the alignment guarantee fault toggles rely on.
 TEST(ShardedSimTest, DrainFencesForceBarrierRounds) {
   static constexpr int kBusyWindows = 32;
@@ -324,9 +324,9 @@ TEST(ShardedSimTest, DrainFencesForceBarrierRounds) {
     return ssim.windows_run();
   };
 
-  const uint64_t legacy_rounds = run(1, false);
-  EXPECT_EQ(run(16, true), legacy_rounds);   // fenced: batching disabled
-  EXPECT_LT(run(16, false), legacy_rounds);  // unfenced: batching engages
+  const uint64_t per_window_rounds = run(1, false);
+  EXPECT_EQ(run(16, true), per_window_rounds);   // fenced: batching disabled
+  EXPECT_LT(run(16, false), per_window_rounds);  // unfenced: batching engages
 }
 
 // Stop() inside a k-window batch halts at the *current* window's barrier —

@@ -10,6 +10,7 @@
 #include "src/bm/dynamic_threshold.h"
 #include "src/net/topology.h"
 #include "src/transport/flow_manager.h"
+#include "tests/one_shard.h"
 
 namespace occamy::transport {
 namespace {
@@ -19,8 +20,9 @@ class TransportSweepTest
 
 TEST_P(TransportSweepTest, AllFlowsComplete) {
   const auto [cc, buffer, num_flows] = GetParam();
-  sim::Simulator sim(static_cast<uint64_t>(buffer) + static_cast<uint64_t>(num_flows));
-  net::Network net(&sim);
+  testing::OneShardNet h(Microseconds(1),
+                         static_cast<uint64_t>(buffer) + static_cast<uint64_t>(num_flows));
+  net::Network& net = h.net;
   net::StarConfig cfg;
   cfg.num_hosts = 8;
   cfg.host_rate = Bandwidth::Gbps(10);
@@ -46,7 +48,7 @@ TEST_P(TransportSweepTest, AllFlowsComplete) {
     p.start_time = Microseconds(static_cast<int64_t>(rng.UniformInt(2000)));
     manager.StartFlow(p);
   }
-  sim.RunUntil(Seconds(5));
+  h.RunUntil(Seconds(5));
   EXPECT_EQ(manager.counters().flows_completed, num_flows);
   EXPECT_EQ(manager.completions().Count(), static_cast<size_t>(num_flows));
   for (const auto& rec : manager.completions().records()) {
@@ -74,8 +76,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Deterministic replay: identical seeds produce identical completion times.
 TEST(TransportDeterminismTest, IdenticalSeedsIdenticalResults) {
   auto run = [] {
-    sim::Simulator sim(1234);
-    net::Network net(&sim);
+    testing::OneShardNet h(Microseconds(2), 1234);
+    net::Network& net = h.net;
     net::StarConfig cfg;
     cfg.num_hosts = 4;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -93,7 +95,7 @@ TEST(TransportDeterminismTest, IdenticalSeedsIdenticalResults) {
       p.size_bytes = 200000;
       manager.StartFlow(p);
     }
-    sim.Run();
+    h.Run();
     std::vector<Time> ends;
     for (const auto& rec : manager.completions().records()) ends.push_back(rec.end);
     return ends;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "src/sim/sharded_simulator.h"
 #include "src/transport/flow_manager.h"
 #include "src/workload/open_loop.h"
+#include "tests/one_shard.h"
 
 namespace occamy::transport {
 namespace {
@@ -17,7 +17,7 @@ namespace {
 struct Harness {
   explicit Harness(int hosts = 4, Bandwidth rate = Bandwidth::Gbps(10),
                    int64_t buffer = 500000, int64_t ecn_threshold = 0)
-      : sim(7), net(&sim) {
+      : engine(Microseconds(1), 7), net(engine.net) {
     net::StarConfig cfg;
     cfg.num_hosts = hosts;
     cfg.host_rate = rate;
@@ -43,8 +43,11 @@ struct Harness {
     return manager->StartFlow(p);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  void Run() { engine.Run(); }
+  void RunUntil(Time t) { engine.RunUntil(t); }
+
+  testing::OneShardNet engine;
+  net::Network& net;
   net::StarTopology topo;
   std::unique_ptr<FlowManager> manager;
 };
@@ -52,7 +55,7 @@ struct Harness {
 TEST(TransportTest, SingleFlowCompletesExactly) {
   Harness h;
   h.Flow(0, 1, 100000);
-  h.sim.Run();
+  h.Run();
   ASSERT_EQ(h.manager->completions().Count(), 1u);
   const auto& rec = h.manager->completions().records()[0];
   EXPECT_EQ(rec.bytes, 100000);
@@ -63,7 +66,7 @@ TEST(TransportTest, SingleFlowCompletesExactly) {
 TEST(TransportTest, TinyFlowSingleSegment) {
   Harness h;
   h.Flow(0, 1, 100);
-  h.sim.Run();
+  h.Run();
   ASSERT_EQ(h.manager->completions().Count(), 1u);
   EXPECT_EQ(h.manager->counters().data_packets_sent, 1);
   EXPECT_EQ(h.manager->counters().acks_sent, 1);
@@ -74,7 +77,7 @@ TEST(TransportTest, UncongestedFctNearIdeal) {
   // 50 segments at 10G through 4 hops; no competition.
   const int64_t bytes = 50 * 1460;
   h.Flow(0, 1, bytes);
-  h.sim.Run();
+  h.Run();
   const auto& rec = h.manager->completions().records()[0];
   // Ideal: serialization of 50*1500B at 10G (~60us) + ~2 RTTs of slow start
   // ramp + base RTT (~8us). Require within 3x of the transfer time.
@@ -87,7 +90,7 @@ TEST(TransportTest, ThroughputReachesLineRate) {
   Harness h;
   const int64_t bytes = 4 * 1000 * 1000;  // 4 MB
   h.Flow(0, 1, bytes);
-  h.sim.Run();
+  h.Run();
   const auto& rec = h.manager->completions().records()[0];
   const double seconds = ToSeconds(rec.Duration());
   const double goodput = static_cast<double>(bytes) / seconds;  // bytes/s
@@ -102,10 +105,10 @@ TEST(TransportTest, DctcpKeepsQueueNearEcnThreshold) {
   // Sample the receiver port queue during steady state.
   int64_t max_q = 0;
   for (Time t = Milliseconds(2); t < Milliseconds(8); t += Microseconds(50)) {
-    h.sim.RunUntil(t);
+    h.RunUntil(t);
     max_q = std::max(max_q, h.topo.sw(h.net).QueueLengthBytes(1, 0));
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 2u);
   // DCTCP bounds the queue: well below the 500KB buffer, in the vicinity of
   // K plus a few BDP of overshoot.
@@ -117,7 +120,7 @@ TEST(TransportTest, EcnAvoidsLossEntirely) {
   Harness h(4, Bandwidth::Gbps(10), 500000, /*ecn_threshold=*/30000);
   h.Flow(0, 1, 2 * 1000 * 1000);
   h.Flow(2, 1, 2 * 1000 * 1000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.topo.sw(h.net).TotalDrops(), 0);
   EXPECT_EQ(h.manager->counters().rtos, 0);
 }
@@ -127,7 +130,7 @@ TEST(TransportTest, RecoversFromLossWithTinyBuffer) {
   h.Flow(0, 1, 1000 * 1000);
   h.Flow(2, 1, 1000 * 1000);
   h.Flow(3, 1, 1000 * 1000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 3u);
   EXPECT_GT(h.topo.sw(h.net).TotalDrops(), 0);
   EXPECT_GT(h.manager->counters().fast_retransmits + h.manager->counters().rtos, 0);
@@ -140,7 +143,7 @@ TEST(TransportTest, RecoversFromLossWithTinyBuffer) {
 TEST(TransportTest, SevereIncastTriggersRtoButCompletes) {
   Harness h(8, Bandwidth::Gbps(10), /*buffer=*/40000, /*ecn=*/0);
   for (int s = 1; s < 8; ++s) h.Flow(s, 0, 300000);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 7u);
   EXPECT_GT(h.manager->counters().rtos, 0);
 }
@@ -149,7 +152,7 @@ TEST(TransportTest, CubicFlowCompletes) {
   Harness h(4, Bandwidth::Gbps(10), 100000, 0);
   h.Flow(0, 1, 3 * 1000 * 1000, CcAlgorithm::kCubic);
   h.Flow(2, 1, 3 * 1000 * 1000, CcAlgorithm::kCubic);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 2u);
   const double goodput = 3.0e6 / ToSeconds(h.manager->completions().records()[0].Duration());
   EXPECT_GT(goodput, 3.0e8);  // both flows share 1.25e9 B/s; ramp-up costs some
@@ -164,10 +167,10 @@ TEST(TransportTest, CubicIgnoresEcnMarks) {
   h.Flow(2, 1, 8 * 1000 * 1000, CcAlgorithm::kCubic);
   int64_t max_q = 0;
   for (Time t = Milliseconds(1); t < Milliseconds(6); t += Microseconds(50)) {
-    h.sim.RunUntil(t);
+    h.RunUntil(t);
     max_q = std::max(max_q, h.topo.sw(h.net).QueueLengthBytes(1, 0));
   }
-  h.sim.Run();
+  h.Run();
   // Queue grows far beyond the ECN threshold (DCTCP would have capped it).
   EXPECT_GT(max_q, 100000);
 }
@@ -175,28 +178,28 @@ TEST(TransportTest, CubicIgnoresEcnMarks) {
 TEST(TransportTest, RttEstimateConvergesAndRtoFloors) {
   Harness h;
   const uint64_t id = h.Flow(0, 1, 5 * 1000 * 1000);
-  h.sim.RunUntil(Microseconds(300));  // mid-transfer
+  h.RunUntil(Microseconds(300));  // mid-transfer
   Connection* conn = h.manager->FindConnection(id);
   ASSERT_NE(conn, nullptr);
   EXPECT_FALSE(conn->completed());
   // Base RTT ~8us; the min RTO floor (5ms) dominates RTO.
   EXPECT_EQ(conn->rto(), h.manager->config().min_rto);
-  h.sim.Run();
+  h.Run();
 }
 
 TEST(TransportTest, DctcpAlphaDecaysWithoutCongestion) {
   Harness h;
   const uint64_t id = h.Flow(0, 1, 2 * 1000 * 1000);
-  h.sim.RunUntil(Microseconds(500));
+  h.RunUntil(Microseconds(500));
   Connection* conn = h.manager->FindConnection(id);
   ASSERT_NE(conn, nullptr);
   const double early_alpha = conn->dctcp_alpha();
-  h.sim.RunUntil(Milliseconds(4));
+  h.RunUntil(Milliseconds(4));
   conn = h.manager->FindConnection(id);
   if (conn != nullptr) {
     EXPECT_LT(conn->dctcp_alpha(), early_alpha);  // decays from init toward 0
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), 1u);
 }
 
@@ -210,25 +213,19 @@ TEST(TransportTest, ManyParallelFlowsAllComplete) {
       ++n;
     }
   }
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->completions().Count(), static_cast<size_t>(n));
 }
 
-// A four-host star on either engine. shards == 0 is the legacy engine;
-// otherwise the sharded engine, with the first host (node 1; the switch is
-// node 0) on the last shard and every other node on shard 0.
+// A four-host star on `shards` shards, with the first host (node 1; the
+// switch is node 0) on the last shard and every other node on shard 0.
 struct EngineStar {
   static constexpr Time kPropagation = Microseconds(1);
 
-  explicit EngineStar(int shards) {
-    if (shards == 0) {
-      sim.emplace(7);
-      net.emplace(&*sim);
-    } else {
-      ssim.emplace(sim::ShardedSimulator::Options{
-          .shards = shards, .lookahead = kPropagation, .seed = 7});
-      net.emplace(&*ssim, [shards](net::NodeId id) { return id == 1 ? shards - 1 : 0; });
-    }
+  explicit EngineStar(int shards)
+      : ssim(sim::ShardedSimulator::Options{
+            .shards = shards, .lookahead = kPropagation, .seed = 7}),
+        net(&ssim, [shards](net::NodeId id) { return id == 1 ? shards - 1 : 0; }) {
     net::StarConfig cfg;
     cfg.num_hosts = 4;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -237,35 +234,28 @@ struct EngineStar {
     cfg.switch_config.scheme_factory = [] {
       return std::make_unique<bm::DynamicThreshold>();
     };
-    topo = net::BuildStar(*net, cfg);
-    manager = std::make_unique<FlowManager>(&*net);
+    topo = net::BuildStar(net, cfg);
+    manager = std::make_unique<FlowManager>(&net);
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
 
-  void RunUntil(Time t) {
-    if (ssim) {
-      ssim->RunUntil(t);
-    } else {
-      sim->RunUntil(t);
-    }
-  }
-  net::Host& host(int i) { return topo.host(*net, i); }
+  void RunUntil(Time t) { ssim.RunUntil(t); }
+  net::Host& host(int i) { return topo.host(net, i); }
 
-  std::optional<sim::Simulator> sim;
-  std::optional<sim::ShardedSimulator> ssim;
-  std::optional<net::Network> net;
+  sim::ShardedSimulator ssim;
+  net::Network net;
   net::StarTopology topo;
   std::unique_ptr<FlowManager> manager;
 };
 
 // A segment of a flow whose connection is already freed gets the ACK the
 // live receiver would send: cumulative over the whole flow, echoing the
-// segment's CE mark. The legacy engine, the 1-shard engine and a 2-shard
-// engine (source and destination on different shards) agree exactly.
+// segment's CE mark. The 1-shard engine and a 2-shard engine (source and
+// destination on different shards) agree exactly.
 TEST(FinishedFlowTest, LateSegmentDrawsTheFullAckOnEveryEngine) {
   constexpr int64_t kBytes = 20000;
   std::vector<FlowManager::Counters> totals;
-  for (const int shards : {0, 1, 2}) {
+  for (const int shards : {1, 2}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     EngineStar h(shards);
     FlowParams p;
@@ -369,7 +359,7 @@ TEST(TransportTest, SlowdownUsesIdealDuration) {
   p.size_bytes = 100000;
   p.ideal_duration = Microseconds(10);
   h.manager->StartFlow(p);
-  h.sim.Run();
+  h.Run();
   const auto slowdowns = h.manager->completions().Slowdowns();
   ASSERT_EQ(slowdowns.Count(), 1u);
   EXPECT_GT(slowdowns.Mean(), 1.0);

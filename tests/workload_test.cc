@@ -11,6 +11,7 @@
 #include "src/workload/collective.h"
 #include "src/workload/flow_size_dist.h"
 #include "src/workload/pregen.h"
+#include "tests/one_shard.h"
 
 namespace occamy::workload {
 namespace {
@@ -142,7 +143,7 @@ TEST(TreeTest, AllReduceEdgesAreValidPairs) {
 // ---------- Schedules on a live network ----------
 
 struct WorkloadHarness {
-  WorkloadHarness() : sim(11), net(&sim) {
+  WorkloadHarness() : engine(Microseconds(1), 11), net(engine.net) {
     net::StarConfig cfg;
     cfg.num_hosts = 8;
     cfg.host_rate = Bandwidth::Gbps(10);
@@ -157,8 +158,10 @@ struct WorkloadHarness {
     for (auto h : topo.hosts) manager->AttachHost(h);
   }
 
-  sim::Simulator sim;
-  net::Network net;
+  void Run() { engine.Run(); }
+
+  testing::OneShardNet engine;
+  net::Network& net;
   net::StarTopology topo;
   std::unique_ptr<transport::FlowManager> manager;
 };
@@ -181,7 +184,7 @@ TEST(PoissonFlowsTest, GeneratesExpectedFlowCount) {
     EXPECT_LE(f.start_time, cfg.stop);
   }
   StartFlows(*h.manager, flows);
-  h.sim.Run();
+  h.Run();
   const auto n = static_cast<int64_t>(flows.size());
   EXPECT_EQ(h.manager->counters().flows_started, n);
   // All flows eventually complete.
@@ -202,7 +205,7 @@ TEST(PoissonFlowsTest, OwnershipTracking) {
   const std::vector<uint64_t> ids = StartFlows(*h.manager, flows);
   ASSERT_EQ(ids.size(), flows.size());
   for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i + 1);
-  h.sim.Run();
+  h.Run();
   const auto& records = h.manager->completions().records();
   EXPECT_EQ(records.size(), flows.size());
   for (const auto& rec : records) {
@@ -228,7 +231,7 @@ TEST(IncastTest, SingleQueryQctRecorded) {
   EXPECT_EQ(incast.queries[0].issue_time, 0);
   EXPECT_EQ(incast.flows.size(), 7u);
   const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
-  h.sim.Run();
+  h.Run();
   const stats::CompletionCollector qct =
       DeriveIncastQct(incast, ids, h.manager->completions(), cfg.query_ideal_fn);
   ASSERT_EQ(qct.Count(), 1u);
@@ -260,7 +263,7 @@ TEST(IncastTest, PoissonQueriesComplete) {
     EXPECT_EQ(query.flow_indices.size(), 4u);
   }
   const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
-  h.sim.Run();
+  h.Run();
   const stats::CompletionCollector qct =
       DeriveIncastQct(incast, ids, h.manager->completions(), nullptr);
   EXPECT_EQ(qct.Count(), incast.queries.size());
@@ -296,7 +299,7 @@ TEST(IncastTest, ServersExcludeClient) {
     EXPECT_EQ(servers.size(), 7u) << "fanin distinct servers";
   }
   const std::vector<uint64_t> ids = StartFlows(*h.manager, incast.flows);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(DeriveIncastQct(incast, ids, h.manager->completions(), nullptr).Count(), 3u);
 }
 
@@ -319,7 +322,7 @@ TEST(CollectiveTest, AllReduceFlowsFollowTreeEdges) {
   ASSERT_GT(flows.size(), 0u);
   for (const auto& f : flows) EXPECT_TRUE(valid.count({f.src, f.dst}) > 0);
   StartFlows(*h.manager, flows);
-  h.sim.Run();
+  h.Run();
   EXPECT_EQ(h.manager->counters().flows_completed, static_cast<int64_t>(flows.size()));
 }
 

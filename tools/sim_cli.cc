@@ -245,16 +245,15 @@ std::string UsageString() {
          "  --alphas=<a,b,...>  alpha override, each at most 1e4: one value sets\n"
          "                      every traffic class, or give one per class\n"
          "                      (default: scheme-specific)\n"
-         "  --shards=<n>        run on the partition-parallel engine with n shards\n"
-         "                      (node-affinity sharding; byte-identical metrics\n"
-         "                      for any n; star/p4 scenarios take only n=1;\n"
-         "                      default: single-threaded engine)\n"
-         "  --window-batch=<k>  sharded engine: windows per plan-barrier round;\n"
-         "                      auto (default) adapts to the staged-mail signal and\n"
-         "                      window event density, 1 = one drain per window\n"
-         "                      (legacy), 2..16 = fixed batch. Metrics are byte-\n"
-         "                      identical at every setting; only barrier rounds\n"
-         "                      (windows_run) change\n"
+         "  --shards=<n>        run on the partition-parallel engine with n shards,\n"
+         "                      1..64 (node-affinity sharding; byte-identical\n"
+         "                      metrics for any n; star/p4 scenarios take only\n"
+         "                      n=1; default: 1)\n"
+         "  --window-batch=<k>  windows per plan-barrier round; auto (default)\n"
+         "                      adapts to the staged-mail signal and window event\n"
+         "                      density, 1 = one window per plan round, 2..16 =\n"
+         "                      fixed batch. Metrics are byte-identical at every\n"
+         "                      setting; only barrier rounds (windows_run) change\n"
          "  --faults=<spec>     deterministic fault schedule, e.g.\n"
          "                      link_down:t=2ms,dur=1ms,node=sw0,port=3;loss:rate=0.01\n"
          "                      (types: link_down link_up blackhole freeze restart\n"
@@ -391,7 +390,7 @@ int Main(int argc, const char* const* argv) {
                  "with -DOCCAMY_TRACE=ON\n");
     return 2;
   }
-  if (tracing) obs::TraceRecorder::Get().Start(std::max(1, opts.shards));
+  if (tracing) obs::TraceRecorder::Get().Start(opts.shards);
 
   const SimResult result = RunScenario(opts);
   if (!result.ok) {

@@ -28,8 +28,8 @@ struct SimOptions {
   uint64_t seed = 1;
   double duration_ms = 0;       // 0 = scenario default
   std::vector<double> alphas;   // per-class override; empty = scheme default
-  int shards = 0;               // fabric: 0 = single-threaded, N = sharded engine
-  int window_batch = 0;         // sharded engine: 0 = auto, 1 = legacy, N = fixed
+  int shards = 1;               // engine shards; above 1 on fabric scenarios only
+  int window_batch = 0;         // 0 = auto, 1 = one window per plan round, N = fixed
   std::string faults;           // fault schedule (src/fault grammar); empty = healthy
   bool degradation = false;     // also run the healthy twin; emit healthy_/delta_ fields
   bool profile = false;         // `profile` subcommand: print the trace report

@@ -140,11 +140,12 @@ std::string SweepUsageString() {
          "  --scale=<s>               smoke | default | full\n"
          "  --duration-ms=<ms>        traffic duration override (at most 1e6)\n"
          "  --shards=<n>              run every point on the partition-parallel\n"
-         "                            engine with n shards each (results unchanged;\n"
-         "                            star/p4 scenarios take only n=1; jobs is\n"
-         "                            capped so jobs x shards fits the CPU)\n"
-         "  --window-batch=<k>        sharded engine: windows per plan barrier\n"
-         "                            (auto = adaptive, 1 = legacy, 2..16 = fixed;\n"
+         "                            engine with n shards each (default: 1;\n"
+         "                            results unchanged; star/p4 scenarios take\n"
+         "                            only n=1; jobs is capped so jobs x shards\n"
+         "                            fits the CPU)\n"
+         "  --window-batch=<k>        windows per plan barrier (auto = adaptive,\n"
+         "                            1 = one window per plan round, 2..16 = fixed;\n"
          "                            results unchanged at every setting)\n"
          "  --faults=<spec>           fault schedule applied to every point (run\n"
          "                            condition, not a grid axis; src/fault grammar)\n"
