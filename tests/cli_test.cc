@@ -469,6 +469,36 @@ TEST(CliRun, TraceNeedsTheRecorderCompiledIn) {
   }
 }
 
+// benchmark/run.py traces star_choking_occamy for 15 ms at default scale
+// and fails a run whose per-shard trace ring fills. The default one-shard
+// engine must leave room: it adds four spans per planned batch of windows,
+// not per window, so no event is dropped and every shard stays under 60%
+// of the ring.
+TEST(CliRun, TracedChokingRunStaysInsideTheBenchmarkRing) {
+  if (!obs::kTraceCompiled) GTEST_SKIP() << "OCCAMY_TRACE=OFF build";
+  SimOptions opts;
+  opts.scenario = "choking";
+  opts.bm = "occamy";
+  opts.scale = "default";
+  opts.duration_ms = 15;
+  opts.seed = 1001;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+  recorder.Start(opts.shards);
+  const SimResult result = RunScenario(opts);
+  recorder.Stop();
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(recorder.dropped(), 0u);
+  std::vector<size_t> per_shard(static_cast<size_t>(recorder.shards()), 0);
+  for (const obs::TraceEvent& ev : recorder.SortedEvents()) {
+    ++per_shard[static_cast<size_t>(ev.shard)];
+  }
+  for (size_t shard = 0; shard < per_shard.size(); ++shard) {
+    EXPECT_LT(per_shard[shard], obs::TraceRecorder::kDefaultCapacity * 6 / 10)
+        << "shard " << shard;
+  }
+  recorder.Clear();
+}
+
 // --degradation appends the healthy twin's values and the faulted-minus-
 // healthy deltas.
 void ExpectDegradationFields(const std::string& json) {

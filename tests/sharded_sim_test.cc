@@ -158,6 +158,30 @@ TEST(ShardedSimTest, WindowBoundaryEdgeCases) {
   }
 }
 
+// A delivery's tiebreak counts its source lane's deliveries from the start
+// of the sending window, so a lane may send any number over a run: here
+// more than the 2^18 that one window's field holds.
+TEST(ShardedSimTest, LaneSequenceRestartsEveryWindow) {
+  constexpr int kPerWindow = 1024;
+  constexpr int kWindows = 300;  // 307,200 deliveries from one lane
+  for (const int shards : {1, 2}) {
+    sim::ShardedSimulator ssim(EngineOptions(shards, /*use_threads=*/false));
+    net::Network net(&ssim, [shards](net::NodeId id) { return static_cast<int>(id) % shards; });
+    net.AddNode(std::make_unique<RecordingNode>());
+    auto sink = std::make_unique<RecordingNode>();
+    RecordingNode* ptr = sink.get();
+    net.AddNode(std::move(sink));
+    for (int w = 0; w < kWindows; ++w) {
+      ssim.shard(net.shard_of(0)).At(w * kLookahead, [&net] {
+        for (int i = 0; i < kPerWindow; ++i) net.DeliverAfter(0, kLookahead, {1, 0}, MakePacket(7));
+      });
+    }
+    ssim.RunUntil((kWindows + 2) * kLookahead);
+    EXPECT_EQ(ptr->received.size(), static_cast<size_t>(kPerWindow) * kWindows)
+        << "shards=" << shards;
+  }
+}
+
 // Shards with no nodes (and no events) must not wedge the barrier protocol.
 TEST(ShardedSimTest, EmptyShardRunsToCompletion) {
   sim::ShardedSimulator ssim(EngineOptions(4));

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -330,6 +333,86 @@ TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
     }
   }
   EXPECT_GT(compactions, 20) << "the cancel storms must compact the heap";
+}
+
+// On a window grid, same-time events pop by (window, class, tiebreak): the
+// window a local event was scheduled in, or the window after the one a
+// delivery was sent in; then deliveries before local events; then the
+// insertion counter of local events or a delivery's tiebreak. Drivers in
+// windows 0..23 push local events and keyed deliveries (from 4 nodes and 3
+// lanes each) at a few shared times, including local events more than 15
+// windows ahead, whose saturated window field must still order them
+// exactly. The pop order must match a reference sort by the true key.
+TEST(EventQueueTest, WindowKeyOrdersSameTimeEventsAgainstReference) {
+  constexpr Time kWindow = 1000;
+  constexpr int kDriverWindows = 24;
+  struct Key {
+    Time time = 0;
+    int64_t window = 0;  // scheduling window (local) or the one after (delivery)
+    int cls = 0;         // 0 = delivery, 1 = local
+    uint64_t tiebreak = 0;
+    bool operator<(const Key& o) const {
+      return std::tie(time, window, cls, tiebreak) <
+             std::tie(o.time, o.window, o.cls, o.tiebreak);
+    }
+  };
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    Simulator sim;
+    sim.set_window(kWindow);
+    std::vector<Key> keys;
+    std::vector<int> popped;
+    uint64_t local_pushes = 0;
+    int64_t saturated = 0;
+    // Per (node, lane): the window of its last delivery and its count there.
+    std::map<std::pair<int, int>, std::pair<int64_t, uint64_t>> lanes;
+    // A few shared instants per window, so that many entries tie.
+    const auto pick_time = [&rng](Time from, int64_t max_windows) {
+      const int64_t w = from / kWindow + static_cast<int64_t>(rng.UniformInt(
+                                             static_cast<uint64_t>(max_windows)));
+      const Time offsets[] = {0, 7, kWindow - 1};
+      return std::max(from, w * kWindow + offsets[rng.UniformInt(3)]);
+    };
+    const auto drive = [&]() {
+      const Time now = sim.now();
+      const int64_t window = now / kWindow;
+      for (int k = 0; k < 6; ++k) {
+        const int id = static_cast<int>(keys.size());
+        if (rng.Bernoulli(0.5)) {
+          // A local event, now and then more than 15 windows ahead.
+          const Time t = rng.Bernoulli(0.2) ? pick_time(now + 16 * kWindow, 4)
+                                            : pick_time(now, 4);
+          saturated += t / kWindow - window > 15 ? 1 : 0;
+          keys.push_back({t, window, 1, local_pushes++});
+          sim.At(t, [&popped, id] { popped.push_back(id); });
+        } else {
+          // A delivery, which enters the next window and lands within 15
+          // windows of it.
+          const Time t = pick_time((window + 1) * kWindow, 15);
+          const int node = static_cast<int>(rng.UniformInt(4));
+          const int lane = static_cast<int>(rng.UniformInt(3));
+          auto& [lane_window, count] = lanes[{node, lane}];
+          if (lane_window != window) lane_window = window, count = 0;
+          const uint64_t tiebreak = (static_cast<uint64_t>(node) << 24) |
+                                    (static_cast<uint64_t>(lane) << 18) | count++;
+          keys.push_back({t, window + 1, 0, tiebreak});
+          sim.AtOrdered(t, sim.DeliveryOrder(t, tiebreak), [&popped, id] { popped.push_back(id); });
+        }
+      }
+    };
+    // Drivers are local events too; they record nothing and are pushed
+    // first, so every recorded entry is pushed by a running driver.
+    for (int d = 0; d < 3 * kDriverWindows; ++d) {
+      sim.At(static_cast<Time>(rng.UniformInt(kDriverWindows * kWindow)), drive);
+    }
+    sim.Run();
+    std::vector<int> expected(keys.size());
+    for (size_t i = 0; i < expected.size(); ++i) expected[i] = static_cast<int>(i);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&keys](int a, int b) { return keys[a] < keys[b]; });
+    ASSERT_EQ(popped, expected) << "seed " << seed;
+    EXPECT_GT(saturated, 0) << "seed " << seed;
+  }
 }
 
 TEST(EventQueueTest, NullCallbackIsRejectedAtPush) {
