@@ -20,7 +20,8 @@
 // Lanes. A switch sends from one *lane* per buffer partition (its
 // TmPartitions; BindNodeLanes sizes the per-lane delivery counters). A
 // lane is only a partition index: every lane runs on its node's shard, and
-// the source lane just refines the merge key and keys the fault draws.
+// the source lane just refines the delivery's order and keys the fault
+// draws.
 #pragma once
 
 #include <algorithm>
