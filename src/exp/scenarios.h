@@ -185,8 +185,8 @@ struct FabricSpec {
 };
 
 // Builds the leaf-spine config (scale geometry, buffer density, ECN, BM
-// scheme).
-// `buffer_per_partition` receives the derived per-partition buffer size.
+// scheme). `buffer_per_partition` receives the derived per-partition
+// buffer size.
 inline net::LeafSpineConfig MakeFabricLeafSpineConfig(const FabricSpec& spec,
                                                       BenchScale scale,
                                                       int64_t& buffer_per_partition) {

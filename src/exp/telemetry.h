@@ -43,15 +43,6 @@ struct RunTelemetry {
   int64_t peak_occupancy_bytes = 0;
 };
 
-inline void ReadEngineTelemetry(const sim::ShardedSimulator& ssim, RunTelemetry& t) {
-  t.sim_events = static_cast<int64_t>(ssim.processed_events());
-  t.shards = ssim.num_shards();
-  t.parallel_efficiency = ssim.parallel_efficiency();
-  t.windows_run = ssim.windows_run();
-  t.windows_executed = ssim.windows_executed();
-  t.max_window_batch = ssim.max_window_batch();
-}
-
 // Switch and mailbox counters, read after the run. Every value is an
 // integer sum or maximum; all but the mailbox counters are the same for any
 // shard count.
@@ -76,7 +67,12 @@ inline void CollectSwitchTelemetry(net::Network& net, RunTelemetry& t) {
 inline void CollectRunTelemetry(const sim::ShardedSimulator& engine, net::Network& net,
                                 const std::optional<fault::FaultInjector>& injector,
                                 RunTelemetry& t) {
-  ReadEngineTelemetry(engine, t);
+  t.sim_events = static_cast<int64_t>(engine.processed_events());
+  t.shards = engine.num_shards();
+  t.parallel_efficiency = engine.parallel_efficiency();
+  t.windows_run = engine.windows_run();
+  t.windows_executed = engine.windows_executed();
+  t.max_window_batch = engine.max_window_batch();
   CollectSwitchTelemetry(net, t);
   if (injector) t.faults = injector->Totals();
 }

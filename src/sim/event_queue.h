@@ -2,11 +2,8 @@
 //
 // A 4-ary min-heap ordered by (time, order). `order` decides between
 // same-time events; a bare queue (Push) keeps them FIFO in scheduling
-// order.
-//
-// The order word. A simulator that runs on a window grid (the sharded
-// engine, see src/sim/simulator.h) orders same-time events by the window
-// that scheduled them, then by class, then by a tiebreak:
+// order. A simulator on a window grid (src/sim/simulator.h) orders them
+// by the window that scheduled them, then by class, then by a tiebreak:
 //  - bits 39..36: kMaxAhead - ahead, where `ahead` is the number of windows
 //    between the scheduling window and the event's own window, saturated
 //    at kMaxAhead. So at equal times an event scheduled in an older window
@@ -17,13 +14,13 @@
 //  - bits 34..0: the tiebreak. Local events take the queue's insertion
 //    counter; deliveries take their (source node, source lane, sequence
 //    within the sending window), built by the network.
-// This is the order in which the engine's barrier used to merge its
-// mailboxes: mail staged in window k entered the queue after every event
-// scheduled up to window k and before any event scheduled from window k+1
-// on, sorted by source. Saturation is exact as long as every delivery lands
-// fewer than kMaxAhead windows after the one it enters (Simulator checks
-// it): a saturated entry is then always local, and the insertion counter
-// already orders local events by window.
+// It is the order a barrier after every window would give: a delivery
+// sent in window k fires after every same-time event scheduled up to window
+// k and before any scheduled from window k+1 on, so a delivery pushed at
+// send time and one drained at the barrier land alike. Saturation is exact
+// as long as every delivery lands fewer than kMaxAhead windows after the
+// one it enters (Simulator checks it): a saturated entry is then always
+// local, and the insertion counter already orders local events by window.
 //
 // Three decisions drive the hot path:
 //  - Heap entries are 16 bytes: the time plus a packed (order << 24 | slot)

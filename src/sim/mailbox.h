@@ -33,9 +33,6 @@ class SpscMailbox {
     return n;
   }
 
-  bool Empty() const { return records_.empty(); }
-  size_t Size() const { return records_.size(); }
-
  private:
   std::vector<T> records_;
 };

@@ -296,37 +296,13 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   std::vector<uint64_t> busy_ns(static_cast<size_t>(n), 0);
   const WallClock::time_point wall_start = WallClock::now();
 
-  if (n == 1) {
-    // One shard stages no mail, so a batch needs no inner boundary: the
-    // shard runs straight to the batch's end, and the barrier hooks and the
-    // plan step run only between batches. The event order (see
-    // src/sim/event_queue.h) is the same as with a boundary per window.
-    internal::ShardScope scope(0);
-    Simulator& sim = *shards_[0];
-    const uint64_t active_before = sim.active_windows();
-    for (;;) {
-      RunBarrierHooks(0);
-      {
-        OCCAMY_TRACE_SPAN(plan_span, "barrier.plan");
-        plan = PlanBatch(until);
-        if (!plan.done) {
-          OCCAMY_TRACE_SPAN_ARG(plan_span, "batch_windows", plan.windows);
-        }
-      }
-      if (plan.done) break;
-      OCCAMY_TRACE_SPAN(window_span, "window.execute");
-      const WallClock::time_point t0 = WallClock::now();
-      sim.RunUntil(plan.batch_end);
-      busy_ns[0] += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(WallClock::now() - t0).count());
-    }
-    // The windows that ran an event, as the inner boundaries would count
-    // them.
-    windows_executed_ = sim.active_windows() - active_before;
-  } else if (!use_threads_) {
+  const uint64_t active_before = shards_[0]->active_windows();
+  if (!use_threads_ || n == 1) {
     // Identical windowed algorithm, round-robin on the calling thread: the
     // same PlanBatch / StepBatch decision sequence at the same boundaries,
-    // so results match the threaded path byte for byte.
+    // so results match the threaded path byte for byte. One shard stages no
+    // mail, so it runs each batch straight to its end with no inner
+    // boundary; the event order (src/sim/event_queue.h) is the same.
     for (;;) {
       for (int s = 0; s < n; ++s) {
         internal::ShardScope scope(s);
@@ -340,7 +316,7 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
         }
       }
       if (plan.done) break;
-      Time bound = plan.bound;
+      Time bound = n == 1 ? plan.batch_end : plan.bound;
       for (;;) {
         for (int s = 0; s < n; ++s) {
           internal::ShardScope scope(s);
@@ -434,6 +410,9 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
     for (auto& t : threads) t.join();
   }
 
+  // One shard has no inner boundaries to count executed windows at; its
+  // simulator counts the windows that ran an event instead.
+  if (n == 1) windows_executed_ = shards_[0]->active_windows() - active_before;
   for (auto& s : shards_) s->BindShard(-1);
   running_.store(false, std::memory_order_relaxed);
   const double wall_ns = static_cast<double>(

@@ -71,9 +71,10 @@ class Simulator {
   }
 
   // Schedules a delivery whose order word came from the sender's
-  // DeliveryOrder (possibly on another simulator of the same grid).
+  // DeliveryOrder (possibly on another simulator of the same grid). The
+  // sender's lookahead check keeps `t` in this simulator's future.
   EventHandle AtOrdered(Time t, uint64_t order, Callback cb) {
-    OCCAMY_CHECK_GE(t, now_) << "scheduling into the past";
+    OCCAMY_DCHECK_GE(t, now_);
     return queue_.PushOrdered(t, order, std::move(cb));
   }
 
@@ -98,6 +99,7 @@ class Simulator {
   // Windows of the grid in which an event ran, counted at each window's
   // first event (1 in all on a simulator without a grid).
   uint64_t active_windows() const { return active_windows_; }
+
   bool HasPendingEvents() const { return queue_.live_size() > 0; }
 
   // True if the last Run/RunUntil exited via Stop().
