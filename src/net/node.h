@@ -38,8 +38,9 @@ class Node {
   sim::Simulator* sim_ = nullptr;
   // Per-(source, lane) sequence of DeliverAfter calls: the key of the
   // fault draws and, counted from the lane's first delivery of the sending
-  // window, part of a delivery's event order (see Network::DeliverAfter). One slot per lane (plain nodes: just lane 0);
-  // only the node's own shard bumps them, so they need no synchronization.
+  // window, part of a delivery's event order (see Network::DeliverAfter).
+  // One slot per lane (plain nodes: just lane 0); only the node's own shard
+  // bumps them, so they need no synchronization.
   struct Lane {
     uint64_t seq = 0;
     int64_t window = -1;       // the window of the lane's last delivery

@@ -29,11 +29,11 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, int shards,
                       std::ostream& out);
 
 struct ProfileShard {
-  uint64_t busy_ns = 0;     // window.execute (fallback: run.core) time
+  uint64_t busy_ns = 0;     // window.execute time
   uint64_t barrier_ns = 0;  // barrier.plan + barrier.window wait time
   uint64_t drain_ns = 0;    // mailbox.drain time
   uint64_t events = 0;      // events executed (sum of run.core args)
-  uint64_t windows = 0;     // windows executed
+  uint64_t windows = 0;     // window.execute spans (one per batch at one shard)
 };
 
 struct ProfileReport {

@@ -37,9 +37,9 @@
 // through). Each inner boundary performs the SAME handover as an outer
 // barrier — quiesce, drain every shard's mailboxes, then let the leader
 // pick the next window — so a batched run executes the byte-identical
-// sequence of (window, drain) steps as batch=1; the
-// only things batching elides are the condvar parks and the per-window
-// plan work (policy feedback, fence scan, horizon checks). The leader
+// sequence of (window, drain) steps as batch=1; the only things batching
+// elides are the condvar parks and the per-window plan work (policy
+// feedback, fence scan, horizon checks). The leader
 // also hops windows with no events anywhere, which merges the empty and
 // sparse stretches the profiler showed dominate the star. Batches
 // truncate early only for Stop(); armed fault/route-epoch boundaries
@@ -100,8 +100,8 @@ class ShardedSimulator {
     bool use_threads = true;
     // Windows per condvar plan round ("window batching"); clamped to
     // [0, kMaxWindowBatch]. 1 = one window per plan round (full drain +
-    // plan barrier every window). N > 1 = plan a fixed bound of N windows per
-    // plan round. 0 = auto: the leader widens the bound (doubling, up to
+    // plan barrier every window). N > 1 = plan a fixed bound of N windows
+    // per plan round. 0 = auto: the leader widens the bound (doubling, up to
     // kMaxWindowBatch) while rounds are silent — no cross-shard mail
     // staged — or dense (execution dominates, so spin rounds are cheap
     // relative to the work they separate), jumps straight to the cap on

@@ -2,10 +2,11 @@
 //
 // The engine's determinism contract (src/sim/sharded_simulator.h) says a
 // scenario's JSON metrics are byte-identical for ANY shard count, with
-// shards=1 — the default, which stages no mail — as the oracle. This header turns that contract into a reusable
-// assertion: run any exp::PointSpec at shards=1 and shards=N and diff the
-// *deterministic fingerprint* of the metrics — every metric except the
-// wall-clock fields, rendered with round-trip-exact doubles. Exact equality
+// shards=1 — the default, which stages no mail — as the oracle. This
+// header turns that contract into a reusable assertion: run any
+// exp::PointSpec at shards=1 and shards=N and diff the *deterministic
+// fingerprint* of the metrics — every metric except the wall-clock and
+// engine-setting fields, rendered with round-trip-exact doubles. Exact equality
 // is intentional: "close" would mean the conservative synchronization
 // leaked.
 //
