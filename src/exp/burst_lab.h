@@ -60,7 +60,6 @@ inline StarSpec MakeBurstLabStarSpec(const BurstLabSpec& spec) {
   star.scheme = spec.scheme;
   star.alphas = {spec.alpha};
   star.seed = spec.seed;
-  star.window_batch = spec.window_batch;
   return star;
 }
 
@@ -68,8 +67,7 @@ inline constexpr uint64_t kBurstLabLongFlow = net::Network::kOpenLoopFlowIdBase 
 inline constexpr uint64_t kBurstLabBurstFlow = net::Network::kOpenLoopFlowIdBase + 2;
 
 inline BurstLabResult RunBurstLab(const BurstLabSpec& spec) {
-  OCCAMY_CHECK_EQ(spec.shards, 1) << "P4 runs take one shard";
-  StarScenario s(MakeBurstLabStarSpec(spec), spec.shard_threads);
+  StarScenario s(MakeBurstLabStarSpec(spec));
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, spec.faults, StarFaultTopology(s.topo));
 

@@ -76,7 +76,6 @@ inline StarSpec MakeDpdkStarSpec(const DpdkRunSpec& run) {
   star.scheme = run.scheme;
   star.alphas = run.alphas;
   star.seed = run.seed;
-  star.window_batch = run.window_batch;
   return star;
 }
 
@@ -200,9 +199,8 @@ inline void FillDpdkCompletionMetrics(
 }
 
 inline DpdkRunResult RunDpdk(const DpdkRunSpec& run) {
-  OCCAMY_CHECK_EQ(run.shards, 1) << "star runs take one shard";
   const StarSpec star = MakeDpdkStarSpec(run);
-  StarScenario s(star, run.shard_threads);
+  StarScenario s(star);
   const Time duration = DpdkDuration(run, star, run.scale.value_or(GetBenchScale()));
   std::optional<fault::FaultInjector> injector;
   ArmFaultsOrDie(injector, s.net, run.faults, StarFaultTopology(s.topo));

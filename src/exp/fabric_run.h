@@ -26,6 +26,13 @@ namespace occamy::exp {
 enum class BgPattern { kWebSearch, kAllToAll, kAllReduce };
 
 struct FabricRunSpec : RunSettings {
+  // Shards of the partition-parallel engine (1..64). Results are
+  // byte-identical for any count.
+  int shards = 1;
+  // Run shards on worker threads (off = same windowed algorithm inline;
+  // byte-identical either way — a determinism test knob).
+  bool shard_threads = true;
+
   Scheme scheme = Scheme::kDt;
   std::vector<double> alphas;  // empty = scheme default
 
@@ -155,7 +162,6 @@ inline FabricSpec MakeFabricSpec(const FabricRunSpec& run) {
   spec.alphas = run.alphas;
   spec.buffer_per_port_per_gbps = run.buffer_per_port_per_gbps;
   spec.seed = run.seed;
-  spec.window_batch = run.window_batch;
   return spec;
 }
 

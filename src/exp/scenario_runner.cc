@@ -110,8 +110,6 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   if (spec.buffer_bytes > 0) run.buffer_bytes = spec.buffer_bytes;
   if (spec.duration_ms > 0) run.horizon = FromSeconds(spec.duration_ms / 1000.0);
   run.seed = spec.seed;
-  run.shards = spec.shards;
-  run.window_batch = spec.window_batch;
   run.faults = faults;
 
   const PerfClock::time_point start = PerfClock::now();
@@ -128,7 +126,7 @@ PointResult RunBurst(const ScenarioInfo& entry, Scheme scheme, const PointSpec& 
   m.Set("long_lived_drops", r.long_lived_drops);
   m.Set("expelled", r.telemetry.expelled);
   m.Set("buffer_bytes", run.buffer_bytes);
-  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
+  AddTelemetryFields(m, r.telemetry, start);
   result.ok = true;
   return result;
 }
@@ -151,8 +149,6 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   }
   run.seed = spec.seed;
   run.scale = scale;
-  run.shards = spec.shards;
-  run.window_batch = spec.window_batch;
   run.faults = faults;
   if (spec.buffer_bytes > 0) run.buffer_bytes = spec.buffer_bytes;
 
@@ -201,7 +197,7 @@ PointResult RunStar(const ScenarioInfo& entry, Scheme scheme, const PointSpec& s
   m.Set("drops", r.telemetry.drops);
   m.Set("expelled", r.telemetry.expelled);
   AddOccupancy(m, r.buffer_bytes, r.telemetry.peak_occupancy_bytes);
-  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
+  AddTelemetryFields(m, r.telemetry, start);
   result.delivered_by_ms = r.telemetry.delivered_by_ms;
   result.ok = true;
   return result;
@@ -225,7 +221,6 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   run.seed = spec.seed;
   run.scale = scale;
   run.shards = spec.shards;
-  run.window_batch = spec.window_batch;
   run.faults = faults;
 
   if (name == "alltoall") {
@@ -266,7 +261,7 @@ PointResult RunFabricScenario(const ScenarioInfo& entry, Scheme scheme,
   m.Set("drops", r.telemetry.drops);
   m.Set("expelled", r.telemetry.expelled);
   AddOccupancy(m, r.buffer_bytes, r.telemetry.peak_occupancy_bytes);
-  AddTelemetryFields(m, r.telemetry, spec.window_batch, start);
+  AddTelemetryFields(m, r.telemetry, start);
   result.delivered_by_ms = r.telemetry.delivered_by_ms;
   result.ok = true;
   return result;
@@ -333,14 +328,6 @@ PointResult RunPoint(const PointSpec& spec) {
   if (!result.error.empty()) return result;
   result.error = AlphasError(*entry, spec.alphas.size());
   if (!result.error.empty()) return result;
-  if (spec.window_batch < 0 ||
-      spec.window_batch > sim::ShardedSimulator::kMaxWindowBatch) {
-    result.error =
-        "window_batch out of range (want 0..." +
-        std::to_string(sim::ShardedSimulator::kMaxWindowBatch) +
-        ", 0 = auto): " + std::to_string(spec.window_batch);
-    return result;
-  }
   if (spec.loss_rate < 0 || spec.loss_rate >= 1) {
     result.error = "loss_rate out of range (want 0 <= rate < 1): " +
                    std::to_string(spec.loss_rate);

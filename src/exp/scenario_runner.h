@@ -74,11 +74,6 @@ struct PointSpec {
   // sim::ShardedSimulator), so this is an execution knob, not a sweep
   // dimension.
   int shards = 1;
-  // Windows per plan barrier. 0 = adaptive, 1 = one window per plan round,
-  // N = fixed batch of N windows (<= sim::ShardedSimulator::kMaxWindowBatch,
-  // validated in RunPoint). Metrics are byte-identical at every setting —
-  // like shards, an execution knob, not a sweep dimension.
-  int window_batch = 0;
 };
 
 struct PointResult {

@@ -73,17 +73,6 @@ struct RunSettings {
   // Fault schedule (src/fault grammar); empty = healthy run. Parsed and
   // validated upstream; armed before any workload starts.
   std::string faults;
-  // Shards of the partition-parallel engine (1..64). Results are
-  // byte-identical for any count. Star and P4 runs take one shard
-  // (StarScenario).
-  int shards = 1;
-  // Run shards on worker threads (off = same windowed algorithm inline;
-  // byte-identical either way — a determinism test knob).
-  bool shard_threads = true;
-  // Windows per plan barrier (0 = adaptive, see
-  // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
-  // at every setting.
-  int window_batch = 0;
 };
 
 // ---------------- DPDK-style star testbed (§6.2) ----------------
@@ -101,10 +90,6 @@ struct StarSpec {
   Scheme scheme = Scheme::kDt;
   std::vector<double> alphas;  // per class; empty = scheme default
   uint64_t seed = 1;
-  // Windows per plan barrier (0 = adaptive, see
-  // sim::ShardedSimulator::Options::window_batch). Byte-identical metrics
-  // at every setting.
-  int window_batch = 0;
 };
 
 inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
@@ -127,20 +112,16 @@ inline net::StarConfig MakeStarConfig(const StarSpec& spec) {
 
 // The star testbed on the partition-parallel engine, on one shard: the
 // testbeds have one shared buffer, so the switch and every host sit on
-// shard 0. The conservative lookahead is the star's uniform link
-// propagation, and every flow is registered before RunUntil
-// (src/workload/pregen.h).
+// shard 0, and the run executes on the calling thread. The conservative
+// lookahead is the star's uniform link propagation, and every flow is
+// registered before RunUntil (src/workload/pregen.h).
 struct StarScenario {
-  explicit StarScenario(const StarSpec& spec, bool use_threads = true)
+  explicit StarScenario(const StarSpec& spec)
       : spec_(spec),
         // Conservative window: the star's (uniform) link propagation — every
         // host<->switch delivery carries exactly this delay, so it is the
         // tightest legal lookahead (not the leaf-spine 10us constant).
-        ssim({.shards = 1,
-              .lookahead = spec.link_propagation,
-              .seed = spec.seed,
-              .use_threads = use_threads,
-              .window_batch = spec.window_batch}),
+        ssim({.shards = 1, .lookahead = spec.link_propagation, .seed = spec.seed}),
         net(&ssim, [](net::NodeId) { return 0; }) {
     topo = net::BuildStar(net, MakeStarConfig(spec));
     manager = std::make_unique<transport::FlowManager>(&net);
@@ -179,9 +160,6 @@ struct FabricSpec {
   double buffer_per_port_per_gbps = 5120.0;
   double ecn_bdp_fraction = 0.72;  // paper: ECN = 0.72 BDP
   uint64_t seed = 1;
-  // Windows per plan barrier (0 = adaptive, see
-  // sim::ShardedSimulator::Options::window_batch).
-  int window_batch = 0;
 };
 
 // Builds the leaf-spine config (scale geometry, buffer density, ECN, BM
@@ -261,8 +239,7 @@ struct FabricScenario {
         ssim({.shards = shards,
               .lookahead = cfg.link_propagation,
               .seed = spec.seed,
-              .use_threads = use_threads,
-              .window_batch = spec.window_batch}),
+              .use_threads = use_threads}),
         net(&ssim, [this, shards](net::NodeId id) {
           return net::LeafSpineShardOf(cfg, shards, id);
         }) {

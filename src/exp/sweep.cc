@@ -72,9 +72,6 @@ std::optional<std::string> ExpandSweep(const SweepSpec& spec,
                     // Execution knob, not a sweep dimension: results are
                     // byte-identical for any shard count.
                     p.spec.shards = spec.shards;
-                    if (spec.window_batch > 0) {
-                      p.spec.window_batch = spec.window_batch;
-                    }
                     p.key_fields.emplace_back("scenario", scenario);
                     p.key_fields.emplace_back("bm", bm);
                     if (!spec.alphas.empty()) {

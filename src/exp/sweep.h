@@ -49,10 +49,6 @@ struct SweepSpec {
   // partition-parallel engine with this many shards. Above 1 it applies to
   // fabric scenarios only (see ShardsError).
   int shards = 1;
-  // Second execution knob, same contract: windows per plan barrier (0 =
-  // adaptive, 1 = one window per plan round, N = fixed batch). Metrics are
-  // byte-identical at every setting.
-  int window_batch = 0;
 };
 
 // One expanded grid element: the executable spec plus its identity.

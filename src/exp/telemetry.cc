@@ -8,21 +8,20 @@ namespace occamy::exp {
 // the simulated run. The CSV summary (src/exp/sinks.cc) drops the wall-clock
 // ones so it stays byte-reproducible; the golden and differential
 // fingerprints (tests/differential.h) drop both kinds, which is what lets
-// every --shards and --window-batch setting map onto the same golden.
+// every --shards setting map onto the same golden.
 KeyVolatility TelemetryKeyVolatility(std::string_view key) {
   for (const std::string_view k : {"wall_ms", "events_per_sec", "parallel_efficiency"}) {
     if (key == k) return KeyVolatility::kWallClock;
   }
   for (const std::string_view k :
-       {"shards", "window_batch", "windows_run", "windows_executed", "max_window_batch",
+       {"shards", "windows_run", "windows_executed", "max_window_batch",
         "mailbox_staged_events", "mailbox_drained_events"}) {
     if (key == k) return KeyVolatility::kEngineSetting;
   }
   return KeyVolatility::kDeterministic;
 }
 
-void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
-                        PerfClock::time_point start) {
+void AddTelemetryFields(Metrics& m, const RunTelemetry& t, PerfClock::time_point start) {
   // Schema v6 counter registry: per-queue queueing-delay percentiles (from
   // the PdQueue enqueue timestamps, simulated time, reported in ns),
   // worst-single-queue drop/delay counters, and the sharded engine's
@@ -69,7 +68,6 @@ void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
   // adaptive window planner's telemetry.
   m.Set("shards", int64_t{t.shards});
   m.Set("parallel_efficiency", t.parallel_efficiency);
-  m.Set("window_batch", int64_t{window_batch});
   m.Set("windows_run", static_cast<int64_t>(t.windows_run));
   m.Set("windows_executed", static_cast<int64_t>(t.windows_executed));
   m.Set("max_window_batch", static_cast<int64_t>(t.max_window_batch));

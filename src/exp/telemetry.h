@@ -94,16 +94,14 @@ using PerfClock = std::chrono::steady_clock;
 
 // Emits `t` into `m`: the obs counter registry (mailbox, fault and queue
 // counters, name-sorted), then perf (sim_events, wall time since `start`),
-// then the engine fields. `window_batch` is the run's --window-batch
-// setting, echoed.
-void AddTelemetryFields(Metrics& m, const RunTelemetry& t, int window_batch,
-                        PerfClock::time_point start);
+// then the engine fields.
+void AddTelemetryFields(Metrics& m, const RunTelemetry& t, PerfClock::time_point start);
 
 // How a metric key varies between two runs of the same point.
 enum class KeyVolatility {
   kDeterministic,  // a pure function of the simulated run
   kWallClock,      // differs run to run and machine to machine
-  kEngineSetting,  // fixed for a --shards / --window-batch setting, differs across them
+  kEngineSetting,  // fixed for a --shards setting, differs across them
 };
 
 KeyVolatility TelemetryKeyVolatility(std::string_view key);

@@ -342,25 +342,8 @@ std::optional<std::string> FaultInjector::Arm() {
   // vectors are never resized while shards read them.
   edge_state_.assign(net_->num_nodes(), {});
   net_->set_fault_injector(this);
-  // Every armed toggle becomes a drain fence for the adaptive window
-  // planner: batches never cross one, so a mailbox drain happens at the
-  // barrier entering the window of each fault boundary — and of its
-  // quantum-aligned route-epoch twin (ArmReroutes ceil-aligns epoch
-  // flips). Toggles run on the owning shard, so this keeps the drain
-  // schedule around fault boundaries identical at every --window-batch
-  // setting rather than patching correctness.
-  const Time quantum = net_->route_epoch_quantum();
-  for (const FaultEvent& ev : plan_.events) {
-    net_->AddDrainFence(ev.at);
-    if (ev.duration > 0) net_->AddDrainFence(ev.at + ev.duration);
-    if (quantum > 0) {
-      const auto align = [quantum](Time t) {
-        return (t + quantum - 1) / quantum * quantum;
-      };
-      net_->AddDrainFence(align(ev.at));
-      if (ev.duration > 0) net_->AddDrainFence(align(ev.at + ev.duration));
-    }
-  }
+  // Each toggle is an event on the shard that owns the state it flips (see
+  // injector.h), so no toggle needs a barrier of its own.
   for (const FaultEvent& ev : plan_.events) {
     std::optional<std::string> err;
     switch (ev.kind) {

@@ -246,13 +246,6 @@ class Network {
     ssim_->AddBarrierHook(std::move(hook));
   }
 
-  // Registers a sim-time drain fence with the engine's adaptive window
-  // planner: window batches never cross it, so a mailbox drain is
-  // guaranteed at the barrier entering its window.
-  // fault::FaultInjector::Arm fences every armed fault toggle and
-  // quantum-aligned route-epoch boundary.
-  void AddDrainFence(Time t) { ssim_->AddDrainFence(t); }
-
  private:
   // The event that hands a delivered packet to its destination node, on
   // the destination's simulator. It carries the packet, so it is the

@@ -114,9 +114,7 @@ ShardScope::~ShardScope() { tls_shard = saved_; }
 }  // namespace internal
 
 ShardedSimulator::ShardedSimulator(const Options& options)
-    : lookahead_(options.lookahead),
-      use_threads_(options.use_threads),
-      window_batch_(std::clamp(options.window_batch, 0, kMaxWindowBatch)) {
+    : lookahead_(options.lookahead), use_threads_(options.use_threads) {
   OCCAMY_CHECK(options.lookahead > 0) << "lookahead must be positive";
   const int n = std::max(1, options.shards);
   shards_.reserve(static_cast<size_t>(n));
@@ -137,29 +135,10 @@ Simulator& ShardedSimulator::shard(int i) {
   return *shards_[static_cast<size_t>(i)];
 }
 
-void ShardedSimulator::Stop() {
-  stop_requested_.store(true, std::memory_order_relaxed);
-  // When called from inside an event, also halt the calling shard's window
-  // immediately; other shards notice the flag at the next barrier.
-  if (tls_shard >= 0 && tls_shard < num_shards()) {
-    shards_[static_cast<size_t>(tls_shard)]->Stop();
-  }
-}
-
 uint64_t ShardedSimulator::processed_events() const {
   uint64_t total = 0;
   for (const auto& s : shards_) total += s->processed_events();
   return total;
-}
-
-void ShardedSimulator::AddDrainFence(Time t) {
-  OCCAMY_CHECK(!running()) << "AddDrainFence during a run";
-  const Time window_start = t <= 0 ? 0 : t - t % lookahead_;
-  const auto it =
-      std::lower_bound(drain_fences_.begin(), drain_fences_.end(), window_start);
-  if (it == drain_fences_.end() || *it != window_start) {
-    drain_fences_.insert(it, window_start);
-  }
 }
 
 void ShardedSimulator::RunBarrierHooks(int shard) {
@@ -170,10 +149,6 @@ void ShardedSimulator::RunBarrierHooks(int shard) {
 
 ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   Plan plan;
-  if (stop_requested_.load(std::memory_order_relaxed)) {
-    plan.done = true;
-    return plan;
-  }
   // Feedback from the round that just drained. The staged counter is
   // cumulative, so a delta against the last sample means some window since
   // the previous drain staged mail.
@@ -187,7 +162,7 @@ ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   const uint64_t round_windows = windows_executed_ - windows_seen_;
   events_seen_ += round_events;
   windows_seen_ = windows_executed_;
-  if (window_batch_ == 0 && windows_run_ > 0) {
+  if (windows_run_ > 0) {
     const bool dense =
         round_windows > 0 && round_events / round_windows >= kDenseWindowEvents;
     if (saw_mail && !dense) {
@@ -217,22 +192,10 @@ ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
   // crosses depends only on simulated time — a determinism requirement.
   const Time window_start = gm - gm % lookahead_;
   plan.bound = std::min(window_start + lookahead_ - 1, until);
-  // Batch extent: k windows from the hopped-to start, clamped to the
-  // horizon and to the next drain fence. Every inner boundary drains, so
-  // any extent is sound; the extent only trades plan-round amortization
-  // against Stop()/fence responsiveness.
-  const int k = window_batch_ > 0 ? window_batch_ : batch_limit_;
-  plan.batch_end = until - window_start >= static_cast<Time>(k) * lookahead_
-                       ? window_start + static_cast<Time>(k) * lookahead_ - 1
-                       : until;
-  while (fence_cursor_ < drain_fences_.size() &&
-         drain_fences_[fence_cursor_] <= window_start) {
-    ++fence_cursor_;
-  }
-  if (fence_cursor_ < drain_fences_.size()) {
-    plan.batch_end = std::min(plan.batch_end, drain_fences_[fence_cursor_] - 1);
-  }
-  plan.batch_end = std::max(plan.batch_end, plan.bound);
+  // Batch extent: batch_limit_ windows from the hopped-to start, clamped
+  // to the horizon. Every inner boundary drains, so any extent is sound.
+  const Time extent = static_cast<Time>(batch_limit_) * lookahead_;
+  plan.batch_end = until - window_start >= extent ? window_start + extent - 1 : until;
   plan.windows =
       static_cast<int>((plan.batch_end - window_start) / lookahead_) + 1;
   ++windows_run_;
@@ -244,14 +207,6 @@ ShardedSimulator::Plan ShardedSimulator::PlanBatch(Time until) {
 
 ShardedSimulator::BatchStep ShardedSimulator::StepBatch(const Plan& plan) {
   BatchStep step;
-  // Stop() truncates the batch at this (current window) barrier: the run
-  // must halt here, never run on to batch end. This mirrors the batch=1
-  // protocol exactly — there too the boundary drains first and the stop is
-  // noticed by the plan step that follows.
-  if (stop_requested_.load(std::memory_order_relaxed)) {
-    step.done = true;
-    return step;
-  }
   // In-batch counterpart of the planner's empty-window hop — the
   // density-driven merge: windows with no events anywhere are skipped
   // outright, sparse ones cost one spin-barrier round each. The drains for
@@ -261,8 +216,7 @@ ShardedSimulator::BatchStep ShardedSimulator::StepBatch(const Plan& plan) {
   if (gm == Simulator::kNoEvent || gm > plan.batch_end) {
     // Nothing due inside the batch anymore; run every clock out to its
     // end. No events execute (their queues hold nothing <= batch_end), so
-    // nothing new is staged and the clocks land exactly where the batch=1
-    // schedule leaves them.
+    // nothing new is staged.
     for (auto& s : shards_) s->RunUntil(plan.batch_end);
     step.done = true;
     return step;
@@ -276,7 +230,6 @@ ShardedSimulator::BatchStep ShardedSimulator::StepBatch(const Plan& plan) {
 uint64_t ShardedSimulator::RunUntil(Time until) {
   const int n = num_shards();
   const uint64_t events_before = processed_events();
-  stop_requested_.store(false, std::memory_order_relaxed);
   running_.store(true, std::memory_order_relaxed);
   windows_run_ = 0;
   windows_executed_ = 0;
@@ -285,7 +238,6 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   staged_seen_ = staged_probe_ ? staged_probe_() : 0;
   events_seen_ = events_before;
   windows_seen_ = 0;
-  fence_cursor_ = 0;
   // Record each shard's ownership for the duration of the run so that
   // OCCAMY_ASSERT_SHARD (src/sim/shard_checks.h) catches mis-pinned work
   // deterministically. Bound before the workers start and unbound after
@@ -329,8 +281,8 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
         }
         if (bound >= plan.batch_end) break;
         // Inner boundary: the same drain-then-step handover as the outer
-        // round, minus the plan work — keeps every batch setting on the
-        // identical (window, drain) schedule.
+        // round, minus the plan work, so where a batch ends never changes
+        // the (window, drain) schedule.
         for (int s = 0; s < n; ++s) {
           internal::ShardScope scope(s);
           RunBarrierHooks(s);
@@ -371,12 +323,11 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
         // one after them so the leader's step sees the handed-over
         // arrivals and nobody starts the next window before all drains
         // finish. That is the full outer handover minus the condvar parks
-        // and the plan work, so every batch setting executes the identical
+        // and the plan work, so where a batch ends never changes the
         // (window, drain) schedule. Every shard computes the same break
         // conditions from the leader-shared plan/step, so all of them
         // leave the inner loop together; a single-window batch never
-        // touches the spin barrier, which keeps --window-batch=1 at one
-        // window per plan round.
+        // touches the spin barrier.
         Time bound = plan.bound;
         for (;;) {
           {

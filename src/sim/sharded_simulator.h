@@ -31,31 +31,23 @@
 // Adaptive window batching. A full condvar drain + plan round per window
 // is pure synchronization overhead, and short-lookahead scenarios (the
 // star's 2us windows) pay for tens of thousands of them. The planner
-// therefore plans a *batch* of up to k consecutive windows per condvar
-// round: inside a batch, several shards run window after window separated
-// only by cheap spin-barrier rounds (one shard runs the batch straight
-// through). Each inner boundary performs the SAME handover as an outer
-// barrier — quiesce, drain every shard's mailboxes, then let the leader
-// pick the next window — so a batched run executes the byte-identical
-// sequence of (window, drain) steps as batch=1; the only things batching
-// elides are the condvar parks and the per-window plan work (policy
-// feedback, fence scan, horizon checks). The leader
-// also hops windows with no events anywhere, which merges the empty and
-// sparse stretches the profiler showed dominate the star. Batches
-// truncate early only for Stop(); armed fault/route-epoch boundaries
-// register drain fences (AddDrainFence), and batches never cross one, so
-// every fault toggle still enters its window through a full plan round.
-// `--window-batch` selects the policy: 1 = one window per plan round, N =
-// fixed bound, auto = the density- and mail-feedback policy described at
-// Options::window_batch.
-//
-// Stop() semantics: the shard that calls Stop() halts immediately; every
-// other shard finishes the current window, then the run returns — a Stop
-// landing inside a window batch truncates the batch at the *current*
-// window's barrier, it never runs on to the end of the batch. A stopped
-// run therefore leaves different shards at slightly different local times —
-// deterministic metrics are only promised for runs that end by reaching
-// `until` or draining every queue.
+// therefore plans a *batch* of up to kMaxWindowBatch consecutive windows
+// per condvar round: inside a batch, several shards run window after window
+// separated only by cheap spin-barrier rounds (one shard runs the batch
+// straight through). Each inner boundary performs the SAME handover as an
+// outer barrier — quiesce, drain every shard's mailboxes, then let the
+// leader pick the next window — so where a batch ends never changes the
+// sequence of (window, drain) steps; batching elides only the condvar parks
+// and the per-window plan work (policy feedback, horizon checks). The
+// leader also hops windows with no events anywhere, which merges the empty
+// and sparse stretches the profiler showed dominate the star. The batch
+// width adapts to the rounds that just drained: it doubles (up to
+// kMaxWindowBatch) while rounds are silent — no cross-shard mail staged —
+// or dense (execution dominates, so spin rounds are cheap relative to the
+// work they separate), jumps straight to the cap on rounds that executed
+// nothing, and halves on sparse rounds that staged mail, where each
+// boundary is synchronization-dominated and the condvar round's parked wait
+// is the better primitive.
 #pragma once
 
 #include <atomic>
@@ -96,23 +88,12 @@ class ShardedSimulator {
     uint64_t seed = 1;                    // per-shard Rngs fork from this
     // Run shards on worker threads. Off = execute the identical windowed
     // algorithm round-robin on the calling thread (useful under sanitizers
-    // and for debugging; results are byte-identical either way).
+    // and for debugging; results are byte-identical either way). One shard
+    // always runs on the calling thread.
     bool use_threads = true;
-    // Windows per condvar plan round ("window batching"); clamped to
-    // [0, kMaxWindowBatch]. 1 = one window per plan round (full drain +
-    // plan barrier every window). N > 1 = plan a fixed bound of N windows
-    // per plan round. 0 = auto: the leader widens the bound (doubling, up to
-    // kMaxWindowBatch) while rounds are silent — no cross-shard mail
-    // staged — or dense (execution dominates, so spin rounds are cheap
-    // relative to the work they separate), jumps straight to the cap on
-    // rounds that executed nothing, and halves the bound on sparse rounds
-    // that staged mail, where each boundary is synchronization-dominated
-    // and the condvar round's parked wait is the better primitive. Every
-    // setting is byte-identical: see "Adaptive window batching" above.
-    int window_batch = 0;
   };
 
-  // Hard cap on windows per batch (and on Options::window_batch).
+  // Hard cap on windows per batch.
   static constexpr int kMaxWindowBatch = 16;
 
   explicit ShardedSimulator(const Options& options);
@@ -151,24 +132,11 @@ class ShardedSimulator {
     staged_probe_ = std::move(probe);
   }
 
-  // Registers a drain fence at the window containing sim-time `t`: no
-  // window batch crosses it, so a mailbox drain is guaranteed at the
-  // barrier entering that window. fault::FaultInjector::Arm fences every
-  // armed fault toggle and quantum-aligned route-epoch boundary, keeping
-  // the drain schedule around fault boundaries identical at every batch
-  // setting. Must be called before RunUntil.
-  void AddDrainFence(Time t);
-
   // Runs every shard up to and including `until` (conservative windows with
-  // barrier drains between them), or until all queues drain, or Stop().
-  // Returns the total number of events processed by this call.
+  // barrier drains between them); once every queue is empty the clocks hop
+  // straight to `until`. Returns the total number of events processed by
+  // this call.
   uint64_t RunUntil(Time until);
-
-  // Requests a stop: the calling shard halts immediately (when called from
-  // an event), all shards stop at the current window barrier.
-  void Stop();
-
-  bool stop_requested() const { return stop_requested_; }
 
   // True while RunUntil is executing (shards may be running on worker
   // threads). Guards against mid-run scheduling from outside the shards —
@@ -186,7 +154,7 @@ class ShardedSimulator {
 
   // Barrier (drain + plan) rounds of the last RunUntil — the quantity the
   // adaptive planner minimizes; each round costs a full drain and a
-  // condvar barrier. Equals windows_executed() at window_batch = 1.
+  // condvar barrier.
   uint64_t windows_run() const { return windows_run_; }
 
   // Conservative windows of the last RunUntil that ran an event (the
@@ -210,14 +178,14 @@ class ShardedSimulator {
   };
 
   // Single-threaded plan step: drains are complete, queues are quiescent.
-  // Plans the next batch (one window at window_batch = 1) and applies the
-  // adaptive-policy feedback from the round that just drained.
+  // Applies the adaptive-policy feedback from the round that just drained
+  // and plans the next batch.
   Plan PlanBatch(Time until);
 
   // Inner-boundary step, run by the batch leader with every shard
-  // quiescent and this round's mailbox drains already complete: truncates
-  // the batch on Stop(), otherwise hops to the next window inside the
-  // batch holding any event (drained arrivals included).
+  // quiescent and this round's mailbox drains already complete: hops to
+  // the next window inside the batch holding any event (drained arrivals
+  // included), or ends the batch.
   BatchStep StepBatch(const Plan& plan);
 
   // Runs every barrier hook for `shard` (on its worker, all shards quiescent).
@@ -226,20 +194,11 @@ class ShardedSimulator {
   std::vector<std::unique_ptr<Simulator>> shards_;
   Time lookahead_;
   bool use_threads_;
-  int window_batch_;
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
   std::vector<std::function<void(int)>> barrier_hooks_;
   // occamy-lint: allow(hot-path-indirection) barrier hook, not per-event
   std::function<uint64_t()> staged_probe_;
 
-  // Window starts that batches must not cross, sorted; fence_cursor_
-  // tracks the first fence not yet behind the planner.
-  std::vector<Time> drain_fences_;
-  size_t fence_cursor_ = 0;
-
-  // Set by Stop(); read at barriers. Plain bool-behind-barrier would do for
-  // the workers, but Stop() may also be called from outside the run loop.
-  std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
 
   // Leader-only state (written under the plan barrier / inner spin

@@ -78,21 +78,17 @@ class Simulator {
     return queue_.PushOrdered(t, order, std::move(cb));
   }
 
-  // Runs until the queue is empty, `until` is reached, or Stop() is called.
-  // Events with time <= until are processed; `now()` ends at `until` unless
-  // stopped. Returns the number of events processed by the call.
+  // Runs until the queue is empty or `until` is reached. Events with time
+  // <= until are processed; `now()` ends at `until`. Returns the number of
+  // events processed by the call.
   uint64_t RunUntil(Time until) {
     const uint64_t n = RunCore(until);
-    if (!stopped_ && now_ < until) SetNow(until);
+    if (now_ < until) SetNow(until);
     return n;
   }
 
-  // Runs until no events remain (or Stop()); `now()` ends at the last
-  // event's time.
+  // Runs until no events remain; `now()` ends at the last event's time.
   uint64_t Run() { return RunCore(std::numeric_limits<Time>::max()); }
-
-  // Stops the current Run/RunUntil after the current event returns.
-  void Stop() { stopped_ = true; }
 
   uint64_t processed_events() const { return processed_; }
 
@@ -101,9 +97,6 @@ class Simulator {
   uint64_t active_windows() const { return active_windows_; }
 
   bool HasPendingEvents() const { return queue_.live_size() > 0; }
-
-  // True if the last Run/RunUntil exited via Stop().
-  bool stopped() const { return stopped_; }
 
   // Time of the earliest pending event, or kNoEvent when none are pending.
   // Used by the sharded engine to plan the next conservative window.
@@ -121,8 +114,7 @@ class Simulator {
   uint64_t RunCore(Time until) {
     OCCAMY_TRACE_SPAN(core_span, "run.core");
     uint64_t n = 0;
-    stopped_ = false;
-    while (!stopped_ && !queue_.Empty() && queue_.NextTime() <= until) {
+    while (!queue_.Empty() && queue_.NextTime() <= until) {
       Callback cb;
       const Time t = queue_.PopLive(cb);
       OCCAMY_DCHECK_GE(t, now_);  // At() rejects past times; debug-only here
@@ -170,7 +162,6 @@ class Simulator {
   Time window_end_ = std::numeric_limits<Time>::max();
   int64_t last_active_window_ = -1;
   uint64_t active_windows_ = 0;
-  bool stopped_ = false;
   uint64_t processed_ = 0;
   int bound_shard_ = -1;
   Rng rng_;

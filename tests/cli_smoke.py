@@ -115,8 +115,7 @@ class CliSmokeTest(unittest.TestCase):
                           "--scale=smoke")
         self.assertIn("barrier overhead:", report)
         report = self.sim("profile", "--scenario=burst_absorption",
-                          "--bm=occamy", "--scale=smoke", "--duration-ms=2",
-                          "--shards=1", "--window-batch=4")
+                          "--bm=occamy", "--scale=smoke", "--duration-ms=2")
         self.assertIn("window batching:", report)
 
 

@@ -126,40 +126,21 @@ TEST(CliParse, AlphasTakeOneEntryOrOnePerClass) {
   EXPECT_NE(r.error.find("has 8 traffic classes"), std::string::npos) << r.error;
 }
 
+// Adaptive batching is the engine's only window planner, so no subcommand
+// takes a batch setting.
 TEST(CliParse, WindowBatchFlag) {
-  const char* numeric[] = {"occamy_sim", "--window-batch=4"};
-  SimOptions opts;
-  EXPECT_FALSE(ParseArgs(2, numeric, opts).has_value());
-  EXPECT_EQ(opts.window_batch, 4);
-
-  const char* autov[] = {"occamy_sim", "--window-batch=auto"};
-  SimOptions auto_opts;
-  auto_opts.window_batch = 7;  // prove "auto" actively resets to 0
-  EXPECT_FALSE(ParseArgs(2, autov, auto_opts).has_value());
-  EXPECT_EQ(auto_opts.window_batch, 0);
-
-  for (const char* bad :
-       {"--window-batch=0", "--window-batch=17", "--window-batch=abc",
-        "--window-batch=-2", "--window-batch=4x", "--window-batch=1.5"}) {
-    const char* bad_argv[] = {"occamy_sim", bad};
-    SimOptions bad_opts;
-    const auto err = ParseArgs(2, bad_argv, bad_opts);
-    ASSERT_TRUE(err.has_value()) << bad;
-    EXPECT_NE(err->find("auto|1..16"), std::string::npos) << *err;
+  const std::vector<std::vector<const char*>> commands = {
+      {"occamy_sim", "run", "--scenario=burst", "--window-batch=4"},
+      {"occamy_sim", "profile", "--scenario=burst", "--window-batch=4"},
+      {"occamy_sim", "sweep", "--scenarios=burst", "--bms=dt", "--window-batch=4"},
+  };
+  for (const auto& argv : commands) {
+    testing::internal::CaptureStderr();
+    const int code = Main(static_cast<int>(argv.size()), argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << argv[1];
+    EXPECT_NE(err.find("unknown option: --window-batch"), std::string::npos) << err;
   }
-}
-
-TEST(SweepParse, WindowBatchFlag) {
-  SweepOptions sweep;
-  const char* argv[] = {"sweep", "--scenarios=incast", "--bms=dt",
-                        "--window-batch=8"};
-  EXPECT_FALSE(ParseSweepArgs(4, argv, sweep).has_value());
-  EXPECT_EQ(sweep.spec.window_batch, 8);
-
-  SweepOptions bad;
-  const char* bad_argv[] = {"sweep", "--scenarios=incast", "--bms=dt",
-                            "--window-batch=nope"};
-  EXPECT_TRUE(ParseSweepArgs(4, bad_argv, bad).has_value());
 }
 
 TEST(CliParse, TraceFlag) {
@@ -414,35 +395,20 @@ TEST(CliRun, ShardedFabricRunMatchesSingleShard) {
   EXPECT_EQ(JsonNumber(four.json, "shards"), 4);
 }
 
-// --window-batch reaches the engine: metrics are byte-identical across
-// settings, the telemetry fields are emitted, and the adaptive schedule
-// finishes in strictly fewer barrier rounds than batch=1 on this workload.
+// The run reports the window planner's telemetry, and adaptive batching
+// finishes this workload in strictly fewer barrier rounds than the windows
+// it executes.
 TEST(CliRun, WindowBatchRunsMatchAndReduceBarrierRounds) {
   SimOptions opts;
   opts.scenario = "burst_absorption";
   opts.bm = "occamy";
   opts.scale = "smoke";
   opts.duration_ms = 2;
-  opts.shards = 1;
-  opts.window_batch = 1;
-  const SimResult per_window = RunScenario(opts);
-  ASSERT_TRUE(per_window.ok) << per_window.error;
-  opts.window_batch = 0;  // auto
-  const SimResult adaptive = RunScenario(opts);
-  ASSERT_TRUE(adaptive.ok) << adaptive.error;
-  for (const char* key :
-       {"delivered_bytes", "qct_p99_ms", "fct_avg_ms", "sim_events", "drops"}) {
-    EXPECT_EQ(JsonNumber(per_window.json, key), JsonNumber(adaptive.json, key)) << key;
-  }
-  EXPECT_EQ(JsonNumber(per_window.json, "window_batch"), 1);
-  EXPECT_EQ(JsonNumber(adaptive.json, "window_batch"), 0);
-  EXPECT_EQ(JsonNumber(per_window.json, "max_window_batch"), 1);
-  EXPECT_GT(JsonNumber(adaptive.json, "max_window_batch"), 1);
-  EXPECT_LT(JsonNumber(adaptive.json, "windows_run"),
-            JsonNumber(per_window.json, "windows_run"));
-  // Batching rearranges barriers, never the windows that actually execute.
-  EXPECT_EQ(JsonNumber(adaptive.json, "windows_executed"),
-            JsonNumber(per_window.json, "windows_executed"));
+  const SimResult result = RunScenario(opts);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_LT(JsonNumber(result.json, "windows_run"),
+            JsonNumber(result.json, "windows_executed"));
+  EXPECT_GT(JsonNumber(result.json, "max_window_batch"), 1);
 }
 
 // An OCCAMY_TRACE=OFF build carries no recorder, so asking it for a trace
@@ -544,20 +510,6 @@ TEST(CliRun, DegradationReportOnStarFreeze) {
   ASSERT_TRUE(result.ok) << result.error;
   ExpectDegradationFields(result.json);
   EXPECT_GT(JsonNumber(result.json, "faults_injected"), 0) << result.json;
-}
-
-// Out-of-range window_batch is a runner error, not a crash.
-TEST(CliRun, RejectsWindowBatchOutOfRange) {
-  SimOptions opts;
-  opts.scenario = "burst";
-  opts.bm = "occamy";
-  opts.scale = "smoke";
-  opts.duration_ms = 1;
-  opts.shards = 1;
-  opts.window_batch = 99;  // bypasses ParseArgs, lands in RunPoint validation
-  const SimResult result = RunScenario(opts);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("window_batch"), std::string::npos) << result.error;
 }
 
 // Library callers that bypass the parsers get the same check as a

@@ -105,28 +105,4 @@ inline void ExpectShardCountInvariant(exp::PointSpec spec,
   }
 }
 
-// The window-batching twin of ExpectShardCountInvariant: `spec` run at
-// window_batch=1 (one drain barrier per conservative window) must produce
-// a byte-identical deterministic fingerprint at
-// every setting in `batches` (0 = adaptive). `spec.shards` must already be
-// >= 1; only `spec.window_batch` is overwritten.
-inline void ExpectWindowBatchInvariant(exp::PointSpec spec,
-                                       std::initializer_list<int> batches) {
-  ASSERT_GE(spec.shards, 1) << "the engine runs at least one shard";
-  spec.window_batch = 1;
-  const exp::Metrics oracle_metrics = RunPointOrFail(spec);
-  const std::string oracle = DeterministicFingerprint(oracle_metrics);
-  ASSERT_FALSE(oracle.empty());
-  EXPECT_GT(oracle_metrics.Number("sim_events"), 0)
-      << spec.scenario << "/" << spec.bm;
-  for (const int batch : batches) {
-    spec.window_batch = batch;
-    const std::string batched = DeterministicFingerprint(RunPointOrFail(spec));
-    EXPECT_EQ(oracle, batched)
-        << spec.scenario << "/" << spec.bm << ": window_batch=" << batch
-        << " diverged from the batch=1 schedule (shards=" << spec.shards
-        << ", seed " << spec.seed << ")";
-  }
-}
-
 }  // namespace occamy::testing

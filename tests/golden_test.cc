@@ -16,7 +16,8 @@
 //
 // The golden cases pin each platform at its default of one shard, and the
 // fabric also at two shards (whose rows must match the one-shard files:
-// the mailbox path is locked against the same fingerprints). Unlike
+// the mailbox path is locked against the same fingerprints). Every case
+// runs the engine's one window planner, adaptive batching. Unlike
 // differential_test, the fingerprints are seed-pinned: OCCAMY_TEST_SEED
 // does not shift them (reruns in the CI seed matrix double as a flakiness
 // probe instead).
@@ -58,11 +59,6 @@ struct GoldenCase {
   // Filename tag for the faulted suffix; defaults to "faults". Lets several
   // faulted cases of the same (scenario, bm, shards) coexist.
   const char* tag = nullptr;
-  // Windows per drain barrier (0 = adaptive, the default).
-  // Deliberately NOT part of GoldenPath: batched rows diff against the
-  // same file as their batch=1/auto siblings, so the byte-identity of the
-  // batched schedule is enforced by the golden suite itself.
-  int window_batch = 0;
 };
 
 // One file per case: <scenario>.<bm>[.shardsN][.<tag|faults>].golden, with
@@ -83,7 +79,6 @@ void CheckGolden(const GoldenCase& c) {
   spec.duration_ms = c.duration_ms;
   spec.seed = 1;  // pinned: goldens are fixed-point, not seed-shifted
   spec.shards = c.shards;
-  spec.window_batch = c.window_batch;
   if (c.faults != nullptr) spec.faults = c.faults;
   const exp::Metrics metrics = testing::RunPointOrFail(spec);
   ASSERT_GT(metrics.Number("sim_events"), 0);
@@ -144,22 +139,6 @@ constexpr GoldenCase kCases[] = {
      "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5", "gilbert"},
     {"websearch", "occamy", 2.0, 2,
      "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5", "gilbert"},
-    // Window batching: the batched schedules diff against the SAME golden
-    // files as the rows above (which run at the adaptive default,
-    // window_batch=0) — a fingerprint drift at any batch setting, healthy or
-    // faulted, is a golden failure, not just a differential one.
-    {"burst", "occamy", 1.0, 1, nullptr, nullptr, 1},
-    {"burst", "occamy", 1.0, 1, nullptr, nullptr, 4},
-    {"burst_absorption", "occamy", 2.0, 1, nullptr, nullptr, 1},
-    {"burst_absorption", "occamy", 2.0, 1, nullptr, nullptr, 4},
-    {"websearch", "occamy", 2.0, 2, nullptr, nullptr, 1},
-    {"websearch", "occamy", 2.0, 2, nullptr, nullptr, 4},
-    {"burst", "occamy", 1.0, 1, "link_down:t=500us,dur=300us,node=sw0,port=2",
-     nullptr, 4},
-    {"websearch", "occamy", 2.0, 2,
-     "link_down:t=500us,dur=500us,node=sw0,port=4,reroute=1", "reroute", 4},
-    {"websearch", "occamy", 2.0, 2,
-     "gilbert:p_gb=0.05,p_bg=0.3,loss_bad=0.3,slot=50us,seed=5", "gilbert", 4},
 };
 
 TEST(GoldenTest, MetricsMatchCheckedInFingerprints) {

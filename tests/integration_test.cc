@@ -246,7 +246,7 @@ TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
     run.seed = seed;
     const StarSpec star = MakeDpdkStarSpec(run);
     const Time duration = DpdkDuration(run, star, BenchScale::kDefault);
-    StarScenario s(star, /*use_threads=*/false);
+    StarScenario s(star);
     const auto lp = StartDpdkLpStreams(run, s, duration);
     const workload::PregeneratedIncast incast = workload::PregenerateIncast(
         MakeDpdkQueryConfig(run, s.topo.hosts, star, duration, s.IdealFn(), nullptr));

@@ -1,5 +1,5 @@
 // ShardedSimulator + shard-aware Network: conservative windows, mailbox
-// merge order, lookahead edge cases, Stop() mid-window, shard assignment.
+// merge order, lookahead edge cases, window batching, shard assignment.
 #include "src/sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
@@ -37,13 +37,11 @@ Packet MakePacket(uint64_t flow_id) {
 
 constexpr Time kLookahead = Microseconds(2);
 
-sim::ShardedSimulator::Options EngineOptions(int shards, bool use_threads = true,
-                                             int window_batch = 0) {
+sim::ShardedSimulator::Options EngineOptions(int shards, bool use_threads = true) {
   sim::ShardedSimulator::Options opts;
   opts.shards = shards;
   opts.lookahead = kLookahead;
   opts.use_threads = use_threads;
-  opts.window_batch = window_batch;
   return opts;
 }
 
@@ -199,34 +197,8 @@ TEST(ShardedSimTest, EmptyShardRunsToCompletion) {
   EXPECT_EQ(ssim.shard(3).now(), Milliseconds(1));  // empty shard still advanced
 }
 
-// Stop() from inside an event halts the calling shard immediately and every
-// shard by the current window's end; later events never run.
-TEST(ShardedSimTest, StopMidWindow) {
-  for (const bool threads : {true, false}) {
-    sim::ShardedSimulator ssim(EngineOptions(2, threads));
-    net::Network net(&ssim, [](net::NodeId id) { return static_cast<int>(id) % 2; });
-    net.AddNode(std::make_unique<RecordingNode>());
-    auto node1 = std::make_unique<RecordingNode>();
-    RecordingNode* far = node1.get();
-    net.AddNode(std::move(node1));
-
-    int same_window_events = 0;
-    ssim.shard(0).At(Microseconds(1), [&ssim] { ssim.Stop(); });
-    // Same shard, same window, after the stop: must not run.
-    ssim.shard(0).At(Microseconds(1) + 1, [&same_window_events] { ++same_window_events; });
-    // Far future on the other shard: must not run either.
-    ssim.shard(1).At(Milliseconds(5), [far] { far->received.emplace_back(0, 99); });
-
-    ssim.RunUntil(Milliseconds(10));
-    EXPECT_TRUE(ssim.stop_requested()) << "threads=" << threads;
-    EXPECT_EQ(same_window_events, 0) << "threads=" << threads;
-    EXPECT_TRUE(far->received.empty()) << "threads=" << threads;
-    EXPECT_LT(ssim.shard(0).now(), Milliseconds(10));
-  }
-}
-
-// Without Stop(), RunUntil drains everything and leaves every clock at
-// `until`, hopping over empty windows rather than iterating them.
+// RunUntil drains everything and leaves every clock at `until`, hopping
+// over empty windows rather than iterating them.
 TEST(ShardedSimTest, RunUntilAdvancesAllClocksAndHopsEmptyWindows) {
   sim::ShardedSimulator ssim(EngineOptions(2));
   net::Network net(&ssim, [](net::NodeId id) { return static_cast<int>(id) % 2; });
@@ -245,9 +217,9 @@ TEST(ShardedSimTest, RunUntilAdvancesAllClocksAndHopsEmptyWindows) {
 
 // ---- window batching ----
 
-// Every window-batch setting (adaptive, one window, fixed, max) must produce
-// the same arrival logs as batch=1 — batching only elides plan rounds,
-// never a drain — across shard counts and threading modes.
+// Batches end at different windows at each shard count, yet every shard
+// count and threading mode must produce the same arrival logs: batching
+// only elides plan rounds, never a drain.
 TEST(ShardedSimTest, WindowBatchSettingsAreByteIdentical) {
   const auto scenario = [](sim::ShardedSimulator& ssim, net::Network& net) {
     // Mix of same-window merges, cross-window chains, and quiet gaps so
@@ -265,110 +237,47 @@ TEST(ShardedSimTest, WindowBatchSettingsAreByteIdentical) {
 
   std::vector<std::pair<Time, uint64_t>> reference;
   bool have_reference = false;
-  for (const int batch : {1, 0, 4, 16}) {
-    for (const int shards : {1, 2, 4}) {
-      for (const bool threads : {true, false}) {
-        sim::ShardedSimulator ssim(EngineOptions(shards, threads, batch));
-        net::Network net(&ssim, [shards](net::NodeId id) {
-          return static_cast<int>(id) % shards;
-        });
-        std::vector<RecordingNode*> ptrs;
-        for (int i = 0; i < 4; ++i) {
-          auto node = std::make_unique<RecordingNode>();
-          ptrs.push_back(node.get());
-          net.AddNode(std::move(node));
-        }
-        scenario(ssim, net);
-        ssim.RunUntil(Milliseconds(1));
-        if (!have_reference) {
-          reference = ptrs[3]->received;
-          have_reference = true;
-          ASSERT_EQ(reference.size(), 3u);
-        } else {
-          EXPECT_EQ(ptrs[3]->received, reference)
-              << "batch=" << batch << " shards=" << shards
-              << " threads=" << threads;
-        }
+  for (const int shards : {1, 2, 4}) {
+    for (const bool threads : {true, false}) {
+      sim::ShardedSimulator ssim(EngineOptions(shards, threads));
+      net::Network net(&ssim, [shards](net::NodeId id) {
+        return static_cast<int>(id) % shards;
+      });
+      std::vector<RecordingNode*> ptrs;
+      for (int i = 0; i < 4; ++i) {
+        auto node = std::make_unique<RecordingNode>();
+        ptrs.push_back(node.get());
+        net.AddNode(std::move(node));
+      }
+      scenario(ssim, net);
+      ssim.RunUntil(Milliseconds(1));
+      if (!have_reference) {
+        reference = ptrs[3]->received;
+        have_reference = true;
+        ASSERT_EQ(reference.size(), 3u);
+      } else {
+        EXPECT_EQ(ptrs[3]->received, reference)
+            << "shards=" << shards << " threads=" << threads;
       }
     }
   }
 }
 
 // A run of consecutive busy windows with no cross-shard mail is exactly
-// where batching pays: the adaptive policy must finish it in strictly
-// fewer barrier rounds than the one-window-per-round schedule, while
-// executing the same windows and events.
+// where batching pays: the planner must finish it in strictly fewer
+// barrier rounds than the windows it executes.
 TEST(ShardedSimTest, AdaptiveBatchingReducesBarrierRounds) {
   static constexpr int kBusyWindows = 100;
-  struct Counters {
-    uint64_t rounds = 0, executed = 0, max_batch = 0;
-  };
-  const auto run = [](int window_batch) {
-    sim::ShardedSimulator ssim(EngineOptions(2, true, window_batch));
-    int ran = 0;
-    for (int w = 0; w < kBusyWindows; ++w) {
-      ssim.shard(w % 2).At(static_cast<Time>(w) * kLookahead + 1,
-                           [&ran] { ++ran; });
-    }
-    ssim.RunUntil(static_cast<Time>(kBusyWindows) * kLookahead);
-    EXPECT_EQ(ran, kBusyWindows) << "window_batch=" << window_batch;
-    return Counters{ssim.windows_run(), ssim.windows_executed(),
-                    ssim.max_window_batch()};
-  };
-
-  const Counters per_window = run(1);
-  const Counters adaptive = run(0);
-  EXPECT_EQ(per_window.rounds, static_cast<uint64_t>(kBusyWindows));
-  EXPECT_EQ(per_window.max_batch, 1u);
-  EXPECT_LT(adaptive.rounds, per_window.rounds);
-  EXPECT_GT(adaptive.max_batch, 1u);
-  // Batching changes how many barriers ran, never how many windows did.
-  EXPECT_EQ(adaptive.executed, per_window.executed);
-}
-
-// A drain fence at every window start forces the planner back to the
-// one-window schedule: no batch may cross a fence, so barrier rounds match
-// batch=1 exactly. This is the alignment guarantee fault toggles rely on.
-TEST(ShardedSimTest, DrainFencesForceBarrierRounds) {
-  static constexpr int kBusyWindows = 32;
-  const auto run = [](int window_batch, bool fences) {
-    sim::ShardedSimulator ssim(EngineOptions(2, true, window_batch));
-    if (fences) {
-      for (int w = 0; w < kBusyWindows; ++w) {
-        ssim.AddDrainFence(static_cast<Time>(w) * kLookahead);
-      }
-    }
-    int ran = 0;
-    for (int w = 0; w < kBusyWindows; ++w) {
-      ssim.shard(w % 2).At(static_cast<Time>(w) * kLookahead + 1,
-                           [&ran] { ++ran; });
-    }
-    ssim.RunUntil(static_cast<Time>(kBusyWindows) * kLookahead);
-    EXPECT_EQ(ran, kBusyWindows);
-    return ssim.windows_run();
-  };
-
-  const uint64_t per_window_rounds = run(1, false);
-  EXPECT_EQ(run(16, true), per_window_rounds);   // fenced: batching disabled
-  EXPECT_LT(run(16, false), per_window_rounds);  // unfenced: batching engages
-}
-
-// Stop() inside a k-window batch halts at the *current* window's barrier —
-// an event two windows later (well inside the armed batch) on another
-// shard must never run, exactly as in the unbatched engine.
-TEST(ShardedSimTest, StopMidBatchHaltsAtCurrentWindow) {
-  for (const bool threads : {true, false}) {
-    sim::ShardedSimulator ssim(EngineOptions(2, threads, /*window_batch=*/8));
-    int late_events = 0;
-    ssim.shard(0).At(Microseconds(1), [&ssim] { ssim.Stop(); });
-    // Two windows later, inside the 8-window batch, other shard: must not
-    // run — a batch that coasts to batch_end would execute it.
-    ssim.shard(1).At(Microseconds(5), [&late_events] { ++late_events; });
-    ssim.RunUntil(Milliseconds(1));
-    EXPECT_TRUE(ssim.stop_requested()) << "threads=" << threads;
-    EXPECT_EQ(late_events, 0) << "threads=" << threads;
-    EXPECT_LT(ssim.shard(1).now(), Milliseconds(1)) << "threads=" << threads;
+  sim::ShardedSimulator ssim(EngineOptions(2));
+  int ran = 0;
+  for (int w = 0; w < kBusyWindows; ++w) {
+    ssim.shard(w % 2).At(static_cast<Time>(w) * kLookahead + 1, [&ran] { ++ran; });
   }
+  ssim.RunUntil(static_cast<Time>(kBusyWindows) * kLookahead);
+  EXPECT_EQ(ran, kBusyWindows);
+  EXPECT_EQ(ssim.windows_executed(), static_cast<uint64_t>(kBusyWindows));
+  EXPECT_LT(ssim.windows_run(), ssim.windows_executed());
+  EXPECT_GT(ssim.max_window_batch(), 1u);
 }
 
 // ---- property tests: conservative-window invariant over randomized

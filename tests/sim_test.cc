@@ -92,21 +92,6 @@ TEST(SimulatorTest, CancelFromWithinEvent) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(SimulatorTest, StopHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.At(Nanoseconds(10), [&] {
-    ++fired;
-    sim.Stop();
-  });
-  sim.At(Nanoseconds(20), [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  // A later Run resumes.
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimulatorTest, ProcessedEventCount) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.At(Nanoseconds(i), [] {});

@@ -46,7 +46,6 @@ exp::PointSpec PointSpecOf(const SimOptions& opts) {
   spec.duration_ms = opts.duration_ms;
   spec.alphas = opts.alphas;
   spec.shards = opts.shards;
-  spec.window_batch = opts.window_batch;
   spec.faults = opts.faults;
   if (!opts.scale.empty()) spec.scale = exp::ScaleByName(opts.scale);
   return spec;
@@ -103,36 +102,55 @@ std::optional<std::string> ParseDurationMs(const std::string& value, double& out
   return std::nullopt;
 }
 
+bool NextFlag(const std::string& arg, std::set<std::string>& seen, std::string& key,
+              std::string& value, std::string& err) {
+  if (arg == "--help" || arg == "-h") {
+    key = "help";
+    value.clear();
+    return true;
+  }
+  if (arg == "--list") {
+    key = "list";
+    value.clear();
+    return true;
+  }
+  const auto eq = arg.find('=');
+  if (arg.rfind("--", 0) != 0 || eq == std::string::npos || eq == 2) {
+    err = "unrecognized argument: " + arg;
+    return false;
+  }
+  key = arg.substr(2, eq - 2);
+  value = arg.substr(eq + 1);
+  if (value.empty()) {
+    err = "empty value for --" + key;
+    return false;
+  }
+  // Last-wins on repeated flags silently discards the earlier value;
+  // report it instead, since it is almost always a typo in a long command
+  // line.
+  if (!seen.insert(key).second) {
+    err = "duplicate option --" + key + " (each option may be given once)";
+    return false;
+  }
+  return true;
+}
+
 std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptions& out) {
   std::set<std::string> seen;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--list") {
-      out.list = true;
-      continue;
-    }
+    // NextFlag knows only the bare --help and --list.
     if (arg == "--degradation") {
       out.degradation = true;
       continue;
     }
-    if (arg == "--help" || arg == "-h") {
+    std::string key, value, flag_error;
+    if (!NextFlag(arg, seen, key, value, flag_error)) return flag_error;
+    if (key == "help") {
       out.help = true;
-      continue;
-    }
-    const auto eq = arg.find('=');
-    if (arg.rfind("--", 0) != 0 || eq == std::string::npos || eq == 2) {
-      return "unrecognized argument: " + arg;
-    }
-    const std::string key = arg.substr(2, eq - 2);
-    const std::string value = arg.substr(eq + 1);
-    if (value.empty()) return "empty value for --" + key;
-    // Last-wins on repeated flags silently discards the earlier value;
-    // report it instead, since it is almost always a typo in a long
-    // command line.
-    if (!seen.insert(key).second) {
-      return "duplicate option --" + key + " (each option may be given once)";
-    }
-    if (key == "scenario") {
+    } else if (key == "list") {
+      out.list = true;
+    } else if (key == "scenario") {
       out.scenario = value;
     } else if (key == "bm") {
       out.bm = value;
@@ -165,19 +183,6 @@ std::optional<std::string> ParseArgs(int argc, const char* const* argv, SimOptio
       out.shards = std::atoi(value.c_str());
       if (out.shards < 1 || out.shards > 64) {
         return "invalid --shards (want 1..64): " + value;
-      }
-    } else if (key == "window-batch") {
-      if (value == "auto") {
-        out.window_batch = 0;
-      } else {
-        if (value.find_first_not_of("0123456789") != std::string::npos ||
-            value.size() > 2) {
-          return "invalid --window-batch (want auto|1..16): " + value;
-        }
-        out.window_batch = std::atoi(value.c_str());
-        if (out.window_batch < 1 || out.window_batch > 16) {
-          return "invalid --window-batch (want auto|1..16): " + value;
-        }
       }
     } else if (key == "faults") {
       // Parse eagerly so a malformed schedule is a usage error (exit 2)
@@ -249,11 +254,6 @@ std::string UsageString() {
          "                      1..64 (node-affinity sharding; byte-identical\n"
          "                      metrics for any n; star/p4 scenarios take only\n"
          "                      n=1; default: 1)\n"
-         "  --window-batch=<k>  windows per plan-barrier round; auto (default)\n"
-         "                      adapts to the staged-mail signal and window event\n"
-         "                      density, 1 = one window per plan round, 2..16 =\n"
-         "                      fixed batch. Metrics are byte-identical at every\n"
-         "                      setting; only barrier rounds (windows_run) change\n"
          "  --faults=<spec>     deterministic fault schedule, e.g.\n"
          "                      link_down:t=2ms,dur=1ms,node=sw0,port=3;loss:rate=0.01\n"
          "                      (types: link_down link_up blackhole freeze restart\n"

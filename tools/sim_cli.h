@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,13 +30,20 @@ struct SimOptions {
   double duration_ms = 0;       // 0 = scenario default
   std::vector<double> alphas;   // per-class override; empty = scheme default
   int shards = 1;               // engine shards; above 1 on fabric scenarios only
-  int window_batch = 0;         // 0 = auto, 1 = one window per plan round, N = fixed
   std::string faults;           // fault schedule (src/fault grammar); empty = healthy
   bool degradation = false;     // also run the healthy twin; emit healthy_/delta_ fields
   bool profile = false;         // `profile` subcommand: print the trace report
   bool list = false;
   bool help = false;
 };
+
+// Splits one argument of the run, sweep and figure parsers: bare --help or
+// -h yields key "help" and bare --list key "list" (empty value); anything
+// else must be --key=value with a non-empty value and a key not already in
+// `seen`. Returns false, with `err` set, on malformed syntax or a repeated
+// option.
+bool NextFlag(const std::string& arg, std::set<std::string>& seen, std::string& key,
+              std::string& value, std::string& err);
 
 // Parses argv into `out`. Returns an error message on malformed input
 // (including repeated options and empty list entries), std::nullopt on

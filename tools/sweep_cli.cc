@@ -17,39 +17,6 @@ namespace occamy::cli {
 
 namespace {
 
-// Common flag plumbing for the two subcommand parsers: splits --key=value,
-// rejects duplicates and empty values. Returns false (with `err` set) on
-// malformed syntax; bare flags ("--help") yield an empty value.
-bool NextFlag(const std::string& arg, std::set<std::string>& seen, std::string& key,
-              std::string& value, std::string& err) {
-  if (arg == "--help" || arg == "-h") {
-    key = "help";
-    value.clear();
-    return true;
-  }
-  if (arg == "--list") {
-    key = "list";
-    value.clear();
-    return true;
-  }
-  const auto eq = arg.find('=');
-  if (arg.rfind("--", 0) != 0 || eq == std::string::npos || eq == 2) {
-    err = "unrecognized argument: " + arg;
-    return false;
-  }
-  key = arg.substr(2, eq - 2);
-  value = arg.substr(eq + 1);
-  if (value.empty()) {
-    err = "empty value for --" + key;
-    return false;
-  }
-  if (!seen.insert(key).second) {
-    err = "duplicate option --" + key + " (each option may be given once)";
-    return false;
-  }
-  return true;
-}
-
 std::optional<std::string> ParsePositiveInt(const std::string& flag,
                                             const std::string& value, int max,
                                             int& out) {
@@ -144,9 +111,6 @@ std::string SweepUsageString() {
          "                            results unchanged; star/p4 scenarios take\n"
          "                            only n=1; jobs is capped so jobs x shards\n"
          "                            fits the CPU)\n"
-         "  --window-batch=<k>        windows per plan barrier (auto = adaptive,\n"
-         "                            1 = one window per plan round, 2..16 = fixed;\n"
-         "                            results unchanged at every setting)\n"
          "  --faults=<spec>           fault schedule applied to every point (run\n"
          "                            condition, not a grid axis; src/fault grammar)\n"
          "Sweep dimensions (each value adds a grid axis):\n"
@@ -207,12 +171,6 @@ std::optional<std::string> ParseSweepArgs(int argc, const char* const* argv,
       if (auto e = ParsePositiveInt(key, value, 64, out.jobs)) return e;
     } else if (key == "shards") {
       if (auto e = ParsePositiveInt(key, value, 64, out.spec.shards)) return e;
-    } else if (key == "window-batch") {
-      if (value == "auto") {
-        out.spec.window_batch = 0;
-      } else if (auto e = ParsePositiveInt(key, value, 16, out.spec.window_batch)) {
-        return "invalid --window-batch (want auto|1..16): " + value;
-      }
     } else if (key == "out") {
       out.out_dir = value;
     } else if (key == "scale") {
