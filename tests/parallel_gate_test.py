@@ -2,8 +2,8 @@
 """Decisions of tools/parallel_gate.py, driven by a stub occamy_sim.
 
 The stub is a shell script that logs its command line and prints a fixed
-metrics object per engine leg (serial, timed, reference), or fails, so
-every case runs in well under a second. The gate runs in-process so that
+metrics object per engine leg (serial, timed), or fails, so every case runs
+in well under a second. The gate runs in-process so that
 each case can set the host's core count.
 """
 
@@ -27,8 +27,7 @@ SPEC.loader.exec_module(gate)
 STUB = """#!/bin/sh
 echo "$*" >> {dir}/calls.log
 case "$*" in
-  *--shards=1*) leg=serial ;;
-  *--window-batch=1*) leg=reference ;;
+  *--shards=1) leg=serial ;;
   *) leg=timed ;;
 esac
 cat {dir}/$leg.out
@@ -48,16 +47,16 @@ def leg(wall_ms, windows_run, shards, **changes):
 
 
 def legs(**changes):
-    """A healthy serial/timed/reference triple, with `changes` per leg."""
-    triple = {"serial": leg(600.0, 898, 1, parallel_efficiency=1.0),
-              "timed": leg(200.0, 66, 4, max_window_batch=16),
-              "reference": leg(800.0, 898, 4)}
+    """A healthy serial/timed pair of legs, with `changes` per leg."""
+    pair = {"serial": leg(600.0, 61, 1, parallel_efficiency=1.0,
+                          max_window_batch=16),
+            "timed": leg(200.0, 66, 4, max_window_batch=16)}
     for name, value in changes.items():
         if isinstance(value, dict):
-            triple[name].update(value)
+            pair[name].update(value)
         else:
-            triple[name] = value
-    return triple
+            pair[name] = value
+    return pair
 
 
 class ParallelGateTest(unittest.TestCase):
@@ -68,10 +67,10 @@ class ParallelGateTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def stub(self, triple):
-        """A stub occamy_sim; each leg of `triple` is a metrics dict, raw
+    def stub(self, pair):
+        """A stub occamy_sim; each leg of `pair` is a metrics dict, raw
         stdout text, or an exit code."""
-        for name, out in triple.items():
+        for name, out in pair.items():
             code = out if isinstance(out, int) else 0
             if isinstance(out, int):
                 out = "boom"
@@ -105,45 +104,42 @@ class ParallelGateTest(unittest.TestCase):
         self.assertEqual(report["fabric_parallel_cores"], 4)
         self.assertEqual(report["fabric_parallel_sim_events"], 1860008)
         self.assertEqual(report["fabric_parallel_windows_run"], 66)
-        self.assertEqual(report["fabric_parallel_windows_run_batch1"], 898)
+        self.assertEqual(report["fabric_parallel_windows_executed"], 898)
         with open(self.log) as f:
             calls = f.read().splitlines()
         run = " ".join(gate.RUN)
-        serial, timed = f"{run} --shards=1 --window-batch=1", f"{run} --shards=4"
+        serial, timed = f"{run} --shards=1", f"{run} --shards=4"
         pairs = [[serial, timed] if i % 2 == 0 else [timed, serial]
                  for i in range(gate.ROUNDS)]
-        self.assertEqual(calls, [c for pair in pairs for c in pair] +
-                         [f"{run} --shards=4 --window-batch=1"])
+        self.assertEqual(calls, [c for pair in pairs for c in pair])
 
     def test_differing_deterministic_key_fails_naming_it(self):
-        for name in ("timed", "reference"):
-            code, _, err = self.gate(self.stub(legs(**{name: {"drops": 7}})))
-            self.assertEqual(code, 1, name)
-            self.assertIn(f"the {name}", err)
-            self.assertIn("drops: 0 vs 7", err)
+        code, _, err = self.gate(self.stub(legs(timed={"drops": 7})))
+        self.assertEqual(code, 1)
+        self.assertIn("the timed", err)
+        self.assertIn("drops: 0 vs 7", err)
         code, _, err = self.gate(self.stub(legs(timed={"extra_key": 1})))
         self.assertEqual(code, 1)
         self.assertIn("extra_key: <missing> vs 1", err)
 
     def test_mailbox_counters_may_differ_across_shard_counts(self):
         # One shard stages nothing; four stage every cross-shard delivery.
-        mail = {"mailbox_staged_events": 23516, "mailbox_drained_events": 23516}
-        triple = legs(serial={"mailbox_staged_events": 0,
-                              "mailbox_drained_events": 0},
-                      timed=mail, reference=mail)
-        code, _, err = self.gate(self.stub(triple))
+        pair = legs(serial={"mailbox_staged_events": 0,
+                            "mailbox_drained_events": 0},
+                    timed={"mailbox_staged_events": 23516,
+                           "mailbox_drained_events": 23516})
+        code, _, err = self.gate(self.stub(pair))
         self.assertEqual(code, 0, err)
 
     def test_batching_that_does_not_cut_rounds_fails(self):
         code, _, err = self.gate(self.stub(legs(timed={"windows_run": 898})))
         self.assertEqual(code, 1)
-        self.assertIn("898 barrier rounds vs 898 at batch=1", err)
+        self.assertIn("898 barrier rounds for 898 windows executed", err)
 
     def test_empty_run_fails(self):
         for key in ("bg_flows_completed", "delivered_bytes"):
-            triple = legs(**{name: {key: 0} for name in
-                             ("serial", "timed", "reference")})
-            code, _, err = self.gate(self.stub(triple))
+            pair = legs(**{name: {key: 0} for name in ("serial", "timed")})
+            code, _, err = self.gate(self.stub(pair))
             self.assertEqual(code, 1, key)
             self.assertIn("empty run", err)
 
