@@ -8,6 +8,12 @@
 // allocation, preserving std::function generality. Move-only by design —
 // events are scheduled once and fired once, so copies would only hide
 // accidental capture duplication.
+//
+// The event queue builds each closure straight into its arena slot
+// (Emplace), so a scheduled closure is moved twice in all: into the slot,
+// and out of it when the event pops. Trivially destructible closures (every
+// per-packet one) have no destroy op, so releasing one tests a pointer
+// instead of making an indirect call.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +41,7 @@ class Callback {
                                         !std::is_same_v<D, std::nullptr_t> &&
                                         std::is_invocable_r_v<void, D&>>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (FitsInline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    Construct<D>(std::forward<F>(f));
   }
 
   Callback(Callback&& other) noexcept { MoveFrom(other); }
@@ -62,12 +62,35 @@ class Callback {
 
   ~Callback() { Reset(); }
 
+  // Replaces the held callable with `f`: a callable is constructed directly
+  // in this Callback's storage, an rvalue Callback is moved in, and nullptr
+  // empties it. A Callback lvalue does not compile, so nothing is moved
+  // from without a std::move at the call site.
+  template <typename F>
+  void Emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, Callback>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "pass a Callback by std::move: it is move-only");
+      *this = std::move(f);
+    } else if constexpr (std::is_same_v<D, std::nullptr_t>) {
+      Reset();
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>, "a callback takes no arguments");
+      Reset();
+      Construct<D>(std::forward<F>(f));
+    }
+  }
+
   explicit operator bool() const { return ops_ != nullptr; }
 
   void operator()() { ops_->invoke(storage_); }
 
   // True if the wrapped callable lives in the inline buffer (test hook).
   bool IsInlineForTest() const { return ops_ != nullptr && ops_->inline_storage; }
+
+  // True if releasing the wrapped callable runs a destroy op (test hook).
+  bool HasDestroyOpForTest() const { return ops_ != nullptr && ops_->destroy != nullptr; }
 
   // True if a callable of type D is stored inline. Hot closures
   // static_assert it, so growing one past the buffer fails the build
@@ -84,9 +107,16 @@ class Callback {
     // Move-constructs the callable from `from` into `to`, then destroys the
     // original (used when the Callback object itself is moved).
     void (*relocate)(void* from, void* to);
+    // Null when there is nothing to release (a trivially destructible
+    // callable stored inline).
     void (*destroy)(void*);
     bool inline_storage;
   };
+
+  template <typename D>
+  static void DestroyInline(void* p) {
+    std::launder(reinterpret_cast<D*>(p))->~D();
+  }
 
   template <typename D>
   static constexpr Ops kInlineOps = {
@@ -96,7 +126,7 @@ class Callback {
         ::new (to) D(std::move(*f));
         f->~D();
       },
-      [](void* p) { std::launder(reinterpret_cast<D*>(p))->~D(); },
+      std::is_trivially_destructible_v<D> ? nullptr : &DestroyInline<D>,
       /*inline_storage=*/true,
   };
 
@@ -108,6 +138,18 @@ class Callback {
       /*inline_storage=*/false,
   };
 
+  // Builds the callable in storage_; ops_ must be null.
+  template <typename D, typename F>
+  void Construct(F&& f) {
+    if constexpr (FitsInline<D>()) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
   void MoveFrom(Callback& other) noexcept {
     if (other.ops_ != nullptr) {
       other.ops_->relocate(other.storage_, storage_);
@@ -118,7 +160,7 @@ class Callback {
 
   void Reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }

@@ -40,14 +40,23 @@
 //  - Event state (callback + liveness) lives in a contiguous freelist-
 //    recycled arena: after warm-up, scheduling performs no allocation (the
 //    arena and heap vectors are reused, and sim::Callback keeps every
-//    per-packet closure in src/ inline). EventHandle is a {slot,
+//    per-packet closure in src/ inline). A push builds its closure directly
+//    in the slot, and a pop moves it out once. EventHandle is a {slot,
 //    generation} pair instead of a weak_ptr: cancelling a stale handle
 //    whose slot has been recycled is a generation mismatch, hence a no-op.
 //
+// A pending local event can be postponed in place (PostponeLocal, the
+// retransmit-timer pattern): its slot records the new key, which is the key
+// a fresh PushLocal would get at that moment, and its heap entry stays
+// where it is under the old, smaller key. The entry is re-keyed when it
+// reaches the root (replaced and sifted down) or when the heap is
+// compacted, so the heap never yields a stale time.
+//
 // Cancelled events are skipped lazily when they surface at the heap root,
-// and compacted eagerly once they outnumber live events (so a workload that
-// cancels many far-future timers — e.g. retransmit timers — cannot grow the
-// heap unboundedly).
+// and compacted eagerly once they make up more than a quarter of the heap
+// (so a workload that cancels many far-future timers cannot grow the heap
+// unboundedly; with timers postponed in place, the dead entries left are
+// mostly the timers of completed flows, each lingering one minimum RTO).
 //
 // Handles are only valid while the owning EventQueue is alive; they are
 // plain {queue, slot, generation} triples with no ownership.
@@ -56,6 +65,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/callback.h"
@@ -127,43 +138,62 @@ class EventQueue {
     return AheadBits(ahead) | tiebreak;
   }
 
+  // The scheduling calls take any callable (or an rvalue Callback) and
+  // forward it down to its arena slot, where Callback::Emplace builds it:
+  // a push moves a closure once.
+
   // A local event, FIFO among same-time pushes.
-  EventHandle Push(Time time, Callback cb) { return PushLocal(time, 0, std::move(cb)); }
+  template <typename F>
+  EventHandle Push(Time time, F&& f) {
+    return PushLocal(time, 0, std::forward<F>(f));
+  }
 
   // A local event scheduled `ahead` windows before its own (saturated at
-  // kMaxAhead). The callback is taken by reference down to its arena slot,
-  // so a push moves it once, whichever of these the compiler inlines.
-  EventHandle PushLocal(Time time, int ahead, Callback&& cb) {
-    return PushOrdered(time, AheadBits(ahead) | kLocalBit | next_seq_++, std::move(cb));
+  // kMaxAhead).
+  template <typename F>
+  EventHandle PushLocal(Time time, int ahead, F&& f) {
+    return PushOrdered(time, LocalOrder(ahead), std::forward<F>(f));
   }
 
   // An event with an explicit order word (a delivery, see DeliveryOrder).
-  EventHandle PushOrdered(Time time, uint64_t order, Callback&& cb) {
-    // The pop path invokes unconditionally (the old queue silently skipped
-    // null callbacks); reject the programming error at schedule time.
-    OCCAMY_CHECK(static_cast<bool>(cb)) << "scheduling a null callback";
-    // Checked here rather than in PushLocal, so that the inlined local push
-    // stays small: a counter past its field would corrupt the class bit.
-    OCCAMY_CHECK(next_seq_ >> kTiebreakBits == 0) << "event sequence overflow";
+  template <typename F>
+  EventHandle PushOrdered(Time time, uint64_t order, F&& f) {
     // The unsigned heap key (KeyOf) orders only non-negative times.
     OCCAMY_DCHECK_GE(time, 0);
-    uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-      OCCAMY_UNPOISON_SLOT(&slots_[slot].callback, sizeof(Callback));
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      OCCAMY_CHECK(slot < (1u << kSlotBits)) << "too many concurrent events";
-      slots_.emplace_back();
-    }
+    const uint32_t slot = TakeSlot();
     Slot& s = slots_[slot];
-    s.cancelled = false;
-    s.callback = std::move(cb);
+    s.callback.Emplace(std::forward<F>(f));
+    // The pop path invokes unconditionally (the old queue silently skipped
+    // null callbacks); reject the programming error at schedule time. For a
+    // lambda the compiler folds the check away.
+    OCCAMY_CHECK(static_cast<bool>(s.callback)) << "scheduling a null callback";
+    s.state = SlotState::kQueued;
+    s.time = time;
     heap_.push_back(Entry{time, (order << kSlotBits) | slot});
     SiftUp(heap_.size() - 1);
     ++live_;
     return EventHandle(this, slot, s.generation);
+  }
+
+  // Moves the pending local event behind `handle` to `time`, with the order
+  // word PushLocal(time, ahead, ...) would give a new event now (so it
+  // takes the next insertion counter value), and returns true. Its slot and
+  // handle stay the same and its heap entry stays where it is (see the file
+  // comment). Returns false, changing nothing, if the handle is not pending
+  // on this queue or `time` is before the event's time. `ahead` is as for
+  // PushLocal; since a simulator's windows only advance, the new key is
+  // never below the old one.
+  bool PostponeLocal(const EventHandle& handle, Time time, int ahead) {
+    if (handle.queue_ != this || !IsPendingSlot(handle.slot_, handle.generation_)) {
+      return false;
+    }
+    Slot& s = slots_[handle.slot_];
+    if (time < s.time) return false;
+    if (moved_keys_.size() <= handle.slot_) moved_keys_.resize(slots_.size());
+    moved_keys_[handle.slot_] = (LocalOrder(ahead) << kSlotBits) | handle.slot_;
+    s.time = time;
+    s.state = SlotState::kMoved;
+    return true;
   }
 
   bool Empty() const { return live_ == 0; }
@@ -173,27 +203,40 @@ class EventQueue {
   size_t live_size() const { return live_; }
 
   // Raw heap occupancy including cancelled entries awaiting removal; the
-  // lazy compaction keeps this below 2x live_size() (plus a small floor).
+  // lazy compaction keeps this at most 4/3 of live_size() after a cancel
+  // (plus a small floor).
   size_t SizeForTest() const { return heap_.size(); }
 
   // Time of the earliest live event. Undefined if Empty().
   Time NextTime() {
-    PruneDeadHead();
+    PruneHead();
     return heap_.front().time;
   }
 
-  // Pops the earliest live event, moving its callback into `cb` and
-  // returning its time. The slot is recycled before the callback runs, so
-  // the callback may freely schedule new events. Undefined if Empty().
-  Time PopLive(Callback& cb) {
-    PruneDeadHead();
+  // Pops the earliest live event if its time is at most `until`: moves its
+  // callback into `cb`, sets `time` to its time and returns true. Returns
+  // false, popping nothing, if no live event is due by then. The heap head
+  // is checked once. The slot is recycled before the callback runs, so the
+  // callback may freely schedule new events.
+  bool PopLiveUntil(Time until, Time& time, Callback& cb) {
+    if (live_ == 0) return false;
+    PruneHead();
     const Entry head = heap_.front();
+    if (head.time > until) return false;
     RemoveRoot();
     const uint32_t slot = SlotOf(head);
     cb = std::move(slots_[slot].callback);
     FreeSlot(slot);
     --live_;
-    return head.time;
+    time = head.time;
+    return true;
+  }
+
+  // PopLiveUntil with no bound, returning the time. Undefined if Empty().
+  Time PopLive(Callback& cb) {
+    Time time = 0;
+    PopLiveUntil(std::numeric_limits<Time>::max(), time, cb);
+    return time;
   }
 
  private:
@@ -208,6 +251,14 @@ class EventQueue {
     return static_cast<uint64_t>(kMaxAhead - ahead) << (kTiebreakBits + 1);
   }
 
+  // The order word of a local event pushed now, `ahead` windows before its
+  // own; takes the next insertion counter value.
+  uint64_t LocalOrder(int ahead) {
+    // A counter past its field would corrupt the class bit.
+    OCCAMY_CHECK(next_seq_ >> kTiebreakBits == 0) << "event sequence overflow";
+    return AheadBits(ahead) | kLocalBit | next_seq_++;
+  }
+
   // Heap entry: the (time, order) sort key is embedded so comparisons stay
   // in this contiguous array; the slot part points at callback/liveness
   // state.
@@ -220,24 +271,46 @@ class EventQueue {
     return static_cast<uint32_t>(e.seq_slot & ((1u << kSlotBits) - 1));
   }
 
-  struct Slot {
-    uint32_t generation = 0;
-    bool cancelled = false;
-    Callback callback;
+  enum class SlotState : uint8_t {
+    kQueued,     // live, and its heap entry holds its key
+    kMoved,      // live, postponed: its key is (time, moved_keys_[slot])
+    kCancelled,  // dead, awaiting removal from the heap
   };
 
+  // 112 bytes: the time fits in the padding after the generation and state.
+  struct Slot {
+    uint32_t generation = 0;
+    SlotState state = SlotState::kQueued;
+    Time time = 0;  // the event's time, postponed or not
+    Callback callback;
+  };
+  static_assert(sizeof(Slot) == 16 + sizeof(Callback), "the time must fit in the padding");
+
   // Compaction kicks in only past this heap size: tiny queues never pay the
-  // rebuild, and the bound "dead <= max(live, floor)" still holds.
+  // rebuild, and the bound "dead <= max(live / 3, floor)" still holds.
   static constexpr size_t kCompactMinHeap = 64;
 
+  uint32_t TakeSlot() {
+    uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+      OCCAMY_UNPOISON_SLOT(&slots_[slot].callback, sizeof(Callback));
+    } else {
+      slot = static_cast<uint32_t>(slots_.size());
+      OCCAMY_CHECK(slot < (1u << kSlotBits)) << "too many concurrent events";
+      slots_.emplace_back();
+    }
+    return slot;
+  }
+
   bool CancelSlot(uint32_t slot, uint32_t generation) {
-    if (slot >= slots_.size()) return false;
+    if (!IsPendingSlot(slot, generation)) return false;
     Slot& s = slots_[slot];
-    if (s.generation != generation || s.cancelled) return false;
-    s.cancelled = true;
+    s.state = SlotState::kCancelled;
     s.callback = nullptr;  // release captured state eagerly
     --live_;
-    if (heap_.size() >= kCompactMinHeap && (heap_.size() - live_) * 2 > heap_.size()) {
+    if (heap_.size() >= kCompactMinHeap && (heap_.size() - live_) * 4 > heap_.size()) {
       Compact();
     }
     return true;
@@ -245,7 +318,7 @@ class EventQueue {
 
   bool IsPendingSlot(uint32_t slot, uint32_t generation) const {
     return slot < slots_.size() && slots_[slot].generation == generation &&
-           !slots_[slot].cancelled;
+           slots_[slot].state != SlotState::kCancelled;
   }
 
   // The sort key as one unsigned 128-bit number: time in the high half,
@@ -259,6 +332,9 @@ class EventQueue {
   }
 
   static bool Before(const Entry& a, const Entry& b) { return KeyOf(a) < KeyOf(b); }
+
+  // The heap entry of a postponed slot's new key.
+  Entry MovedEntry(uint32_t slot) const { return Entry{slots_[slot].time, moved_keys_[slot]}; }
 
   void SiftUp(size_t i) {
     const Entry v = heap_[i];
@@ -311,8 +387,13 @@ class EventQueue {
   void RemoveRoot() {
     const Entry last = heap_.back();
     heap_.pop_back();
+    if (!heap_.empty()) ReplaceRoot(last);
+  }
+
+  // Puts `v` in place of the root: the root's hole walks to a leaf along
+  // the smallest children, and `v` sifts up from there.
+  void ReplaceRoot(const Entry v) {
     const size_t n = heap_.size();
-    if (n == 0) return;
     size_t hole = 0;
     for (;;) {
       const size_t first = 4 * hole + 1;
@@ -330,7 +411,7 @@ class EventQueue {
       heap_[hole] = heap_[best];
       hole = best;
     }
-    heap_[hole] = last;
+    heap_[hole] = v;
     SiftUp(hole);
   }
 
@@ -345,21 +426,37 @@ class EventQueue {
     free_.push_back(slot);
   }
 
-  void PruneDeadHead() {
-    while (!heap_.empty() && slots_[SlotOf(heap_.front())].cancelled) {
-      FreeSlot(SlotOf(heap_.front()));
-      RemoveRoot();
+  // Brings a live event with its current key to the root: frees cancelled
+  // heads and re-keys postponed ones. Needs a live event in the heap.
+  void PruneHead() {
+    for (;;) {
+      const uint32_t slot = SlotOf(heap_.front());
+      Slot& s = slots_[slot];
+      if (s.state == SlotState::kQueued) return;
+      if (s.state == SlotState::kCancelled) {
+        FreeSlot(slot);
+        RemoveRoot();
+      } else {
+        s.state = SlotState::kQueued;
+        ReplaceRoot(MovedEntry(slot));
+      }
     }
   }
 
-  // Removes every cancelled entry and rebuilds the heap in O(n). The pop
-  // order is unchanged: (time, order) is a total order, so any valid heap of
-  // the same live set yields the identical extraction sequence.
+  // Removes every cancelled entry, writes the new keys of postponed ones
+  // and rebuilds the heap in O(n). The pop order is unchanged: (time,
+  // order) is a total order, so any valid heap of the same live set yields
+  // the identical extraction sequence.
   void Compact() {
     size_t kept = 0;
     for (const Entry& e : heap_) {
-      if (slots_[SlotOf(e)].cancelled) {
-        FreeSlot(SlotOf(e));
+      const uint32_t slot = SlotOf(e);
+      Slot& s = slots_[slot];
+      if (s.state == SlotState::kCancelled) {
+        FreeSlot(slot);
+      } else if (s.state == SlotState::kMoved) {
+        s.state = SlotState::kQueued;
+        heap_[kept++] = MovedEntry(slot);
       } else {
         heap_[kept++] = e;
       }
@@ -373,6 +470,9 @@ class EventQueue {
   std::vector<Slot> slots_;     // arena; indexed by EventHandle::slot_
   std::vector<uint32_t> free_;  // recycled arena slots
   std::vector<Entry> heap_;     // 4-ary min-heap keyed by (time, order)
+  // By slot: the seq_slot word of a postponed event's new key. Sized on the
+  // first postpone, and grown only with the arena.
+  std::vector<uint64_t> moved_keys_;
   size_t live_ = 0;             // heap entries not cancelled
   uint64_t next_seq_ = 0;       // insertion counter of local events
 };

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
@@ -31,17 +32,29 @@ class Simulator {
   Time now() const { return now_; }
   Rng& rng() { return rng_; }
 
-  // Schedules `cb` at absolute time `t` (must not be in the past).
-  EventHandle At(Time t, Callback cb) {
+  // Schedules `f` (a callable, or an rvalue Callback) at absolute time `t`
+  // (must not be in the past). The closure is built in its event slot.
+  template <typename F>
+  EventHandle At(Time t, F&& f) {
     OCCAMY_CHECK_GE(t, now_) << "scheduling into the past";
-    return queue_.PushLocal(t, WindowsAhead(t), std::move(cb));
+    return queue_.PushLocal(t, WindowsAhead(t), std::forward<F>(f));
   }
 
-  // Schedules `cb` after `delay` (>= 0) from now.
-  EventHandle After(Time delay, Callback cb) {
+  // Schedules `f` after `delay` (>= 0) from now.
+  template <typename F>
+  EventHandle After(Time delay, F&& f) {
     OCCAMY_CHECK_GE(delay, 0);
     const Time t = now_ + delay;
-    return queue_.PushLocal(t, WindowsAhead(t), std::move(cb));
+    return queue_.PushLocal(t, WindowsAhead(t), std::forward<F>(f));
+  }
+
+  // Moves the pending event behind `handle` to time `t`, keyed exactly as
+  // At(t, ...) would key a new event now, without cancelling it: a timer
+  // re-armed this way leaves no dead heap entry behind. Returns false,
+  // changing nothing, if the handle is not pending on this simulator or
+  // `t` is before the event's time.
+  bool Postpone(const EventHandle& handle, Time t) {
+    return queue_.PostponeLocal(handle, t, WindowsAhead(t));
   }
 
   // Puts this simulator on a grid of windows of length `window` (> 0), the
@@ -73,9 +86,10 @@ class Simulator {
   // Schedules a delivery whose order word came from the sender's
   // DeliveryOrder (possibly on another simulator of the same grid). The
   // sender's lookahead check keeps `t` in this simulator's future.
-  EventHandle AtOrdered(Time t, uint64_t order, Callback cb) {
+  template <typename F>
+  EventHandle AtOrdered(Time t, uint64_t order, F&& f) {
     OCCAMY_DCHECK_GE(t, now_);
-    return queue_.PushOrdered(t, order, std::move(cb));
+    return queue_.PushOrdered(t, order, std::forward<F>(f));
   }
 
   // Runs until the queue is empty or `until` is reached. Events with time
@@ -114,9 +128,10 @@ class Simulator {
   uint64_t RunCore(Time until) {
     OCCAMY_TRACE_SPAN(core_span, "run.core");
     uint64_t n = 0;
-    while (!queue_.Empty() && queue_.NextTime() <= until) {
+    for (;;) {
       Callback cb;
-      const Time t = queue_.PopLive(cb);
+      Time t;
+      if (!queue_.PopLiveUntil(until, t, cb)) break;
       OCCAMY_DCHECK_GE(t, now_);  // At() rejects past times; debug-only here
       SetNow(t);
       if (window_index_ != last_active_window_) {

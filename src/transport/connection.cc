@@ -67,11 +67,14 @@ void Connection::SendSegment(int64_t seq) {
 }
 
 void Connection::ArmRtoTimer() {
-  rto_timer_.Cancel();
   const auto& cfg = manager_->config();
   Time timeout = rto_ << rto_backoff_;
   timeout = std::min(timeout, cfg.max_rto);
   last_rto_timeout_ = timeout;
+  // A pending timer moves in place; one that fired, or that would have to
+  // move earlier, is replaced. Both give it the key After(timeout) would.
+  if (sim_->Postpone(rto_timer_, sim_->now() + timeout)) return;
+  rto_timer_.Cancel();
   rto_timer_ = sim_->After(timeout, [this] { OnRtoTimeout(); });
 }
 
@@ -120,7 +123,7 @@ void Connection::HandleAck(const Packet& ack) {
       Complete();
       return;
     }
-    ArmRtoTimer();
+    // SendAvailable below re-arms the retransmit timer.
   } else if (ack_seq == snd_una_ && snd_nxt_ > snd_una_) {
     // Duplicate ACK while data is outstanding.
     ++dup_acks_;

@@ -113,6 +113,9 @@ class Connection {
   Time last_rto_timeout_ = 0;
   int64_t rto_count_ = 0;
   int64_t fast_retx_count_ = 0;
+  // Armed once per new ACK (through SendAvailable). A pending timer is
+  // postponed in place (sim::Simulator::Postpone) rather than cancelled
+  // and pushed again, so re-arming leaves no dead entry in the event heap.
   sim::EventHandle rto_timer_;
 
   // Receiver state.

@@ -142,11 +142,13 @@ TEST_P(AllocGateTest, AtMostOneAllocationPerTenExtraEvents) {
 }
 
 // Star (choking) and P4 (burst) on their one shard; the fabric (websearch)
-// at 1 shard and at 2, where deliveries cross the mailboxes.
+// at 1 shard and at 2, where deliveries cross the mailboxes; and the
+// fabric's closed-loop alltoall, whose flows re-arm their retransmit timer
+// (postponed in place) on every new ACK.
 INSTANTIATE_TEST_SUITE_P(
     PacketPath, AllocGateTest,
     ::testing::Values(GateCase{"choking", 1}, GateCase{"burst", 1}, GateCase{"websearch", 1},
-                      GateCase{"websearch", 2}),
+                      GateCase{"websearch", 2}, GateCase{"alltoall", 1}),
     [](const ::testing::TestParamInfo<GateCase>& info) {
       return std::string(info.param.scenario) + "_shards" + std::to_string(info.param.shards);
     });

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -146,11 +145,14 @@ TEST(EventQueueTest, LiveSizeExcludesCancelled) {
   EXPECT_TRUE(q.Empty());
 }
 
+// The heap size below which the queue never compacts.
+constexpr size_t kCompactFloor = 64;
+
 TEST(EventQueueTest, CancelHeavyWorkloadKeepsHeapBounded) {
   // Regression test for the cancelled-event leak: a long-lived simulation
   // that keeps cancelling far-future timers (the retransmit-timer pattern)
   // must not grow the heap unboundedly. Lazy compaction bounds the heap at
-  // < 2x the live count (plus the small compaction floor).
+  // 4/3 of the live count (plus the small compaction floor).
   EventQueue q;
   std::vector<EventHandle> live;
   for (int round = 0; round < 10000; ++round) {
@@ -164,10 +166,10 @@ TEST(EventQueueTest, CancelHeavyWorkloadKeepsHeapBounded) {
     q.Push(Nanoseconds(round), [] {});
     Callback cb;
     q.PopLive(cb);
-    ASSERT_LE(q.SizeForTest(), 2 * q.live_size() + 64)
+    ASSERT_LE(3 * q.SizeForTest(), 4 * q.live_size() + 3 * kCompactFloor)
         << "heap must stay bounded under cancel churn (round " << round << ")";
   }
-  EXPECT_LE(q.SizeForTest(), 2 * q.live_size() + 64);
+  EXPECT_LE(3 * q.SizeForTest(), 4 * q.live_size() + 3 * kCompactFloor);
 }
 
 TEST(EventQueueTest, StaleHandleAfterSlotReuseIsNoOp) {
@@ -235,13 +237,17 @@ TEST(EventQueueTest, SameTimeFifoOrderSurvivesCancellationAndCompaction) {
   EXPECT_EQ(order, expected_order);
 }
 
-// A reference model of the queue: the live events as (time, push index),
-// which is the order the queue must pop them in.
+// A reference model of the queue: the live events by key, (time, order),
+// where the order is the queue's insertion counter, which every push and
+// every postpone takes the next value of. A postpone erases the event and
+// re-inserts it under its new key.
 struct ReferenceQueue {
+  using Key = std::pair<Time, uint64_t>;
   EventQueue q;
-  std::set<std::pair<Time, uint64_t>> live;
+  std::map<Key, uint64_t> live;  // key -> push index
   std::vector<EventHandle> handles;  // by push index, fired and cancelled too
-  std::vector<Time> times;           // by push index
+  std::vector<Key> keys;             // by push index: the latest key
+  uint64_t next_order = 0;
   uint64_t fired = 0;                // push index of the last event that ran
   Time now = 0;
   Rng* rng = nullptr;
@@ -256,25 +262,43 @@ struct ReferenceQueue {
         Push(now + static_cast<Time>(rng->UniformInt(3)), 0);
       }
     }));
-    times.push_back(t);
-    live.emplace(t, id);
+    keys.emplace_back(t, next_order++);
+    live.emplace(keys.back(), id);
   }
 
   // Cancels the handle of push `id`, live or not (fired and cancelled
   // handles are stale: their slot may hold a newer event by now).
   bool Cancel(uint64_t id) {
-    const bool was_live = live.erase({times[id], id}) > 0;
+    const bool was_live = live.erase(keys[id]) > 0;
     EXPECT_EQ(handles[id].Cancel(), was_live) << "push " << id;
     return was_live;
   }
+
+  // Postpones push `id` to `t`. Only a live event, to a time no earlier
+  // than its own, moves.
+  bool Postpone(uint64_t id, Time t) {
+    const auto it = live.find(keys[id]);
+    const bool moves = it != live.end() && t >= keys[id].first;
+    EXPECT_EQ(q.PostponeLocal(handles[id], t, 0), moves) << "push " << id;
+    if (moves) {
+      live.erase(it);
+      keys[id] = {t, next_order++};
+      live.emplace(keys[id], id);
+    }
+    return moves;
+  }
+
+  Time TimeOf(uint64_t id) const { return keys[id].first; }
 };
 
 // Seeded random interleavings of pushes (mostly at a handful of equal
-// times), cancels of live and stale handles, pops, pushes from inside fired
-// callbacks and cancel storms that force compactions: every pop must return
-// the earliest live event by (time, push order).
+// times), cancels and postpones of live and stale handles, pops, pushes
+// from inside fired callbacks and cancel storms that force compactions:
+// every pop must return the earliest live event by (time, push or
+// postpone order).
 TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
   int compactions = 0;
+  int postponed = 0;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
@@ -282,42 +306,219 @@ TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
     ref.rng = &rng;
     for (int step = 0; step < 20000; ++step) {
       const uint64_t op = rng.UniformInt(100);
-      if (op < 40) {
+      if (op < 35) {
         const int children = rng.UniformInt(4) == 0 ? 1 + static_cast<int>(rng.UniformInt(2)) : 0;
         ref.Push(ref.now + static_cast<Time>(rng.UniformInt(8)), children);
-      } else if (op < 60 && !ref.handles.empty()) {
+      } else if (op < 50 && !ref.handles.empty()) {
         const size_t before = ref.q.SizeForTest();
         ref.Cancel(rng.UniformInt(ref.handles.size()));
         if (ref.q.SizeForTest() < before) ++compactions;
+      } else if (op < 60 && !ref.handles.empty()) {
+        // A postpone of a live or stale handle: to a later time, to the
+        // same time, to any time from now on (earlier ones must fail), or
+        // twice in a row and then a cancel.
+        const uint64_t id = rng.UniformInt(ref.handles.size());
+        const Time later = ref.TimeOf(id) + 1 + static_cast<Time>(rng.UniformInt(8));
+        switch (rng.UniformInt(4)) {
+          case 0:
+            postponed += ref.Postpone(id, later);
+            break;
+          case 1:
+            postponed += ref.Postpone(id, ref.TimeOf(id));
+            break;
+          case 2:
+            postponed += ref.Postpone(id, ref.now + static_cast<Time>(rng.UniformInt(8)));
+            break;
+          default:
+            postponed += ref.Postpone(id, later);
+            postponed += ref.Postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(3)));
+            ref.Cancel(id);
+            break;
+        }
       } else if (op < 62) {
-        // Cancel storm: fill the queue, then cancel about 3 in 4 live
-        // events, far past the point where dead entries outnumber live.
+        // Cancel storm: fill the queue, postpone some live events, then
+        // cancel about 3 in 4 of them, far past the point where dead
+        // entries make up a quarter of the heap.
         for (int i = 0; i < 100; ++i) {
           ref.Push(ref.now + static_cast<Time>(rng.UniformInt(50)), 0);
         }
         std::vector<uint64_t> ids;
-        for (const auto& [t, id] : ref.live) ids.push_back(id);
+        for (const auto& [key, id] : ref.live) ids.push_back(id);
         const size_t before = ref.q.SizeForTest();
         for (const uint64_t id : ids) {
+          if (rng.UniformInt(3) == 0) {
+            postponed += ref.Postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(50)));
+          }
           if (rng.UniformInt(4) != 0) ref.Cancel(id);
         }
         if (ref.q.SizeForTest() < before) ++compactions;
       } else if (op < 65 && !ref.q.Empty()) {
-        ASSERT_EQ(ref.q.NextTime(), ref.live.begin()->first);
+        ASSERT_EQ(ref.q.NextTime(), ref.live.begin()->first.first);
       } else if (!ref.q.Empty()) {
-        const auto [want_time, want_id] = *ref.live.begin();
+        const auto [want_key, want_id] = *ref.live.begin();
         ref.live.erase(ref.live.begin());
         Callback cb;
         ref.now = ref.q.PopLive(cb);
-        ASSERT_EQ(ref.now, want_time) << "step " << step;
+        ASSERT_EQ(ref.now, want_key.first) << "step " << step;
         cb();
         ASSERT_EQ(ref.fired, want_id) << "step " << step;
       }
       ASSERT_EQ(ref.q.live_size(), ref.live.size()) << "step " << step;
-      ASSERT_LE(ref.q.SizeForTest(), 2 * ref.q.live_size() + 64) << "step " << step;
+      ASSERT_LE(3 * ref.q.SizeForTest(), 4 * ref.q.live_size() + 3 * kCompactFloor)
+          << "step " << step;
     }
   }
   EXPECT_GT(compactions, 20) << "the cancel storms must compact the heap";
+  EXPECT_GT(postponed, 1000);
+}
+
+TEST(EventQueueTest, PostponeOfDeadHandlesOrToEarlierTimesChangesNothing) {
+  EventQueue q;
+  EventQueue other;
+  const EventHandle foreign = other.Push(1, [] {});
+  Callback cb;
+  const EventHandle fired = q.Push(1, [] {});
+  ASSERT_EQ(q.PopLive(cb), 1);
+  const EventHandle cancelled = q.Push(2, [] {});
+  ASSERT_TRUE(EventHandle(cancelled).Cancel());
+  std::vector<int> order;
+  // The first push recycles the fired event's slot, so `fired` is stale.
+  const EventHandle a = q.Push(10, [&order] { order.push_back(1); });
+  q.Push(10, [&order] { order.push_back(2); });
+  const size_t heap = q.SizeForTest();
+
+  EXPECT_FALSE(q.PostponeLocal(a, 9, 0)) << "to an earlier time";
+  EXPECT_FALSE(q.PostponeLocal(fired, 20, 0)) << "a fired, stale handle";
+  EXPECT_FALSE(q.PostponeLocal(cancelled, 20, 0)) << "a cancelled handle";
+  EXPECT_FALSE(q.PostponeLocal(EventHandle(), 20, 0)) << "an inert handle";
+  EXPECT_FALSE(q.PostponeLocal(foreign, 20, 0)) << "another queue's handle";
+
+  EXPECT_TRUE(a.IsPending());
+  EXPECT_TRUE(foreign.IsPending());
+  EXPECT_EQ(q.live_size(), 2u);
+  EXPECT_EQ(q.SizeForTest(), heap);
+  EXPECT_EQ(q.NextTime(), 10);
+  while (!q.Empty()) {
+    EXPECT_EQ(q.PopLive(cb), 10);
+    cb();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2})) << "`a` keeps its place";
+}
+
+// Postponed entries keep their old keys in the heap until they reach the
+// root; NextTime must skip past them to the true earliest time, however
+// often each was moved.
+TEST(EventQueueTest, NextTimeNeverReturnsAPostponedEntrysOldTime) {
+  EventQueue q;
+  const EventHandle h = q.Push(10, [] {});
+  q.Push(20, [] {});
+  ASSERT_TRUE(q.PostponeLocal(h, 30, 0));
+  EXPECT_EQ(q.NextTime(), 20);
+  EXPECT_EQ(q.live_size(), 2u);
+  EXPECT_EQ(q.SizeForTest(), 2u) << "a postpone pushes nothing";
+  Callback cb;
+  EXPECT_EQ(q.PopLive(cb), 20);
+  EXPECT_EQ(q.PopLive(cb), 30);
+  EXPECT_TRUE(q.Empty());
+
+  Rng rng(5);
+  std::vector<EventHandle> timers;
+  std::vector<Time> times;
+  for (int i = 0; i < 200; ++i) {
+    times.push_back(static_cast<Time>(rng.UniformInt(1000)));
+    timers.push_back(q.Push(times.back(), [] {}));
+  }
+  for (int round = 0; round < 2000; ++round) {
+    const size_t i = rng.UniformInt(timers.size());
+    times[i] += static_cast<Time>(rng.UniformInt(100));
+    ASSERT_TRUE(q.PostponeLocal(timers[i], times[i], 0));
+    ASSERT_EQ(q.NextTime(), *std::min_element(times.begin(), times.end())) << "round " << round;
+  }
+  EXPECT_EQ(q.SizeForTest(), timers.size());
+}
+
+TEST(SimulatorTest, PostponedTimerFiresOnceAtItsLastTime) {
+  Simulator sim;
+  int fired = 0;
+  Time fired_at = -1;
+  const EventHandle timer = sim.At(Nanoseconds(100), [&] {
+    ++fired;
+    fired_at = sim.now();
+  });
+  sim.At(Nanoseconds(50), [&] {
+    EXPECT_TRUE(sim.Postpone(timer, Nanoseconds(150)));
+    EXPECT_TRUE(sim.Postpone(timer, Nanoseconds(150))) << "to the same time";
+    EXPECT_TRUE(sim.Postpone(timer, Nanoseconds(400)));
+    EXPECT_FALSE(sim.Postpone(timer, Nanoseconds(300))) << "to an earlier time";
+  });
+  sim.At(Nanoseconds(120), [&] {
+    EXPECT_TRUE(timer.IsPending());
+    EXPECT_TRUE(sim.Postpone(timer, Nanoseconds(500)));
+  });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, Nanoseconds(500));
+  EXPECT_EQ(sim.processed_events(), 3u);
+  EXPECT_FALSE(timer.IsPending());
+  EXPECT_FALSE(sim.Postpone(timer, Nanoseconds(600))) << "a fired timer";
+}
+
+// On a window grid, a postpone must key the event exactly as cancelling it
+// and scheduling it again with At() would. Two simulators run the same
+// random schedule of events, deliveries and re-armed timers; one re-arms
+// by Postpone (falling back to cancel and At when it fails), the other by
+// cancel and At. Their pop orders must be identical.
+TEST(SimulatorTest, PostponeOrdersExactlyAsCancelAndReschedule) {
+  constexpr Time kWindow = 1000;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    std::vector<std::vector<int>> popped(2);
+    int moved = 0;
+    for (int postpone = 0; postpone < 2; ++postpone) {
+      Simulator sim;
+      sim.set_window(kWindow);
+      Rng rng(seed);
+      std::vector<EventHandle> timers(8);
+      std::vector<int>& log = popped[static_cast<size_t>(postpone)];
+      int next_id = 0;
+      uint64_t tiebreak = 0;
+      std::function<void()> drive = [&] {
+        for (int k = 0; k < 3; ++k) {
+          // Times on a coarse grid, so that many events tie.
+          const Time t = sim.now() + 7 * static_cast<Time>(rng.UniformInt(3000));
+          const int id = next_id++;
+          const auto record = [&log, id] { log.push_back(id); };
+          switch (rng.UniformInt(3)) {
+            case 0:
+              sim.At(t, record);
+              break;
+            case 1: {
+              const Time d = (sim.window_index() + 1) * kWindow +
+                             7 * static_cast<Time>(rng.UniformInt(1000));
+              sim.AtOrdered(d, sim.DeliveryOrder(d, tiebreak++), record);
+              break;
+            }
+            default: {
+              // A timer records its index, which both ways of re-arming keep.
+              const size_t i = rng.UniformInt(timers.size());
+              if (postpone != 0 && sim.Postpone(timers[i], t)) {
+                ++moved;
+              } else {
+                timers[i].Cancel();
+                timers[i] = sim.At(t, [&log, i] { log.push_back(-1 - static_cast<int>(i)); });
+              }
+              break;
+            }
+          }
+        }
+        if (sim.now() < 40 * kWindow) sim.After(static_cast<Time>(rng.UniformInt(500)), drive);
+      };
+      sim.At(0, drive);
+      sim.Run();
+    }
+    EXPECT_EQ(popped[0], popped[1]);
+    EXPECT_GT(moved, 0);
+  }
 }
 
 // On a window grid, same-time events pop by (window, class, tiebreak): the
@@ -449,6 +650,66 @@ TEST(CallbackTest, WrapsStdFunction) {
   EXPECT_EQ(hits, 1);
   fn();
   EXPECT_EQ(hits, 2);
+}
+
+// A closure that counts its moves and records the count when it runs.
+struct MoveCountingClosure {
+  int* moves;
+  int* moves_when_run;
+  MoveCountingClosure(int* m, int* at_run) : moves(m), moves_when_run(at_run) {}
+  MoveCountingClosure(MoveCountingClosure&& o) noexcept
+      : moves(o.moves), moves_when_run(o.moves_when_run) {
+    ++*moves;
+  }
+  MoveCountingClosure(const MoveCountingClosure&) = delete;
+  void operator()() const { *moves_when_run = *moves; }
+};
+
+// Every scheduling call builds the closure in its event slot, so before it
+// runs a closure is moved twice: into the slot, and out at the pop.
+TEST(CallbackTest, ScheduledClosureIsMovedTwice) {
+  int moves = 0;
+  int at_run = -1;
+  const auto expect_two = [&](const char* path) {
+    EXPECT_EQ(at_run, 2) << path;
+    moves = 0;
+    at_run = -1;
+  };
+  {
+    Simulator sim;
+    sim.After(Nanoseconds(5), MoveCountingClosure(&moves, &at_run));
+    sim.Run();
+    expect_two("Simulator::After");
+    sim.At(Nanoseconds(10), MoveCountingClosure(&moves, &at_run));
+    sim.Run();
+    expect_two("Simulator::At");
+    sim.AtOrdered(Nanoseconds(15), EventQueue::DeliveryOrder(0, 1),
+                  MoveCountingClosure(&moves, &at_run));
+    sim.Run();
+    expect_two("Simulator::AtOrdered");
+  }
+  EventQueue q;
+  q.Push(1, MoveCountingClosure(&moves, &at_run));
+  Callback cb;
+  q.PopLive(cb);
+  cb();
+  expect_two("EventQueue::Push");
+}
+
+TEST(CallbackTest, TriviallyDestructibleClosureHasNoDestroyOp) {
+  int hits = 0;
+  Callback trivial([&hits] { ++hits; });
+  EXPECT_FALSE(trivial.HasDestroyOpForTest());
+  auto counter = std::make_shared<int>(0);
+  Callback owning([counter] { ++*counter; });
+  EXPECT_TRUE(owning.HasDestroyOpForTest()) << "a shared_ptr capture must be released";
+  owning = nullptr;
+  EXPECT_EQ(counter.use_count(), 1);
+  struct Big {
+    int64_t payload[16];
+  };
+  Callback heap([big = Big{}] { (void)big; });
+  EXPECT_TRUE(heap.HasDestroyOpForTest()) << "a heap closure must be deleted";
 }
 
 TEST(EventQueueTest, DeterministicAcrossRuns) {
