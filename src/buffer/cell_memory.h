@@ -1,80 +1,51 @@
-// Cell-pointer memory with a free cell-pointer list (paper §2.1, Figure 2).
+// Cell memory of one shared buffer, kept as a free-cell count (paper §2.1,
+// Figure 2).
 //
-// The cell data memory itself holds opaque payload and is not modeled byte-
-// by-byte; what matters behaviourally is the *pointer* structure: allocating
-// a chain of cell pointers on enqueue, and returning the chain to the free
-// list on dequeue or head-drop. Head-drop touches only this memory and the
-// PD memory — never the cell data memory — which is why expulsion is cheap
-// (paper §3.2 observation 2).
+// On the chip a packet's cells hang on a cell-pointer chain, taken from a
+// free cell-pointer list on enqueue and returned to it on dequeue or
+// head-drop. Nothing this simulator reports depends on which cells a packet
+// holds, only on how many are free, so that is all this class keeps. The
+// cost of walking the pointers — head-drop touches only this memory and the
+// PD memory, never the cell data memory, which is why expulsion is cheap
+// (paper §3.2 observation 2) — is modelled by the cycle counts of
+// core::ExpulsionConfig (ExpulsionEngine::OpLatency), not by a chain here.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/util/check.h"
 
 namespace occamy::buffer {
 
-inline constexpr int32_t kNullCell = -1;
-
 class CellMemory {
  public:
   // `total_cells` is the number of cells in the shared buffer.
-  explicit CellMemory(int64_t total_cells) : next_(static_cast<size_t>(total_cells), kNullCell) {
+  explicit CellMemory(int64_t total_cells) : total_cells_(total_cells), free_cells_(total_cells) {
     OCCAMY_CHECK(total_cells > 0);
-    // Thread all cells onto the free list.
-    for (int64_t i = 0; i + 1 < total_cells; ++i) {
-      next_[static_cast<size_t>(i)] = static_cast<int32_t>(i + 1);
-    }
-    free_head_ = 0;
-    free_cells_ = total_cells;
   }
 
-  int64_t total_cells() const { return static_cast<int64_t>(next_.size()); }
+  int64_t total_cells() const { return total_cells_; }
   int64_t free_cells() const { return free_cells_; }
-  int64_t used_cells() const { return total_cells() - free_cells_; }
+  int64_t used_cells() const { return total_cells_ - free_cells_; }
 
-  // Allocates a chain of `n` cells. Returns the head cell pointer, or
-  // kNullCell if fewer than n cells are free (no partial allocation).
-  int32_t AllocChain(int64_t n) {
+  // Takes `n` (> 0) cells and returns true, or returns false, taking none,
+  // if fewer than n are free (no partial allocation).
+  bool Alloc(int64_t n) {
     OCCAMY_CHECK(n > 0);
-    if (free_cells_ < n) return kNullCell;
-    const int32_t head = free_head_;
-    int32_t tail = head;
-    for (int64_t i = 1; i < n; ++i) tail = next_[static_cast<size_t>(tail)];
-    free_head_ = next_[static_cast<size_t>(tail)];
-    next_[static_cast<size_t>(tail)] = kNullCell;  // terminate the packet's chain
+    if (free_cells_ < n) return false;
     free_cells_ -= n;
-    return head;
+    return true;
   }
 
-  // Returns a chain (of `n` cells, for cross-checking) to the free list.
-  void FreeChain(int32_t head, int64_t n) {
-    OCCAMY_CHECK(head != kNullCell);
-    int32_t tail = head;
-    int64_t count = 1;
-    while (next_[static_cast<size_t>(tail)] != kNullCell) {
-      tail = next_[static_cast<size_t>(tail)];
-      ++count;
-    }
-    OCCAMY_CHECK_EQ(count, n) << "cell chain length mismatch on free";
-    next_[static_cast<size_t>(tail)] = free_head_;
-    free_head_ = head;
+  // Returns `n` cells taken by Alloc.
+  void Free(int64_t n) {
     free_cells_ += n;
-    OCCAMY_CHECK_LE(free_cells_, total_cells());
-  }
-
-  // Walks a chain and returns its length (test/diagnostic use).
-  int64_t ChainLength(int32_t head) const {
-    int64_t n = 0;
-    for (int32_t c = head; c != kNullCell; c = next_[static_cast<size_t>(c)]) ++n;
-    return n;
+    OCCAMY_CHECK_LE(free_cells_, total_cells_) << "freed more cells than were taken";
   }
 
  private:
-  std::vector<int32_t> next_;  // next-pointer per cell; kNullCell terminates
-  int32_t free_head_ = kNullCell;
-  int64_t free_cells_ = 0;
+  int64_t total_cells_;
+  int64_t free_cells_;
 };
 
 }  // namespace occamy::buffer

@@ -1,7 +1,7 @@
 // Packet-descriptor queues (paper §2.1, Figure 2).
 //
 // Each queue is a FIFO of packet descriptors; a descriptor carries the packet
-// metadata plus the head of its cell-pointer chain. Queues support normal
+// metadata plus the number of cells it occupies. Queues support normal
 // dequeue at the head and head-drop (the same operation minus the cell-data
 // read — paper Figure 10).
 //
@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/buffer/cell_memory.h"
 #include "src/buffer/packet.h"
 #include "src/util/check.h"
 
@@ -24,7 +23,6 @@ namespace occamy::buffer {
 
 struct PacketDescriptor {
   Packet packet;
-  int32_t cell_head = kNullCell;
   int32_t cell_count = 0;
   Time enqueue_time = 0;
 
@@ -51,12 +49,10 @@ class PdQueue {
 
   // Builds the descriptor in place at the tail — the enqueue fast path used
   // by SharedBuffer (no descriptor travels through the call chain).
-  void EmplaceBack(const Packet& pkt, int32_t cell_head, int32_t cell_count, Time now,
-                   int cell_bytes) {
+  void EmplaceBack(const Packet& pkt, int32_t cell_count, Time now, int cell_bytes) {
     if (size_ == ring_.size()) Grow();
     PacketDescriptor& pd = ring_[(head_ + size_) & (ring_.size() - 1)];
     pd.packet = pkt;
-    pd.cell_head = cell_head;
     pd.cell_count = cell_count;
     pd.enqueue_time = now;
     ++size_;
@@ -65,7 +61,7 @@ class PdQueue {
   }
 
   void Enqueue(PacketDescriptor pd, int cell_bytes) {
-    EmplaceBack(pd.packet, pd.cell_head, pd.cell_count, pd.enqueue_time, cell_bytes);
+    EmplaceBack(pd.packet, pd.cell_count, pd.enqueue_time, cell_bytes);
   }
 
   // Removes and returns the head descriptor (both normal dequeue and

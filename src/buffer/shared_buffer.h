@@ -48,10 +48,8 @@ class SharedBuffer {
   // is built in place in the queue's ring — no copy through the call chain.
   bool Enqueue(int q, const Packet& pkt, Time now) {
     const int64_t n = CellsFor(pkt.size_bytes, cell_bytes_);
-    const int32_t head = cells_.AllocChain(n);
-    if (head == kNullCell) return false;
-    queues_[static_cast<size_t>(q)].EmplaceBack(pkt, head, static_cast<int32_t>(n), now,
-                                                cell_bytes_);
+    if (!cells_.Alloc(n)) return false;
+    queues_[static_cast<size_t>(q)].EmplaceBack(pkt, static_cast<int32_t>(n), now, cell_bytes_);
     peak_used_cells_ = std::max(peak_used_cells_, cells_.used_cells());
     OCCAMY_TRACE_INSTANT_ARG("buf.enqueue", "bytes", pkt.size_bytes);
     return true;
@@ -60,8 +58,7 @@ class SharedBuffer {
   // Removes the head packet of queue q and frees its cells.
   PacketDescriptor DequeueHead(int q) {
     PacketDescriptor pd = queues_[static_cast<size_t>(q)].DequeueHead(cell_bytes_);
-    cells_.FreeChain(pd.cell_head, pd.cell_count);
-    pd.cell_head = kNullCell;
+    cells_.Free(pd.cell_count);
     return pd;
   }
 

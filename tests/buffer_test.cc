@@ -26,68 +26,72 @@ TEST(CellMemoryTest, InitialState) {
 
 TEST(CellMemoryTest, AllocFreeRoundTrip) {
   CellMemory mem(100);
-  const int32_t head = mem.AllocChain(8);
-  ASSERT_NE(head, kNullCell);
+  ASSERT_TRUE(mem.Alloc(8));
   EXPECT_EQ(mem.free_cells(), 92);
-  EXPECT_EQ(mem.ChainLength(head), 8);
-  mem.FreeChain(head, 8);
+  EXPECT_EQ(mem.used_cells(), 8);
+  mem.Free(8);
   EXPECT_EQ(mem.free_cells(), 100);
+  EXPECT_EQ(mem.used_cells(), 0);
 }
 
-TEST(CellMemoryTest, ExhaustionReturnsNull) {
+TEST(CellMemoryTest, ExhaustionFailsWithoutPartialAllocation) {
   CellMemory mem(10);
-  const int32_t a = mem.AllocChain(6);
-  ASSERT_NE(a, kNullCell);
-  EXPECT_EQ(mem.AllocChain(5), kNullCell);  // only 4 left: no partial alloc
+  ASSERT_TRUE(mem.Alloc(6));
+  EXPECT_FALSE(mem.Alloc(5));  // only 4 left: no partial alloc
   EXPECT_EQ(mem.free_cells(), 4);
-  const int32_t b = mem.AllocChain(4);
-  ASSERT_NE(b, kNullCell);
+  ASSERT_TRUE(mem.Alloc(4));
   EXPECT_EQ(mem.free_cells(), 0);
-  mem.FreeChain(a, 6);
-  mem.FreeChain(b, 4);
+  EXPECT_FALSE(mem.Alloc(1));
+  EXPECT_EQ(mem.free_cells(), 0);
+  mem.Free(6);
+  mem.Free(4);
   EXPECT_EQ(mem.free_cells(), 10);
 }
 
-TEST(CellMemoryTest, ChainsAreDisjoint) {
-  CellMemory mem(64);
-  std::vector<int32_t> heads;
-  for (int i = 0; i < 8; ++i) {
-    heads.push_back(mem.AllocChain(8));
-    ASSERT_NE(heads.back(), kNullCell);
-  }
-  for (int32_t h : heads) EXPECT_EQ(mem.ChainLength(h), 8);
-  for (int32_t h : heads) mem.FreeChain(h, 8);
-  EXPECT_EQ(mem.free_cells(), 64);
-}
-
+// Random allocations and frees of 1..12 cells against a reference count of
+// the cells each live allocation holds.
 TEST(CellMemoryTest, RandomizedAllocFreeConservation) {
-  CellMemory mem(1000);
+  constexpr int64_t kTotal = 1000;
+  CellMemory mem(kTotal);
   Rng rng(21);
-  std::vector<std::pair<int32_t, int64_t>> live;
+  std::vector<int64_t> live;
+  int64_t live_cells = 0;
+  int refused = 0;
   for (int step = 0; step < 5000; ++step) {
     if (rng.Bernoulli(0.55) || live.empty()) {
       const int64_t n = rng.UniformRange(1, 12);
-      const int32_t h = mem.AllocChain(n);
-      if (h != kNullCell) live.emplace_back(h, n);
+      const bool fits = kTotal - live_cells >= n;
+      ASSERT_EQ(mem.Alloc(n), fits) << "step " << step;
+      if (fits) {
+        live.push_back(n);
+        live_cells += n;
+      } else {
+        ++refused;
+      }
     } else {
       const size_t idx = rng.UniformInt(live.size());
-      mem.FreeChain(live[idx].first, live[idx].second);
+      mem.Free(live[idx]);
+      live_cells -= live[idx];
       live.erase(live.begin() + static_cast<long>(idx));
     }
-    int64_t live_cells = 0;
-    for (const auto& [h, n] : live) live_cells += n;
-    ASSERT_EQ(mem.used_cells(), live_cells);
+    ASSERT_EQ(mem.used_cells(), live_cells) << "step " << step;
+    ASSERT_EQ(mem.free_cells(), kTotal - live_cells) << "step " << step;
   }
+  EXPECT_GT(refused, 0) << "the walk must reach exhaustion";
+}
+
+TEST(CellMemoryDeathTest, FreeingMoreThanWasTakenDies) {
+  CellMemory mem(10);
+  ASSERT_TRUE(mem.Alloc(3));
+  EXPECT_DEATH(mem.Free(4), "freed more cells than were taken");
 }
 
 TEST(PdQueueTest, FifoOrderAndLengths) {
-  CellMemory mem(100);
   PdQueue q;
   for (int i = 0; i < 3; ++i) {
     PacketDescriptor pd;
     pd.packet.seq = static_cast<uint64_t>(i);
     pd.packet.size_bytes = 500;
-    pd.cell_head = mem.AllocChain(3);
     pd.cell_count = 3;
     q.Enqueue(std::move(pd), 200);
   }
@@ -97,7 +101,7 @@ TEST(PdQueueTest, FifoOrderAndLengths) {
   for (int i = 0; i < 3; ++i) {
     PacketDescriptor pd = q.DequeueHead(200);
     EXPECT_EQ(pd.packet.seq, static_cast<uint64_t>(i));
-    mem.FreeChain(pd.cell_head, pd.cell_count);
+    EXPECT_EQ(pd.cell_count, 3);
   }
   EXPECT_TRUE(q.Empty());
   EXPECT_EQ(q.LengthBytes(), 0);
@@ -107,7 +111,6 @@ TEST(PdQueueTest, RingWrapsAndGrowsPreservingFifo) {
   // Drive the ring through many partial fill/drain cycles so head/tail wrap
   // repeatedly, then force growth mid-wrap; FIFO order and accounting must
   // survive both.
-  CellMemory mem(100000);
   PdQueue q;
   uint64_t next_in = 0, next_out = 0;
   Rng rng(7);
@@ -116,13 +119,10 @@ TEST(PdQueueTest, RingWrapsAndGrowsPreservingFifo) {
       Packet p;
       p.seq = next_in++;
       p.size_bytes = 400;
-      const int32_t head = mem.AllocChain(2);
-      ASSERT_NE(head, kNullCell);
-      q.EmplaceBack(p, head, 2, /*now=*/static_cast<Time>(step), 200);
+      q.EmplaceBack(p, 2, /*now=*/static_cast<Time>(step), 200);
     } else if (!q.Empty()) {
       PacketDescriptor pd = q.DequeueHead(200);
       EXPECT_EQ(pd.packet.seq, next_out++) << "FIFO violated at step " << step;
-      mem.FreeChain(pd.cell_head, pd.cell_count);
     }
     ASSERT_EQ(q.PacketCount(), next_in - next_out);
     ASSERT_EQ(q.LengthCells(), static_cast<int64_t>(next_in - next_out) * 2);
@@ -130,24 +130,21 @@ TEST(PdQueueTest, RingWrapsAndGrowsPreservingFifo) {
   while (!q.Empty()) {
     PacketDescriptor pd = q.DequeueHead(200);
     EXPECT_EQ(pd.packet.seq, next_out++);
-    mem.FreeChain(pd.cell_head, pd.cell_count);
   }
   EXPECT_EQ(next_in, next_out);
   EXPECT_EQ(q.LengthBytes(), 0);
 }
 
 TEST(PdQueueTest, EmplaceBackMatchesEnqueue) {
-  CellMemory mem(100);
   PdQueue q;
   Packet p;
   p.seq = 42;
   p.size_bytes = 500;
-  const int32_t head = mem.AllocChain(3);
-  q.EmplaceBack(p, head, 3, Nanoseconds(9), 200);
+  q.EmplaceBack(p, 3, Nanoseconds(9), 200);
   EXPECT_EQ(q.PacketCount(), 1u);
   EXPECT_EQ(q.LengthBytes(), 600);
   EXPECT_EQ(q.Head().packet.seq, 42u);
-  EXPECT_EQ(q.Head().cell_head, head);
+  EXPECT_EQ(q.Head().cell_count, 3);
   EXPECT_EQ(q.Head().enqueue_time, Nanoseconds(9));
 }
 
