@@ -130,7 +130,7 @@ class Simulator {
     uint64_t n = 0;
     for (;;) {
       Callback cb;
-      Time t;
+      Time t = 0;
       if (!queue_.PopLiveUntil(until, t, cb)) break;
       OCCAMY_DCHECK_GE(t, now_);  // At() rejects past times; debug-only here
       SetNow(t);
