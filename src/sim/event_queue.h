@@ -182,7 +182,8 @@ class EventQueue {
   // comment). Returns false, changing nothing, if the handle is not pending
   // on this queue or `time` is before the event's time. `ahead` is as for
   // PushLocal; since a simulator's windows only advance, the new key is
-  // never below the old one.
+  // never below the old one. Only a local event (Push, PushLocal) may be
+  // postponed: a delivery's order word can sort above the local one.
   bool PostponeLocal(const EventHandle& handle, Time time, int ahead) {
     if (handle.queue_ != this || !IsPendingSlot(handle.slot_, handle.generation_)) {
       return false;

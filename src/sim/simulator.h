@@ -48,11 +48,11 @@ class Simulator {
     return queue_.PushLocal(t, WindowsAhead(t), std::forward<F>(f));
   }
 
-  // Moves the pending event behind `handle` to time `t`, keyed exactly as
-  // At(t, ...) would key a new event now, without cancelling it: a timer
-  // re-armed this way leaves no dead heap entry behind. Returns false,
-  // changing nothing, if the handle is not pending on this simulator or
-  // `t` is before the event's time.
+  // Moves the pending event behind `handle`, scheduled by At() or After(),
+  // to time `t`, keyed exactly as At(t, ...) would key a new event now,
+  // without cancelling it: a timer re-armed this way leaves no dead heap
+  // entry behind. Returns false, changing nothing, if the handle is not
+  // pending on this simulator or `t` is before the event's time.
   bool Postpone(const EventHandle& handle, Time t) {
     return queue_.PostponeLocal(handle, t, WindowsAhead(t));
   }
