@@ -111,6 +111,14 @@ ProfileReport BuildProfileReport(const std::vector<TraceEvent>& events, int shar
       }
     } else if (std::strcmp(ev.name, kSpanMailboxDrain) == 0) {
       shard.drain_ns += ev.dur_ns;
+    } else if (std::strcmp(ev.name, kInstantQueueDeliveries) == 0) {
+      // The counts are cumulative: the largest is the latest.
+      shard.fifo_deliveries = std::max(shard.fifo_deliveries, static_cast<uint64_t>(ev.arg));
+      report.has_queue_counts = true;
+    } else if (std::strcmp(ev.name, kInstantQueueFallbacks) == 0) {
+      shard.delivery_fallbacks =
+          std::max(shard.delivery_fallbacks, static_cast<uint64_t>(ev.arg));
+      report.has_queue_counts = true;
     } else if (std::strcmp(ev.name, kSpanRunCore) == 0) {
       const auto batch = ev.arg > 0 ? static_cast<uint64_t>(ev.arg) : 0;
       shard.events += batch;
@@ -182,6 +190,14 @@ std::string FormatProfileReport(const ProfileReport& report) {
                       static_cast<double>(report.plan_rounds),
                   report.max_batch);
     out.append(line);
+  }
+  if (report.has_queue_counts) {
+    out.append("shard  fifo_deliveries  fallbacks  (deliveries earlier than the FIFO's tail)\n");
+    for (size_t s = 0; s < report.shards.size(); ++s) {
+      std::snprintf(line, sizeof(line), "%5zu  %15" PRIu64 "  %9" PRIu64 "\n", s,
+                    report.shards[s].fifo_deliveries, report.shards[s].delivery_fallbacks);
+      out.append(line);
+    }
   }
   out.append("window event density (events per run.core batch):\n");
   for (size_t b = 0; b < report.density.size(); ++b) {

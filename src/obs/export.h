@@ -20,6 +20,10 @@ inline constexpr char kSpanBarrierPlan[] = "barrier.plan";
 inline constexpr char kSpanWindowExecute[] = "window.execute";
 inline constexpr char kSpanBarrierWindow[] = "barrier.window";
 inline constexpr char kSpanRunCore[] = "run.core";
+// Instants each shard records at the end of a run, with its event queue's
+// cumulative delivery counts (sim::EventQueue::Counts).
+inline constexpr char kInstantQueueDeliveries[] = "queue.deliveries";
+inline constexpr char kInstantQueueFallbacks[] = "queue.fallbacks";
 
 // Writes the events as one Chrome trace-event JSON object:
 // {"traceEvents": [...]} with pid 0, tid = shard, ts/dur in microseconds
@@ -34,6 +38,10 @@ struct ProfileShard {
   uint64_t drain_ns = 0;    // mailbox.drain time
   uint64_t events = 0;      // events executed (sum of run.core args)
   uint64_t windows = 0;     // window.execute spans (one per batch at one shard)
+  // Deliveries the shard's event queue placed in its FIFO, and those that
+  // arrived earlier than the FIFO's tail and fell back to its near heap.
+  uint64_t fifo_deliveries = 0;
+  uint64_t delivery_fallbacks = 0;
 };
 
 struct ProfileReport {
@@ -51,6 +59,8 @@ struct ProfileReport {
   uint64_t plan_rounds = 0;      // barrier.plan spans with a batch_windows arg
   uint64_t planned_windows = 0;  // total windows those plans covered
   uint64_t max_batch = 0;        // widest single batch planned
+  // Some shard recorded its event queue's delivery counts.
+  bool has_queue_counts = false;
 };
 
 // Aggregates recorder output into the per-shard report. `shards` sizes the

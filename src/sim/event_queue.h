@@ -1,6 +1,6 @@
 // Event queue for the discrete-event engine.
 //
-// A 4-ary min-heap ordered by (time, order). `order` decides between
+// Pending events are ordered by (time, order). `order` decides between
 // same-time events; a bare queue (Push) keeps them FIFO in scheduling
 // order. A simulator on a window grid (src/sim/simulator.h) orders them
 // by the window that scheduled them, then by class, then by a tiebreak:
@@ -22,39 +22,56 @@
 // one it enters (Simulator checks it): a saturated entry is then always
 // local, and the insertion counter already orders local events by window.
 //
-// Three decisions drive the hot path:
-//  - Heap entries are 16 bytes: the time plus a packed (order << 24 | slot)
-//    word. The sort key (time, order) is embedded, so sifting is pure
-//    sequential-array work — comparisons never dereference into the arena —
-//    and since order occupies the high bits, comparing the packed word
-//    compares order. Times are never negative, so (time, seq_slot) read as
-//    one unsigned 128-bit number orders entries exactly as (time, order).
-//    This caps the arena at 2^24 concurrent events and one queue at 2^35
-//    local events; both are checked.
-//  - Pops remove the root bottom-up (Floyd): the hole walks to a leaf
-//    along the smallest child, picked from four with conditional selects,
-//    and the heap's last entry then sifts up from that leaf. That entry
-//    usually belongs near the bottom, so the walk down needs neither a
-//    comparison against it nor a data-dependent branch per level, and the
-//    sift up is short.
-//  - Event state (callback + liveness) lives in a contiguous freelist-
-//    recycled arena: after warm-up, scheduling performs no allocation (the
-//    arena and heap vectors are reused, and sim::Callback keeps every
-//    per-packet closure in src/ inline). A push builds its closure directly
-//    in the slot, and a pop moves it out once. EventHandle is a {slot,
-//    generation} pair instead of a weak_ptr: cancelling a stale handle
-//    whose slot has been recycled is a generation mismatch, hence a no-op.
+// Entries are 16 bytes: the time plus a packed (order << 24 | slot) word.
+// The sort key (time, order) is embedded, so ordering them never
+// dereferences into the arena, and since order occupies the high bits,
+// comparing the packed word compares order. Times are never negative, so
+// (time, seq_slot) read as one unsigned 128-bit number orders entries
+// exactly as (time, order). This caps the arena at 2^24 concurrent events
+// and one queue at 2^35 local events; both are checked.
+//
+// The entries wait in three places, and a pop takes the least of their
+// three heads, so the pop order is the one a single heap would give:
+//  - The delivery FIFO, a ring in key order, takes every delivery (class
+//    0). Every link has one propagation delay and a shard's clock never
+//    goes back, so a shard's own deliveries are pushed in arrival order,
+//    and a push appends in O(1). A delivery at its tail's time but with a
+//    smaller key (two nodes sent at one instant, in the other order) is
+//    inserted among the tail's same-time entries. An earlier one falls
+//    back to the near heap and is counted (counts()): mail drained from
+//    another shard at a barrier, or a topology with unequal link delays.
+//  - The far heap takes local events whose ahead field saturated, i.e.
+//    pushed at least kMaxAhead windows ahead (retransmit timers, future
+//    flow starts), so they stay out of the near heap's walks.
+//  - The near heap takes every other event.
+//
+// Both heaps are 4-ary. Their roots are removed bottom-up (Floyd): the
+// hole walks to a leaf along the smallest child, picked from four with
+// conditional selects, and the heap's last entry then sifts up from that
+// leaf. That entry usually belongs near the bottom, so the walk down needs
+// neither a comparison against it nor a data-dependent branch per level,
+// and the sift up is short.
+//
+// Event state (callback + liveness) lives in a contiguous freelist-
+// recycled arena: after warm-up, scheduling performs no allocation (the
+// arena, the ring and the heap vectors are reused and grow by doubling,
+// and sim::Callback keeps every per-packet closure in src/ inline). A push
+// builds its closure directly in the slot, and a pop moves it out once.
+// EventHandle is a {slot, generation} pair instead of a weak_ptr:
+// cancelling a stale handle whose slot has been recycled is a generation
+// mismatch, hence a no-op.
 //
 // A pending local event can be postponed in place (PostponeLocal, the
 // retransmit-timer pattern): its slot records the new key, which is the key
 // a fresh PushLocal would get at that moment, and its heap entry stays
 // where it is under the old, smaller key. The entry is re-keyed when it
-// reaches the root (replaced and sifted down) or when the heap is
-// compacted, so the heap never yields a stale time.
+// reaches its heap's root (replaced and sifted down) or when the queue is
+// compacted, so no place yields a stale time. A delivery cannot be
+// postponed: the FIFO cannot re-key an entry in place.
 //
-// Cancelled events are skipped lazily when they surface at the heap root,
-// and compacted eagerly once they make up more than a quarter of the heap
-// (so a workload that cancels many far-future timers cannot grow the heap
+// Cancelled events are skipped lazily when they surface at a head, and
+// compacted eagerly once they make up more than a quarter of the entries
+// (so a workload that cancels many far-future timers cannot grow the queue
 // unboundedly; with timers postponed in place, the dead entries left are
 // mostly the timers of completed flows, each lingering one minimum RTO).
 //
@@ -138,6 +155,17 @@ class EventQueue {
     return AheadBits(ahead) | tiebreak;
   }
 
+  // How the pushes were placed (see the file comment), counted since
+  // construction. They depend only on the pushes, so they repeat exactly
+  // from run to run.
+  struct Counts {
+    uint64_t fifo_appends = 0;  // deliveries appended to the FIFO
+    uint64_t tie_inserts = 0;   // deliveries inserted among the tail's ties
+    uint64_t fallbacks = 0;     // deliveries earlier than the FIFO's tail
+    uint64_t far_pushes = 0;    // local events pushed kMaxAhead windows ahead
+  };
+  const Counts& counts() const { return counts_; }
+
   // The scheduling calls take any callable (or an rvalue Callback) and
   // forward it down to its arena slot, where Callback::Emplace builds it:
   // a push moves a closure once.
@@ -158,7 +186,7 @@ class EventQueue {
   // An event with an explicit order word (a delivery, see DeliveryOrder).
   template <typename F>
   EventHandle PushOrdered(Time time, uint64_t order, F&& f) {
-    // The unsigned heap key (KeyOf) orders only non-negative times.
+    // The unsigned key (KeyOf) orders only non-negative times.
     OCCAMY_DCHECK_GE(time, 0);
     const uint32_t slot = TakeSlot();
     Slot& s = slots_[slot];
@@ -168,9 +196,16 @@ class EventQueue {
     // lambda the compiler folds the check away.
     OCCAMY_CHECK(static_cast<bool>(s.callback)) << "scheduling a null callback";
     s.state = SlotState::kQueued;
+    s.local = (order & kLocalBit) != 0;
     s.time = time;
-    heap_.push_back(Entry{time, (order << kSlotBits) | slot});
-    SiftUp(heap_.size() - 1);
+    const Entry e{time, (order << kSlotBits) | slot};
+    if (!s.local) {
+      PushDelivery(e);
+    } else if (order >> (kTiebreakBits + 1) == 0) {
+      PushFar(e);  // saturated ahead bits: kMaxAhead windows ahead or more
+    } else {
+      PushNear(e);
+    }
     ++live_;
     return EventHandle(this, slot, s.generation);
   }
@@ -180,16 +215,16 @@ class EventQueue {
   // takes the next insertion counter value), and returns true. Its slot and
   // handle stay the same and its heap entry stays where it is (see the file
   // comment). Returns false, changing nothing, if the handle is not pending
-  // on this queue or `time` is before the event's time. `ahead` is as for
-  // PushLocal; since a simulator's windows only advance, the new key is
-  // never below the old one. Only a local event (Push, PushLocal) may be
-  // postponed: a delivery's order word can sort above the local one.
+  // on this queue, is a delivery's (the FIFO cannot re-key an entry), or
+  // `time` is before the event's time. `ahead` is as for PushLocal;
+  // since a simulator's windows only advance, the new key is never below
+  // the old one.
   bool PostponeLocal(const EventHandle& handle, Time time, int ahead) {
     if (handle.queue_ != this || !IsPendingSlot(handle.slot_, handle.generation_)) {
       return false;
     }
     Slot& s = slots_[handle.slot_];
-    if (time < s.time) return false;
+    if (!s.local || time < s.time) return false;
     if (moved_keys_.size() <= handle.slot_) moved_keys_.resize(slots_.size());
     moved_keys_[handle.slot_] = (LocalOrder(ahead) << kSlotBits) | handle.slot_;
     s.time = time;
@@ -203,28 +238,25 @@ class EventQueue {
   // entries). Non-mutating, unlike NextTime().
   size_t live_size() const { return live_; }
 
-  // Raw heap occupancy including cancelled entries awaiting removal; the
-  // lazy compaction keeps this at most 4/3 of live_size() after a cancel
-  // (plus a small floor).
-  size_t SizeForTest() const { return heap_.size(); }
+  // Entries in the three places, cancelled ones awaiting removal included;
+  // the lazy compaction keeps this at most 4/3 of live_size() after a
+  // cancel (plus a small floor).
+  size_t SizeForTest() const { return Entries(); }
 
   // Time of the earliest live event. Undefined if Empty().
-  Time NextTime() {
-    PruneHead();
-    return heap_.front().time;
-  }
+  Time NextTime() { return HeadEntry(Head()).time; }
 
   // Pops the earliest live event if its time is at most `until`: moves its
   // callback into `cb`, sets `time` to its time and returns true. Returns
-  // false, popping nothing, if no live event is due by then. The heap head
-  // is checked once. The slot is recycled before the callback runs, so the
+  // false, popping nothing, if no live event is due by then. The heads are
+  // checked once. The slot is recycled before the callback runs, so the
   // callback may freely schedule new events.
   bool PopLiveUntil(Time until, Time& time, Callback& cb) {
     if (live_ == 0) return false;
-    PruneHead();
-    const Entry head = heap_.front();
+    const Place place = Head();
+    const Entry head = HeadEntry(place);
     if (head.time > until) return false;
-    RemoveRoot();
+    RemoveHead(place);
     const uint32_t slot = SlotOf(head);
     cb = std::move(slots_[slot].callback);
     FreeSlot(slot);
@@ -260,9 +292,8 @@ class EventQueue {
     return AheadBits(ahead) | kLocalBit | next_seq_++;
   }
 
-  // Heap entry: the (time, order) sort key is embedded so comparisons stay
-  // in this contiguous array; the slot part points at callback/liveness
-  // state.
+  // An entry: the (time, order) sort key is embedded so comparisons stay
+  // in contiguous arrays; the slot part points at callback/liveness state.
   struct Entry {
     Time time;
     uint64_t seq_slot;  // (order << kSlotBits) | slot
@@ -273,23 +304,28 @@ class EventQueue {
   }
 
   enum class SlotState : uint8_t {
-    kQueued,     // live, and its heap entry holds its key
+    kQueued,     // live, and its entry holds its key
     kMoved,      // live, postponed: its key is (time, moved_keys_[slot])
-    kCancelled,  // dead, awaiting removal from the heap
+    kCancelled,  // dead, awaiting removal from its place
   };
 
-  // 112 bytes: the time fits in the padding after the generation and state.
+  // 112 bytes: the time fits in the padding after the generation and flags.
   struct Slot {
     uint32_t generation = 0;
     SlotState state = SlotState::kQueued;
-    Time time = 0;  // the event's time, postponed or not
+    bool local = true;  // false for a delivery, which cannot be postponed
+    Time time = 0;      // the event's time, postponed or not
     Callback callback;
   };
   static_assert(sizeof(Slot) == 16 + sizeof(Callback), "the time must fit in the padding");
 
-  // Compaction kicks in only past this heap size: tiny queues never pay the
-  // rebuild, and the bound "dead <= max(live / 3, floor)" still holds.
-  static constexpr size_t kCompactMinHeap = 64;
+  enum class Place : uint8_t { kFifo, kNear, kFar };
+
+  // Compaction kicks in only past this many entries: tiny queues never pay
+  // the rebuild, and the bound "dead <= max(live / 3, floor)" still holds.
+  static constexpr size_t kCompactMinEntries = 64;
+
+  size_t Entries() const { return ring_size_ + near_.size() + far_.size(); }
 
   uint32_t TakeSlot() {
     uint32_t slot;
@@ -311,9 +347,8 @@ class EventQueue {
     s.state = SlotState::kCancelled;
     s.callback = nullptr;  // release captured state eagerly
     --live_;
-    if (heap_.size() >= kCompactMinHeap && (heap_.size() - live_) * 4 > heap_.size()) {
-      Compact();
-    }
+    const size_t entries = Entries();
+    if (entries >= kCompactMinEntries && (entries - live_) * 4 > entries) Compact();
     return true;
   }
 
@@ -334,45 +369,95 @@ class EventQueue {
 
   static bool Before(const Entry& a, const Entry& b) { return KeyOf(a) < KeyOf(b); }
 
-  // The heap entry of a postponed slot's new key.
+  // The entry of a postponed slot's new key.
   Entry MovedEntry(uint32_t slot) const { return Entry{slots_[slot].time, moved_keys_[slot]}; }
 
-  void SiftUp(size_t i) {
-    const Entry v = heap_[i];
+  // ---- The delivery FIFO: a power-of-two ring, in key order ----
+
+  Entry& RingAt(size_t i) { return ring_[(ring_head_ + i) & (ring_.size() - 1)]; }
+
+  void PushDelivery(const Entry e) {
+    if (ring_size_ == ring_.size()) GrowRing();
+    if (ring_size_ == 0 || Before(RingAt(ring_size_ - 1), e)) {
+      ++counts_.fifo_appends;
+      RingAt(ring_size_++) = e;
+      return;
+    }
+    if (e.time == RingAt(ring_size_ - 1).time) {
+      // A same-time tie: shift the tail's greater same-time entries up.
+      ++counts_.tie_inserts;
+      size_t i = ring_size_++;
+      for (; i > 0 && Before(e, RingAt(i - 1)); --i) RingAt(i) = RingAt(i - 1);
+      RingAt(i) = e;
+      return;
+    }
+    ++counts_.fallbacks;
+    PushNear(e);
+  }
+
+  // Doubles the ring, moving its entries to the front of the new one.
+  void GrowRing() {
+    std::vector<Entry> grown(std::max<size_t>(16, 2 * ring_.size()));
+    for (size_t i = 0; i < ring_size_; ++i) grown[i] = RingAt(i);
+    ring_.swap(grown);
+    ring_head_ = 0;
+  }
+
+  // ---- The two 4-ary heaps ----
+
+  void PushNear(const Entry e) {
+    near_.push_back(e);
+    SiftUp(near_, near_.size() - 1);
+  }
+
+  void PushFar(const Entry e) {
+    ++counts_.far_pushes;
+    far_.push_back(e);
+    SiftUp(far_, far_.size() - 1);
+  }
+
+  static void SiftUp(std::vector<Entry>& heap, size_t i) {
+    const Entry v = heap[i];
     while (i > 0) {
       const size_t parent = (i - 1) / 4;
-      if (!Before(v, heap_[parent])) break;
-      heap_[i] = heap_[parent];
+      if (!Before(v, heap[parent])) break;
+      heap[i] = heap[parent];
       i = parent;
     }
-    heap_[i] = v;
+    heap[i] = v;
+  }
+
+  // Index of the smallest child of the node whose children start at
+  // `first`, or 0 for a leaf.
+  static size_t MinChild(const std::vector<Entry>& heap, size_t first) {
+    const size_t n = heap.size();
+    if (first + 4 <= n) return MinOfFour(heap, first);
+    if (first >= n) return 0;
+    size_t best = first;
+    for (size_t c = first + 1; c < n; ++c) {
+      if (Before(heap[c], heap[best])) best = c;
+    }
+    return best;
   }
 
   // Top-down sift, for Compact's O(n) heap rebuild.
-  void SiftDown(size_t i) {
-    const Entry v = heap_[i];
-    const size_t n = heap_.size();
+  static void SiftDown(std::vector<Entry>& heap, size_t i) {
+    const Entry v = heap[i];
     for (;;) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t last = std::min(first + 4, n);
-      for (size_t c = first + 1; c < last; ++c) {
-        if (Before(heap_[c], heap_[best])) best = c;
-      }
-      if (!Before(heap_[best], v)) break;
-      heap_[i] = heap_[best];
+      const size_t best = MinChild(heap, 4 * i + 1);
+      if (best == 0 || !Before(heap[best], v)) break;
+      heap[i] = heap[best];
       i = best;
     }
-    heap_[i] = v;
+    heap[i] = v;
   }
 
   // Index of the smallest of the four children starting at `first`, chosen
   // with conditional selects rather than branches. The last select is a
   // mask: written as `?:`, GCC turns it back into a branch that the
   // random order of the keys mispredicts half the time.
-  size_t MinOfFour(size_t first) const {
-    const Entry* c = &heap_[first];
+  static size_t MinOfFour(const std::vector<Entry>& heap, size_t first) {
+    const Entry* c = &heap[first];
     const Key k0 = KeyOf(c[0]), k1 = KeyOf(c[1]), k2 = KeyOf(c[2]), k3 = KeyOf(c[3]);
     const bool right01 = k1 < k0;
     const bool right23 = k3 < k2;
@@ -385,35 +470,21 @@ class EventQueue {
   }
 
   // Floyd's bottom-up removal (see the file comment).
-  void RemoveRoot() {
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) ReplaceRoot(last);
+  static void RemoveRoot(std::vector<Entry>& heap) {
+    const Entry last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) ReplaceRoot(heap, last);
   }
 
   // Puts `v` in place of the root: the root's hole walks to a leaf along
   // the smallest children, and `v` sifts up from there.
-  void ReplaceRoot(const Entry v) {
-    const size_t n = heap_.size();
+  static void ReplaceRoot(std::vector<Entry>& heap, const Entry v) {
     size_t hole = 0;
-    for (;;) {
-      const size_t first = 4 * hole + 1;
-      size_t best;
-      if (first + 4 <= n) {
-        best = MinOfFour(first);
-      } else if (first < n) {
-        best = first;
-        for (size_t c = first + 1; c < n; ++c) {
-          if (Before(heap_[c], heap_[best])) best = c;
-        }
-      } else {
-        break;
-      }
-      heap_[hole] = heap_[best];
-      hole = best;
+    for (size_t best; (best = MinChild(heap, 4 * hole + 1)) != 0; hole = best) {
+      heap[hole] = heap[best];
     }
-    heap_[hole] = v;
-    SiftUp(hole);
+    heap[hole] = v;
+    SiftUp(heap, hole);
   }
 
   void FreeSlot(uint32_t slot) {
@@ -427,55 +498,108 @@ class EventQueue {
     free_.push_back(slot);
   }
 
-  // Brings a live event with its current key to the root: frees cancelled
-  // heads and re-keys postponed ones. Needs a live event in the heap.
-  void PruneHead() {
+  // ---- Across the three places ----
+
+  Entry HeadEntry(Place place) const {
+    if (place == Place::kFifo) return ring_[ring_head_];
+    return place == Place::kNear ? near_.front() : far_.front();
+  }
+
+  void RemoveHead(Place place) {
+    if (place == Place::kNear) {
+      RemoveRoot(near_);
+    } else if (place == Place::kFifo) {
+      ring_head_ = (ring_head_ + 1) & (ring_.size() - 1);
+      --ring_size_;
+    } else {
+      RemoveRoot(far_);
+    }
+  }
+
+  // Returns the place whose head is the earliest live event, with its
+  // current key: frees cancelled heads and re-keys postponed ones. Needs a
+  // live event. Each place's head is at most every key behind it (a
+  // postpone only raises a key), so when the least head is live and
+  // current, it is the earliest event.
+  Place Head() {
     for (;;) {
-      const uint32_t slot = SlotOf(heap_.front());
-      Slot& s = slots_[slot];
-      if (s.state == SlotState::kQueued) return;
-      if (s.state == SlotState::kCancelled) {
-        FreeSlot(slot);
-        RemoveRoot();
-      } else {
-        s.state = SlotState::kQueued;
-        ReplaceRoot(MovedEntry(slot));
+      Place place = Place::kNear;
+      const Entry* head = near_.empty() ? nullptr : &near_.front();
+      if (!far_.empty() && (head == nullptr || Before(far_.front(), *head))) {
+        place = Place::kFar;
+        head = &far_.front();
       }
+      if (ring_size_ != 0 && (head == nullptr || Before(ring_[ring_head_], *head))) {
+        place = Place::kFifo;
+        head = &ring_[ring_head_];
+      }
+      const uint32_t slot = SlotOf(*head);
+      Slot& s = slots_[slot];
+      if (s.state == SlotState::kQueued) return place;
+      if (s.state == SlotState::kMoved) {
+        // Only local events, which live in the heaps, are postponed.
+        s.state = SlotState::kQueued;
+        ReplaceRoot(place == Place::kNear ? near_ : far_, MovedEntry(slot));
+        continue;
+      }
+      FreeSlot(slot);
+      RemoveHead(place);
     }
   }
 
   // Removes every cancelled entry, writes the new keys of postponed ones
-  // and rebuilds the heap in O(n). The pop order is unchanged: (time,
-  // order) is a total order, so any valid heap of the same live set yields
-  // the identical extraction sequence.
+  // and rebuilds each heap in O(n); the FIFO keeps its order. The pop order
+  // is unchanged: (time, order) is a total order, so any valid places
+  // holding the same live set yield the identical extraction sequence.
   void Compact() {
     size_t kept = 0;
-    for (const Entry& e : heap_) {
+    for (size_t i = 0; i < ring_size_; ++i) {
+      const Entry e = RingAt(i);
+      if (slots_[SlotOf(e)].state == SlotState::kCancelled) {
+        FreeSlot(SlotOf(e));
+      } else {
+        RingAt(kept++) = e;
+      }
+    }
+    ring_size_ = kept;
+    CompactHeap(near_);
+    CompactHeap(far_);
+  }
+
+  void CompactHeap(std::vector<Entry>& heap) {
+    size_t kept = 0;
+    for (const Entry& e : heap) {
       const uint32_t slot = SlotOf(e);
       Slot& s = slots_[slot];
       if (s.state == SlotState::kCancelled) {
         FreeSlot(slot);
       } else if (s.state == SlotState::kMoved) {
         s.state = SlotState::kQueued;
-        heap_[kept++] = MovedEntry(slot);
+        heap[kept++] = MovedEntry(slot);
       } else {
-        heap_[kept++] = e;
+        heap[kept++] = e;
       }
     }
-    heap_.resize(kept);
+    heap.resize(kept);
     if (kept > 1) {
-      for (size_t i = (kept - 2) / 4 + 1; i-- > 0;) SiftDown(i);
+      for (size_t i = (kept - 2) / 4 + 1; i-- > 0;) SiftDown(heap, i);
     }
   }
 
   std::vector<Slot> slots_;     // arena; indexed by EventHandle::slot_
   std::vector<uint32_t> free_;  // recycled arena slots
-  std::vector<Entry> heap_;     // 4-ary min-heap keyed by (time, order)
+  // The delivery FIFO: ring_size_ entries from ring_head_, in key order.
+  std::vector<Entry> ring_;
+  size_t ring_head_ = 0;
+  size_t ring_size_ = 0;
+  std::vector<Entry> near_;  // the near heap, keyed by (time, order)
+  std::vector<Entry> far_;   // the far heap, keyed by (time, order)
   // By slot: the seq_slot word of a postponed event's new key. Sized on the
   // first postpone, and grown only with the arena.
   std::vector<uint64_t> moved_keys_;
-  size_t live_ = 0;             // heap entries not cancelled
-  uint64_t next_seq_ = 0;       // insertion counter of local events
+  size_t live_ = 0;        // entries not cancelled
+  uint64_t next_seq_ = 0;  // insertion counter of local events
+  Counts counts_;
 };
 
 inline bool EventHandle::Cancel() {

@@ -364,6 +364,16 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
   // One shard has no inner boundaries to count executed windows at; its
   // simulator counts the windows that ran an event instead.
   if (n == 1) windows_executed_ = shards_[0]->active_windows() - active_before;
+  for (int s = 0; s < n; ++s) {
+    // The profile report's per-shard delivery counts (cumulative, so the
+    // last run's instants carry the totals).
+    internal::ShardScope scope(s);
+    [[maybe_unused]] const EventQueue::Counts& counts =
+        shards_[static_cast<size_t>(s)]->queue_counts();
+    OCCAMY_TRACE_INSTANT_ARG("queue.deliveries", "fifo",
+                             counts.fifo_appends + counts.tie_inserts);
+    OCCAMY_TRACE_INSTANT_ARG("queue.fallbacks", "deliveries", counts.fallbacks);
+  }
   for (auto& s : shards_) s->BindShard(-1);
   running_.store(false, std::memory_order_relaxed);
   const double wall_ns = static_cast<double>(

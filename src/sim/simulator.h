@@ -52,7 +52,8 @@ class Simulator {
   // to time `t`, keyed exactly as At(t, ...) would key a new event now,
   // without cancelling it: a timer re-armed this way leaves no dead heap
   // entry behind. Returns false, changing nothing, if the handle is not
-  // pending on this simulator or `t` is before the event's time.
+  // pending on this simulator, is a delivery's (AtOrdered), or `t` is
+  // before the event's time.
   bool Postpone(const EventHandle& handle, Time t) {
     return queue_.PostponeLocal(handle, t, WindowsAhead(t));
   }
@@ -105,6 +106,11 @@ class Simulator {
   uint64_t Run() { return RunCore(std::numeric_limits<Time>::max()); }
 
   uint64_t processed_events() const { return processed_; }
+
+  // How the event queue placed this simulator's pushes (EventQueue::Counts):
+  // on one shard of a topology whose links share one delay, no delivery
+  // falls back to the near heap.
+  const EventQueue::Counts& queue_counts() const { return queue_.counts(); }
 
   // Windows of the grid in which an event ran, counted at each window's
   // first event (1 in all on a simulator without a grid).

@@ -259,11 +259,17 @@ TEST(OpenLoopFlowIdTest, TransportFlowsNeverClaimLpStreams) {
   }
 }
 
-TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
-  FabricSpec spec;
-  spec.scheme = Scheme::kOccamy;
-  FabricScenario s(spec, BenchScale::kSmoke);
+// The fabric smoke run's traffic: web-search background at 40% load and
+// incast queries among all hosts, both arriving for 5 ms.
+struct WebSearchPlusIncast {
+  workload::IncastConfig q;
+  std::vector<uint64_t> bg_ids;
+  workload::PregeneratedIncast incast;
+  std::vector<uint64_t> ids;
+};
 
+WebSearchPlusIncast StartWebSearchPlusIncast(FabricScenario& s) {
+  WebSearchPlusIncast run;
   workload::PoissonFlowConfig bg;
   bg.hosts = s.topo.hosts;
   bg.load = 0.4;
@@ -271,10 +277,9 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   bg.size_dist = workload::WebSearchDistribution();
   bg.stop = Milliseconds(5);
   bg.ideal_fn = s.IdealFn();
-  const std::vector<uint64_t> bg_ids =
-      workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg));
+  run.bg_ids = workload::StartFlows(*s.manager, workload::PregeneratePoissonFlows(bg));
 
-  workload::IncastConfig q;
+  workload::IncastConfig& q = run.q;
   q.clients = s.topo.hosts;
   q.servers = s.topo.hosts;
   q.fanin = 6;
@@ -283,20 +288,64 @@ TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
   q.stop = Milliseconds(5);
   q.ideal_fn = s.IdealFn();
   q.query_ideal_fn = s.QueryIdealFn();
-  const workload::PregeneratedIncast incast = workload::PregenerateIncast(q);
-  const std::vector<uint64_t> ids = workload::StartFlows(*s.manager, incast.flows);
+  run.incast = workload::PregenerateIncast(q);
+  run.ids = workload::StartFlows(*s.manager, run.incast.flows);
+  return run;
+}
+
+TEST(FabricSmokeTest, WebSearchPlusIncastRunsToCompletion) {
+  FabricSpec spec;
+  spec.scheme = Scheme::kOccamy;
+  FabricScenario s(spec, BenchScale::kSmoke);
+  const WebSearchPlusIncast run = StartWebSearchPlusIncast(s);
 
   s.ssim.RunUntil(Milliseconds(60));
-  EXPECT_GT(bg_ids.size(), 0u);
-  EXPECT_GT(incast.queries.size(), 3u);
-  const stats::CompletionCollector qct =
-      workload::DeriveIncastQct(incast, ids, s.manager->completions(), q.query_ideal_fn);
+  EXPECT_GT(run.bg_ids.size(), 0u);
+  EXPECT_GT(run.incast.queries.size(), 3u);
+  const stats::CompletionCollector qct = workload::DeriveIncastQct(
+      run.incast, run.ids, s.manager->completions(), run.q.query_ideal_fn);
   // The vast majority of queries complete within the drain window.
-  EXPECT_GE(qct.Count(), incast.queries.size() * 8 / 10);
+  EXPECT_GE(qct.Count(), run.incast.queries.size() * 8 / 10);
   // Slowdowns are sane (>= ~1).
   const auto slow = qct.Slowdowns();
   if (!slow.Empty()) {
     EXPECT_GT(slow.Mean(), 0.9);
+  }
+}
+
+// Every link of the fabric and of the star has one propagation delay and
+// a shard's clock never goes back, so on one shard each delivery is pushed
+// no earlier than the one before it and pops from the event queue's FIFO
+// (src/sim/event_queue.h): none falls back to the near heap. A topology
+// with unequal link delays breaks this, and this test with it.
+TEST(DeliveryFifoTest, OneShardRunsPushDeliveriesInArrivalOrder) {
+  {
+    FabricSpec spec;
+    spec.scheme = Scheme::kOccamy;
+    FabricScenario s(spec, BenchScale::kSmoke);
+    StartWebSearchPlusIncast(s);
+    s.ssim.RunUntil(Milliseconds(60));
+    const sim::EventQueue::Counts& counts = s.ssim.shard(0).queue_counts();
+    EXPECT_GT(counts.fifo_appends, 1000u) << "fabric";
+    EXPECT_EQ(counts.fallbacks, 0u) << "fabric";
+  }
+  {
+    StarSpec spec;
+    spec.scheme = Scheme::kOccamy;
+    StarScenario s(spec);
+    workload::IncastConfig q;
+    q.clients = s.topo.hosts;
+    q.servers = s.topo.hosts;
+    q.fanin = 6;
+    q.query_size_bytes = spec.buffer_bytes;
+    q.queries_per_second = 2000;
+    q.stop = Milliseconds(5);
+    q.ideal_fn = s.IdealFn();
+    workload::StartFlows(*s.manager, workload::PregenerateIncast(q).flows);
+    s.ssim.RunUntil(Milliseconds(60));
+    const sim::EventQueue::Counts& counts = s.ssim.shard(0).queue_counts();
+    EXPECT_GT(counts.fifo_appends, 1000u) << "star";
+    EXPECT_EQ(counts.fallbacks, 0u) << "star";
   }
 }
 

@@ -424,6 +424,36 @@ TEST(ProfileReportTest, WindowBatchingLineAggregatesPlanSpanArgs) {
       std::string::npos);
 }
 
+TEST(ProfileReportTest, QueueCountsTakeEachShardsLatestInstant) {
+  // Each run ends with a shard's cumulative delivery counts, so a shard
+  // that ran twice reports its larger (later) values.
+  std::vector<TraceEvent> events;
+  auto add_count = [&events](const char* name, const char* arg_name, int32_t shard,
+                             int64_t value) {
+    TraceEvent ev;
+    ev.name = name;
+    ev.arg_name = arg_name;
+    ev.arg = value;
+    ev.shard = shard;
+    ev.phase = 'i';
+    events.push_back(ev);
+  };
+  add_count(kInstantQueueDeliveries, "fifo", 0, 10);
+  add_count(kInstantQueueDeliveries, "fifo", 0, 25);
+  add_count(kInstantQueueFallbacks, "deliveries", 1, 7);
+  const ProfileReport report = BuildProfileReport(events, /*shards=*/2, 0);
+  EXPECT_TRUE(report.has_queue_counts);
+  EXPECT_EQ(report.shards[0].fifo_deliveries, 25u);
+  EXPECT_EQ(report.shards[0].delivery_fallbacks, 0u);
+  EXPECT_EQ(report.shards[1].delivery_fallbacks, 7u);
+  const std::string text = FormatProfileReport(report);
+  EXPECT_NE(text.find("    0               25          0\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("    1                0          7\n"), std::string::npos) << text;
+  // A trace without the instants prints no count table.
+  EXPECT_EQ(FormatProfileReport(BuildProfileReport({}, 1, 0)).find("fallbacks"),
+            std::string::npos);
+}
+
 TEST(ProfileReportTest, NoWindowBatchingLineWithoutPlanRounds) {
   // A trace without plan spans (a bare Simulator's run); the report must
   // omit the batching line instead of dividing by zero rounds.

@@ -237,33 +237,58 @@ TEST(EventQueueTest, SameTimeFifoOrderSurvivesCancellationAndCompaction) {
   EXPECT_EQ(order, expected_order);
 }
 
-// A reference model of the queue: the live events by key, (time, order),
-// where the order is the queue's insertion counter, which every push and
-// every postpone takes the next value of. A postpone erases the event and
-// re-inserts it under its new key.
+// A reference model of the queue: the live events by key, (time, order
+// word). A local event's order word carries the queue's insertion counter,
+// which every local push and every postpone takes the next value of (the
+// layout is in src/sim/event_queue.h); a delivery's is DeliveryOrder's. A
+// postpone erases the event and re-inserts it under its new key.
 struct ReferenceQueue {
   using Key = std::pair<Time, uint64_t>;
   EventQueue q;
   std::map<Key, uint64_t> live;  // key -> push index
   std::vector<EventHandle> handles;  // by push index, fired and cancelled too
   std::vector<Key> keys;             // by push index: the latest key
-  uint64_t next_order = 0;
+  std::vector<bool> far;             // by push index: pushed kMaxAhead windows ahead
+  std::vector<bool> delivery;        // by push index
+  uint64_t next_seq = 0;
   uint64_t fired = 0;                // push index of the last event that ran
   Time now = 0;
   Rng* rng = nullptr;
 
-  // Pushes an event at `t`; when it fires it records itself and pushes
-  // `children` more events at now + 0..2, ties with queued events included.
-  void Push(Time t, int children) {
-    const uint64_t id = handles.size();
-    handles.push_back(q.Push(t, [this, id, children] {
+  static uint64_t LocalOrder(int ahead, uint64_t seq) {
+    return (static_cast<uint64_t>(EventQueue::kMaxAhead - ahead)
+            << (EventQueue::kTiebreakBits + 1)) |
+           (uint64_t{1} << EventQueue::kTiebreakBits) | seq;
+  }
+
+  // A callback that records push `id` when it fires and pushes `children`
+  // more local events at now + 0..2, ties with queued events included.
+  auto Fire(uint64_t id, int children) {
+    return [this, id, children] {
       fired = id;
       for (int c = 0; c < children; ++c) {
         Push(now + static_cast<Time>(rng->UniformInt(3)), 0);
       }
-    }));
-    keys.emplace_back(t, next_order++);
-    live.emplace(keys.back(), id);
+    };
+  }
+
+  void Record(const Key& key, bool is_far, bool is_delivery) {
+    keys.push_back(key);
+    far.push_back(is_far);
+    delivery.push_back(is_delivery);
+    live.emplace(key, handles.size() - 1);
+  }
+
+  // Pushes a local event at `t`, `ahead` windows early.
+  void Push(Time t, int children, int ahead = 0) {
+    handles.push_back(q.PushLocal(t, ahead, Fire(handles.size(), children)));
+    Record({t, LocalOrder(ahead, next_seq++)}, ahead == EventQueue::kMaxAhead, false);
+  }
+
+  void PushDelivery(Time t, int ahead, uint64_t tiebreak) {
+    const uint64_t order = EventQueue::DeliveryOrder(ahead, tiebreak);
+    handles.push_back(q.PushOrdered(t, order, Fire(handles.size(), 0)));
+    Record({t, order}, false, true);
   }
 
   // Cancels the handle of push `id`, live or not (fired and cancelled
@@ -274,15 +299,15 @@ struct ReferenceQueue {
     return was_live;
   }
 
-  // Postpones push `id` to `t`. Only a live event, to a time no earlier
-  // than its own, moves.
-  bool Postpone(uint64_t id, Time t) {
+  // Postpones push `id` to `t`, `ahead` windows early. Only a live local
+  // event, to a time no earlier than its own, moves.
+  bool Postpone(uint64_t id, Time t, int ahead = 0) {
     const auto it = live.find(keys[id]);
-    const bool moves = it != live.end() && t >= keys[id].first;
-    EXPECT_EQ(q.PostponeLocal(handles[id], t, 0), moves) << "push " << id;
+    const bool moves = it != live.end() && !delivery[id] && t >= keys[id].first;
+    EXPECT_EQ(q.PostponeLocal(handles[id], t, ahead), moves) << "push " << id;
     if (moves) {
       live.erase(it);
-      keys[id] = {t, next_order++};
+      keys[id] = {t, LocalOrder(ahead, next_seq++)};
       live.emplace(keys[id], id);
     }
     return moves;
@@ -294,62 +319,114 @@ struct ReferenceQueue {
 // Seeded random interleavings of pushes (mostly at a handful of equal
 // times), cancels and postpones of live and stale handles, pops, pushes
 // from inside fired callbacks and cancel storms that force compactions:
-// every pop must return the earliest live event by (time, push or
-// postpone order).
+// every pop must return the earliest live event by (time, order word).
+// Local events are pushed at every `ahead` up to kMaxAhead, and deliveries
+// in time order, as same-time ties in either order, and earlier than the
+// latest delivery, so that every path of the queue's three places runs:
+// FIFO appends, tie inserts, fallbacks to the near heap and far pushes,
+// with NextTime() now and then between a pop and the next push.
 TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
   int compactions = 0;
   int postponed = 0;
+  int far_postponed = 0;
+  int far_cancelled = 0;
+  int deliveries_cancelled = 0;
+  EventQueue::Counts paths;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
     ReferenceQueue ref;
     ref.rng = &rng;
+    Time last_delivery = 0;  // the latest delivery time pushed so far
+    uint64_t deliveries = 0;
+    const auto random_ahead = [&rng] {
+      return rng.UniformInt(4) == 0
+                 ? EventQueue::kMaxAhead
+                 : static_cast<int>(rng.UniformInt(EventQueue::kMaxAhead + 1));
+    };
+    const auto cancel = [&](uint64_t id) {
+      if (!ref.Cancel(id)) return;
+      far_cancelled += ref.far[id];
+      deliveries_cancelled += ref.delivery[id];
+    };
+    const auto postpone = [&](uint64_t id, Time t) {
+      // A simulator's windows only advance, so a postpone to the event's
+      // own time is never more windows ahead than its push was.
+      int ahead = random_ahead();
+      if (t == ref.TimeOf(id) && !ref.delivery[id]) {
+        const auto pushed_ahead = static_cast<int>(
+            EventQueue::kMaxAhead - (ref.keys[id].second >> (EventQueue::kTiebreakBits + 1)));
+        ahead = std::min(ahead, pushed_ahead);
+      }
+      if (!ref.Postpone(id, t, ahead)) return;
+      ++postponed;
+      far_postponed += ref.far[id];
+    };
     for (int step = 0; step < 20000; ++step) {
       const uint64_t op = rng.UniformInt(100);
-      if (op < 35) {
+      if (op < 14) {
         const int children = rng.UniformInt(4) == 0 ? 1 + static_cast<int>(rng.UniformInt(2)) : 0;
-        ref.Push(ref.now + static_cast<Time>(rng.UniformInt(8)), children);
+        ref.Push(ref.now + static_cast<Time>(rng.UniformInt(8)), children, random_ahead());
+      } else if (op < 35) {
+        // A delivery: in time order (possibly tying the latest), at the
+        // latest time, or earlier than it. The tiebreak's random high bits
+        // order ties either way; its counter keeps keys unique.
+        const Time tail = std::max(last_delivery, ref.now);
+        Time t = tail + static_cast<Time>(rng.UniformInt(3));
+        switch (rng.UniformInt(4)) {
+          case 0:
+            t = tail;
+            break;
+          case 1:
+            if (tail > ref.now) t = ref.now + static_cast<Time>(rng.UniformInt(tail - ref.now));
+            break;
+          default:
+            break;
+        }
+        last_delivery = std::max(last_delivery, t);
+        const int ahead = static_cast<int>(rng.UniformInt(EventQueue::kMaxAhead));
+        ref.PushDelivery(t, ahead, (rng.UniformInt(1024) << 24) | deliveries++);
       } else if (op < 50 && !ref.handles.empty()) {
         const size_t before = ref.q.SizeForTest();
-        ref.Cancel(rng.UniformInt(ref.handles.size()));
+        cancel(rng.UniformInt(ref.handles.size()));
         if (ref.q.SizeForTest() < before) ++compactions;
       } else if (op < 60 && !ref.handles.empty()) {
         // A postpone of a live or stale handle: to a later time, to the
         // same time, to any time from now on (earlier ones must fail), or
-        // twice in a row and then a cancel.
+        // twice in a row and then a cancel. Deliveries must refuse.
         const uint64_t id = rng.UniformInt(ref.handles.size());
         const Time later = ref.TimeOf(id) + 1 + static_cast<Time>(rng.UniformInt(8));
         switch (rng.UniformInt(4)) {
           case 0:
-            postponed += ref.Postpone(id, later);
+            postpone(id, later);
             break;
           case 1:
-            postponed += ref.Postpone(id, ref.TimeOf(id));
+            postpone(id, ref.TimeOf(id));
             break;
           case 2:
-            postponed += ref.Postpone(id, ref.now + static_cast<Time>(rng.UniformInt(8)));
+            postpone(id, ref.now + static_cast<Time>(rng.UniformInt(8)));
             break;
           default:
-            postponed += ref.Postpone(id, later);
-            postponed += ref.Postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(3)));
-            ref.Cancel(id);
+            postpone(id, later);
+            postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(3)));
+            cancel(id);
             break;
         }
       } else if (op < 62) {
         // Cancel storm: fill the queue, postpone some live events, then
         // cancel about 3 in 4 of them, far past the point where dead
-        // entries make up a quarter of the heap.
+        // entries make up a quarter of the entries.
         for (int i = 0; i < 100; ++i) {
-          ref.Push(ref.now + static_cast<Time>(rng.UniformInt(50)), 0);
+          ref.Push(ref.now + static_cast<Time>(rng.UniformInt(50)), 0, random_ahead());
         }
         std::vector<uint64_t> ids;
         for (const auto& [key, id] : ref.live) ids.push_back(id);
         const size_t before = ref.q.SizeForTest();
         for (const uint64_t id : ids) {
           if (rng.UniformInt(3) == 0) {
-            postponed += ref.Postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(50)));
+            postpone(id, ref.TimeOf(id) + static_cast<Time>(rng.UniformInt(50)));
           }
-          if (rng.UniformInt(4) != 0) ref.Cancel(id);
+          if (rng.UniformInt(4) != 0) cancel(id);
         }
         if (ref.q.SizeForTest() < before) ++compactions;
       } else if (op < 65 && !ref.q.Empty()) {
@@ -362,14 +439,30 @@ TEST(EventQueueTest, PopOrderMatchesReferenceUnderRandomInterleavings) {
         ASSERT_EQ(ref.now, want_key.first) << "step " << step;
         cb();
         ASSERT_EQ(ref.fired, want_id) << "step " << step;
+        // Now and then, look at the head before anything is pushed.
+        if (rng.UniformInt(4) == 0 && !ref.q.Empty()) {
+          ASSERT_EQ(ref.q.NextTime(), ref.live.begin()->first.first) << "step " << step;
+        }
       }
       ASSERT_EQ(ref.q.live_size(), ref.live.size()) << "step " << step;
       ASSERT_LE(3 * ref.q.SizeForTest(), 4 * ref.q.live_size() + 3 * kCompactFloor)
           << "step " << step;
     }
+    const EventQueue::Counts& counts = ref.q.counts();
+    paths.fifo_appends += counts.fifo_appends;
+    paths.tie_inserts += counts.tie_inserts;
+    paths.fallbacks += counts.fallbacks;
+    paths.far_pushes += counts.far_pushes;
   }
-  EXPECT_GT(compactions, 20) << "the cancel storms must compact the heap";
+  EXPECT_GT(compactions, 20) << "the cancel storms must compact the queue";
   EXPECT_GT(postponed, 1000);
+  EXPECT_GT(far_postponed, 100);
+  EXPECT_GT(far_cancelled, 100);
+  EXPECT_GT(deliveries_cancelled, 100);
+  EXPECT_GE(paths.fifo_appends, 1000u);
+  EXPECT_GE(paths.tie_inserts, 1000u);
+  EXPECT_GE(paths.fallbacks, 1000u);
+  EXPECT_GE(paths.far_pushes, 1000u);
 }
 
 TEST(EventQueueTest, PostponeOfDeadHandlesOrToEarlierTimesChangesNothing) {
@@ -403,6 +496,38 @@ TEST(EventQueueTest, PostponeOfDeadHandlesOrToEarlierTimesChangesNothing) {
     cb();
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2})) << "`a` keeps its place";
+}
+
+// A delivery cannot be postponed, whether it waits in the FIFO or, pushed
+// earlier than the FIFO's tail, in the near heap: the FIFO cannot re-key
+// an entry in place, so a postponed delivery would pop at its old key.
+TEST(EventQueueTest, PostponeOfADeliveryChangesNothing) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventHandle in_fifo =
+      q.PushOrdered(20, EventQueue::DeliveryOrder(0, 1), [&order] { order.push_back(1); });
+  const EventHandle in_heap =
+      q.PushOrdered(10, EventQueue::DeliveryOrder(0, 2), [&order] { order.push_back(2); });
+  ASSERT_EQ(q.counts().fifo_appends, 1u);
+  ASSERT_EQ(q.counts().fallbacks, 1u);
+  const EventHandle local = q.Push(15, [&order] { order.push_back(3); });
+
+  EXPECT_FALSE(q.PostponeLocal(in_fifo, 30, 0));
+  EXPECT_FALSE(q.PostponeLocal(in_heap, 30, 0));
+  EXPECT_TRUE(in_fifo.IsPending());
+  EXPECT_TRUE(in_heap.IsPending());
+  EXPECT_EQ(q.live_size(), 3u);
+  EXPECT_EQ(q.SizeForTest(), 3u);
+  EXPECT_TRUE(q.PostponeLocal(local, 25, 0)) << "a local event still moves";
+  Callback cb;
+  EXPECT_EQ(q.PopLive(cb), 10);
+  cb();
+  EXPECT_EQ(q.PopLive(cb), 20);
+  cb();
+  EXPECT_EQ(q.PopLive(cb), 25);
+  cb();
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 3}));
 }
 
 // Postponed entries keep their old keys in the heap until they reach the
