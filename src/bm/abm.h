@@ -26,6 +26,8 @@ class Abm : public BmScheme {
 
   std::string_view name() const override { return "ABM"; }
 
+  bool ReadsDrainRate() const override { return true; }
+
   int64_t Threshold(const TmView& tm, int q) const override {
     EnsureSized(tm);
     const int prio = tm.priority(q);

@@ -52,6 +52,10 @@ class BmScheme {
   // True if this scheme admits on free space and reclaims by eviction.
   virtual bool IsPreemptive() const { return false; }
 
+  // True if this scheme reads TmView::normalized_drain_rate (ABM). The TM
+  // keeps its per-queue drain-rate estimates only for such a scheme.
+  virtual bool ReadsDrainRate() const { return false; }
+
   // True if Threshold() depends on mutable TM state only through
   // tm.free_bytes() and is non-decreasing in it (the DT family). This is
   // the contract that lets the expulsion engine refresh its over-allocation

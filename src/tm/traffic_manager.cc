@@ -48,7 +48,9 @@ TmPartition::TmPartition(sim::Simulator* sim, TmConfig config,
     schedulers_.push_back(MakeScheduler(config_.scheduler, config_.drr_quantum));
   }
 
-  drain_rates_.assign(queue_configs_.size(), stats::EwmaRateEstimator(Microseconds(100)));
+  if (scheme_->ReadsDrainRate()) {
+    drain_rates_.assign(queue_configs_.size(), stats::EwmaRateEstimator(Microseconds(100)));
+  }
   queue_delay_hist_.resize(queue_configs_.size());
   queue_drops_.assign(queue_configs_.size(), 0);
 
@@ -162,13 +164,15 @@ std::optional<Packet> TmPartition::DequeueForPort(int port) {
 
   ++stats_.dequeued_packets;
   stats_.dequeued_bytes += pd.packet.size_bytes;
-  drain_rates_[static_cast<size_t>(q)].Update(bytes, sim_->now());
+  if (!drain_rates_.empty()) drain_rates_[static_cast<size_t>(q)].Update(bytes, sim_->now());
   scheme_->OnDequeue(*this, q, bytes);
   if (engine_ != nullptr) engine_->KickShrink(q);
   return pd.packet;
 }
 
 double TmPartition::normalized_drain_rate(int q) const {
+  OCCAMY_CHECK(!drain_rates_.empty())
+      << "drain rates are kept only for a scheme whose ReadsDrainRate() is true";
   const Bandwidth port_rate = config_.port_rates[static_cast<size_t>(PortOfQueue(q))];
   if (port_rate.IsZero()) return 0.0;
   const double rate = drain_rates_[static_cast<size_t>(q)].BytesPerSec(sim_->now());

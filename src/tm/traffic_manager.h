@@ -245,9 +245,10 @@ class TmPartition final : public bm::TmView, public core::ExpulsionTarget {
   std::vector<std::unique_ptr<Scheduler>> schedulers_;  // per port
   core::MemoryBandwidthModel memory_;
   std::unique_ptr<core::ExpulsionEngine> engine_;
-  mutable std::vector<stats::EwmaRateEstimator> drain_rates_;  // per queue
-  std::vector<obs::DelayHistogram> queue_delay_hist_;          // per queue
-  std::vector<uint64_t> queue_drops_;                          // per queue
+  // Per queue; empty unless the scheme ReadsDrainRate().
+  mutable std::vector<stats::EwmaRateEstimator> drain_rates_;
+  std::vector<obs::DelayHistogram> queue_delay_hist_;  // per queue
+  std::vector<uint64_t> queue_drops_;                  // per queue
   TmStats stats_;
   std::function<void(const Packet&, DropReason)> drop_hook_;
 

@@ -322,7 +322,10 @@ TEST(TmPartitionTest, OccamyDoesNotExpelWhenBandwidthSaturated) {
 TEST(TmPartitionTest, DrainRateEstimatorNormalized) {
   sim::Simulator sim;
   auto cfg = BaseConfig(/*ports=*/2, /*classes=*/1, /*buffer=*/1000000);
-  TmPartition tm(&sim, cfg, std::make_unique<bm::DynamicThreshold>());
+  // Only a scheme that reads the drain rate (ABM) has it estimated; a large
+  // alpha lets ABM admit the whole backlog.
+  cfg.class_configs = {{.alpha = 64.0, .priority = 0}};
+  TmPartition tm(&sim, cfg, std::make_unique<bm::Abm>());
   // Keep the queue backlogged and dequeue at line rate (10G: 1000B/800ns)
   // for several EWMA time constants.
   for (int i = 0; i < 600; ++i) tm.Enqueue(0, MakePacket(1000));
@@ -335,6 +338,15 @@ TEST(TmPartitionTest, DrainRateEstimatorNormalized) {
   const double mu = tm.normalized_drain_rate(0);
   EXPECT_GT(mu, 0.7);
   EXPECT_LE(mu, 1.0);
+}
+
+TEST(TmPartitionTest, DrainRateIsKeptOnlyForSchemesThatReadIt) {
+  sim::Simulator sim;
+  TmPartition tm(&sim, BaseConfig(/*ports=*/2, /*classes=*/1, /*buffer=*/1000000),
+                 std::make_unique<bm::DynamicThreshold>());
+  tm.Enqueue(0, MakePacket(1000));
+  ASSERT_TRUE(tm.DequeueForPort(0).has_value());
+  EXPECT_DEATH(tm.normalized_drain_rate(0), "ReadsDrainRate");
 }
 
 TEST(TmPartitionTest, StatsUtilizationCdfPopulatedOnDrops) {
