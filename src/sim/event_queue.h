@@ -35,15 +35,17 @@
 //  - The delivery FIFO, a ring in key order, takes every delivery (class
 //    0). Every link has one propagation delay and a shard's clock never
 //    goes back, so a shard's own deliveries are pushed in arrival order,
-//    and a push appends in O(1). A delivery at its tail's time but with a
-//    smaller key (two nodes sent at one instant, in the other order) is
-//    inserted among the tail's same-time entries. An earlier one falls
-//    back to the near heap and is counted (counts()): mail drained from
-//    another shard at a barrier, or a topology with unequal link delays.
+//    and a push appends in O(1). A delivery below the tail's key goes to
+//    the near heap instead. At the tail's time that is a tie between two
+//    nodes that sent at one instant, in the other order (1-2% of a run's
+//    deliveries). An earlier one is a fallback, counted (counts()): mail
+//    drained from another shard at a barrier, or a topology with unequal
+//    link delays.
 //  - The far heap takes local events whose ahead field saturated, i.e.
 //    pushed at least kMaxAhead windows ahead (retransmit timers, future
 //    flow starts), so they stay out of the near heap's walks.
-//  - The near heap takes every other event.
+//  - The near heap takes every other event. A queue with no delivery and
+//    no far event pops from it without looking at the other places.
 //
 // Both heaps are 4-ary. Their roots are removed bottom-up (Floyd): the
 // hole walks to a leaf along the smallest child, picked from four with
@@ -54,8 +56,8 @@
 //
 // Event state (callback + liveness) lives in a contiguous freelist-
 // recycled arena: after warm-up, scheduling performs no allocation (the
-// arena, the ring and the heap vectors are reused and grow by doubling,
-// and sim::Callback keeps every per-packet closure in src/ inline). A push
+// arena, the ring and the heaps are reused and grow by doubling, and
+// sim::Callback keeps every per-packet closure in src/ inline). A push
 // builds its closure directly in the slot, and a pop moves it out once.
 // EventHandle is a {slot, generation} pair instead of a weak_ptr:
 // cancelling a stale handle whose slot has been recycled is a generation
@@ -155,14 +157,12 @@ class EventQueue {
     return AheadBits(ahead) | tiebreak;
   }
 
-  // How the pushes were placed (see the file comment), counted since
-  // construction. They depend only on the pushes, so they repeat exactly
-  // from run to run.
+  // Where the deliveries went (see the file comment), counted since
+  // construction. They depend only on the pushes and pops, so they repeat
+  // exactly from run to run. A tie is neither.
   struct Counts {
-    uint64_t fifo_appends = 0;  // deliveries appended to the FIFO
-    uint64_t tie_inserts = 0;   // deliveries inserted among the tail's ties
-    uint64_t fallbacks = 0;     // deliveries earlier than the FIFO's tail
-    uint64_t far_pushes = 0;    // local events pushed kMaxAhead windows ahead
+    uint64_t fifo_deliveries = 0;  // appended to the FIFO
+    uint64_t fallbacks = 0;        // earlier than the FIFO tail's time
   };
   const Counts& counts() const { return counts_; }
 
@@ -202,9 +202,9 @@ class EventQueue {
     if (!s.local) {
       PushDelivery(e);
     } else if (order >> (kTiebreakBits + 1) == 0) {
-      PushFar(e);  // saturated ahead bits: kMaxAhead windows ahead or more
+      PushHeap(far_, e);  // saturated ahead bits: kMaxAhead windows ahead or more
     } else {
-      PushNear(e);
+      PushHeap(near_, e);
     }
     ++live_;
     return EventHandle(this, slot, s.generation);
@@ -253,10 +253,20 @@ class EventQueue {
   // callback may freely schedule new events.
   bool PopLiveUntil(Time until, Time& time, Callback& cb) {
     if (live_ == 0) return false;
-    const Place place = Head();
-    const Entry head = HeadEntry(place);
-    if (head.time > until) return false;
-    RemoveHead(place);
+    Entry head;
+    if ((ring_size_ | far_.size()) == 0) {
+      // Every entry is near: one test, then a single heap's pop.
+      while (!PruneRoot(near_)) {
+      }
+      head = near_.front();
+      if (head.time > until) return false;
+      RemoveRoot(near_);
+    } else {
+      const Place place = Head();
+      head = HeadEntry(place);
+      if (head.time > until) return false;
+      RemoveHead(place);
+    }
     const uint32_t slot = SlotOf(head);
     cb = std::move(slots_[slot].callback);
     FreeSlot(slot);
@@ -377,22 +387,17 @@ class EventQueue {
   Entry& RingAt(size_t i) { return ring_[(ring_head_ + i) & (ring_.size() - 1)]; }
 
   void PushDelivery(const Entry e) {
+    if (ring_size_ != 0) {
+      const Entry& tail = RingAt(ring_size_ - 1);
+      if (Before(e, tail)) {
+        if (e.time < tail.time) ++counts_.fallbacks;
+        PushHeap(near_, e);
+        return;
+      }
+    }
     if (ring_size_ == ring_.size()) GrowRing();
-    if (ring_size_ == 0 || Before(RingAt(ring_size_ - 1), e)) {
-      ++counts_.fifo_appends;
-      RingAt(ring_size_++) = e;
-      return;
-    }
-    if (e.time == RingAt(ring_size_ - 1).time) {
-      // A same-time tie: shift the tail's greater same-time entries up.
-      ++counts_.tie_inserts;
-      size_t i = ring_size_++;
-      for (; i > 0 && Before(e, RingAt(i - 1)); --i) RingAt(i) = RingAt(i - 1);
-      RingAt(i) = e;
-      return;
-    }
-    ++counts_.fallbacks;
-    PushNear(e);
+    ++counts_.fifo_deliveries;
+    RingAt(ring_size_++) = e;
   }
 
   // Doubles the ring, moving its entries to the front of the new one.
@@ -405,15 +410,9 @@ class EventQueue {
 
   // ---- The two 4-ary heaps ----
 
-  void PushNear(const Entry e) {
-    near_.push_back(e);
-    SiftUp(near_, near_.size() - 1);
-  }
-
-  void PushFar(const Entry e) {
-    ++counts_.far_pushes;
-    far_.push_back(e);
-    SiftUp(far_, far_.size() - 1);
+  static void PushHeap(std::vector<Entry>& heap, const Entry e) {
+    heap.push_back(e);
+    SiftUp(heap, heap.size() - 1);
   }
 
   static void SiftUp(std::vector<Entry>& heap, size_t i) {
@@ -516,6 +515,22 @@ class EventQueue {
     }
   }
 
+  // Returns true if the heap's root is live and current; else frees it
+  // (cancelled) or re-keys it (postponed) and returns false.
+  bool PruneRoot(std::vector<Entry>& heap) {
+    const uint32_t slot = SlotOf(heap.front());
+    Slot& s = slots_[slot];
+    if (s.state == SlotState::kQueued) return true;
+    if (s.state == SlotState::kCancelled) {
+      FreeSlot(slot);
+      RemoveRoot(heap);
+    } else {
+      s.state = SlotState::kQueued;
+      ReplaceRoot(heap, MovedEntry(slot));
+    }
+    return false;
+  }
+
   // Returns the place whose head is the earliest live event, with its
   // current key: frees cancelled heads and re-keys postponed ones. Needs a
   // live event. Each place's head is at most every key behind it (a
@@ -530,20 +545,14 @@ class EventQueue {
         head = &far_.front();
       }
       if (ring_size_ != 0 && (head == nullptr || Before(ring_[ring_head_], *head))) {
-        place = Place::kFifo;
-        head = &ring_[ring_head_];
+        // A delivery is never postponed: a FIFO head is live or cancelled.
+        const uint32_t slot = SlotOf(ring_[ring_head_]);
+        if (slots_[slot].state == SlotState::kQueued) return Place::kFifo;
+        FreeSlot(slot);
+        RemoveHead(Place::kFifo);
+      } else if (PruneRoot(place == Place::kNear ? near_ : far_)) {
+        return place;
       }
-      const uint32_t slot = SlotOf(*head);
-      Slot& s = slots_[slot];
-      if (s.state == SlotState::kQueued) return place;
-      if (s.state == SlotState::kMoved) {
-        // Only local events, which live in the heaps, are postponed.
-        s.state = SlotState::kQueued;
-        ReplaceRoot(place == Place::kNear ? near_ : far_, MovedEntry(slot));
-        continue;
-      }
-      FreeSlot(slot);
-      RemoveHead(place);
     }
   }
 

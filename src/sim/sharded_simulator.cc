@@ -370,8 +370,7 @@ uint64_t ShardedSimulator::RunUntil(Time until) {
     internal::ShardScope scope(s);
     [[maybe_unused]] const EventQueue::Counts& counts =
         shards_[static_cast<size_t>(s)]->queue_counts();
-    OCCAMY_TRACE_INSTANT_ARG("queue.deliveries", "fifo",
-                             counts.fifo_appends + counts.tie_inserts);
+    OCCAMY_TRACE_INSTANT_ARG("queue.deliveries", "fifo", counts.fifo_deliveries);
     OCCAMY_TRACE_INSTANT_ARG("queue.fallbacks", "deliveries", counts.fallbacks);
   }
   for (auto& s : shards_) s->BindShard(-1);

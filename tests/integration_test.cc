@@ -326,7 +326,7 @@ TEST(DeliveryFifoTest, OneShardRunsPushDeliveriesInArrivalOrder) {
     StartWebSearchPlusIncast(s);
     s.ssim.RunUntil(Milliseconds(60));
     const sim::EventQueue::Counts& counts = s.ssim.shard(0).queue_counts();
-    EXPECT_GT(counts.fifo_appends, 1000u) << "fabric";
+    EXPECT_GT(counts.fifo_deliveries, 1000u) << "fabric";
     EXPECT_EQ(counts.fallbacks, 0u) << "fabric";
   }
   {
@@ -344,7 +344,7 @@ TEST(DeliveryFifoTest, OneShardRunsPushDeliveriesInArrivalOrder) {
     workload::StartFlows(*s.manager, workload::PregenerateIncast(q).flows);
     s.ssim.RunUntil(Milliseconds(60));
     const sim::EventQueue::Counts& counts = s.ssim.shard(0).queue_counts();
-    EXPECT_GT(counts.fifo_appends, 1000u) << "star";
+    EXPECT_GT(counts.fifo_deliveries, 1000u) << "star";
     EXPECT_EQ(counts.fallbacks, 0u) << "star";
   }
 }
