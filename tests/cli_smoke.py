@@ -8,8 +8,9 @@ ctest runs each case as its own entry (cli_smoke.<case>). What a gtest can
 check through cli::Main, RunScenario or RunPoint lives in tests/cli_test.cc
 and tests/fault_test.cc; the cases here need the real binary: --json=PATH,
 the sweep and figure output directories, trace files read by
-tools/check_trace.py, and stdout that is exactly one JSON object or the
-profile report. The trace and profile cases need an OCCAMY_TRACE=ON build.
+tools/check_trace.py, stdout that is exactly one JSON object or the
+profile report, and the --help texts that README.md shows verbatim. The
+trace and profile cases need an OCCAMY_TRACE=ON build.
 """
 
 import json
@@ -117,6 +118,18 @@ class CliSmokeTest(unittest.TestCase):
         report = self.sim("profile", "--scenario=burst_absorption",
                           "--bm=occamy", "--scale=smoke", "--duration-ms=2")
         self.assertIn("window batching:", report)
+
+    # README.md shows each subcommand's --help verbatim, so the option
+    # lists there are the ones the flag table prints.
+    def test_usage(self):
+        with open(os.path.join(ROOT, "README.md")) as f:
+            readme = f.read()
+        for sub in ([], ["sweep"], ["figure"]):
+            usage = self.sim(*sub, "--help")
+            self.assertIn("Options:", usage)
+            self.assertIn(usage, readme,
+                          f"occamy_sim {' '.join(sub + ['--help'])} differs "
+                          "from its block in README.md")
 
 
 if __name__ == "__main__":

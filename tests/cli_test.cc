@@ -1,8 +1,9 @@
 // Smoke tests for the occamy_sim scenario-runner CLI (tools/sim_cli.h):
-// argument parsing, error paths, the --trace and --degradation reports, and
-// a tiny run of the incast scenario under every registered BM scheme
-// asserting valid JSON with nonzero delivered bytes. Checks that need the
-// real binary's files or stdout are in tests/cli_smoke.py.
+// argument parsing through the flag table, error paths, the --trace and
+// --degradation reports, and a tiny run of the incast scenario under every
+// registered BM scheme asserting valid JSON with nonzero delivered bytes.
+// Checks that need the real binary's files or stdout are in
+// tests/cli_smoke.py.
 #include "tools/sim_cli.h"
 
 #include <gtest/gtest.h>
@@ -10,11 +11,13 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/obs/trace.h"
-#include "tools/sweep_cli.h"
 
 namespace occamy::cli {
 namespace {
@@ -35,10 +38,11 @@ bool JsonHasString(const std::string& json, const std::string& key,
 
 TEST(CliParse, Defaults) {
   const char* argv[] = {"occamy_sim"};
-  SimOptions opts;
-  EXPECT_FALSE(ParseArgs(1, argv, opts).has_value());
-  EXPECT_EQ(opts.scenario, "incast");
-  EXPECT_EQ(opts.bm, "occamy");
+  Options opts;
+  EXPECT_FALSE(Parse(1, argv, opts).has_value());
+  EXPECT_EQ(opts.command, Command::kRun);
+  EXPECT_EQ(opts.point.scenario, "incast");
+  EXPECT_EQ(opts.point.bm, "occamy");
   EXPECT_TRUE(opts.json_path.empty());
 }
 
@@ -46,27 +50,27 @@ TEST(CliParse, AllOptions) {
   const char* argv[] = {"occamy_sim",          "--scenario=choking", "--bm=dt",
                         "--json=/tmp/out.json", "--scale=smoke",      "--seed=7",
                         "--duration-ms=12.5",   "--alphas=8,1,1,1,1,1,1,1"};
-  SimOptions opts;
-  EXPECT_FALSE(ParseArgs(8, argv, opts).has_value());
-  EXPECT_EQ(opts.scenario, "choking");
-  EXPECT_EQ(opts.bm, "dt");
+  Options opts;
+  EXPECT_FALSE(Parse(8, argv, opts).has_value());
+  EXPECT_EQ(opts.point.scenario, "choking");
+  EXPECT_EQ(opts.point.bm, "dt");
   EXPECT_EQ(opts.json_path, "/tmp/out.json");
-  EXPECT_EQ(opts.scale, "smoke");
-  EXPECT_EQ(opts.seed, 7u);
-  EXPECT_DOUBLE_EQ(opts.duration_ms, 12.5);
-  EXPECT_EQ(opts.alphas, (std::vector<double>{8.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}));
+  EXPECT_TRUE(opts.point.scale == exp::BenchScale::kSmoke);
+  EXPECT_EQ(opts.point.seed, 7u);
+  EXPECT_DOUBLE_EQ(opts.point.duration_ms, 12.5);
+  EXPECT_EQ(opts.point.alphas, (std::vector<double>{8.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0}));
 }
 
 TEST(CliParse, ShardsFlag) {
   const char* argv[] = {"occamy_sim", "--scenario=websearch", "--shards=64"};
-  SimOptions opts;
-  EXPECT_FALSE(ParseArgs(3, argv, opts).has_value());
-  EXPECT_EQ(opts.shards, 64);
+  Options opts;
+  EXPECT_FALSE(Parse(3, argv, opts).has_value());
+  EXPECT_EQ(opts.point.shards, 64);
 
   for (const char* bad : {"--shards=0", "--shards=65", "--shards=abc", "--shards=-1"}) {
     const char* bad_argv[] = {"occamy_sim", "--scenario=websearch", bad};
-    SimOptions bad_opts;
-    EXPECT_TRUE(ParseArgs(3, bad_argv, bad_opts).has_value()) << bad;
+    Options bad_opts;
+    EXPECT_TRUE(Parse(3, bad_argv, bad_opts).has_value()) << bad;
   }
 }
 
@@ -77,11 +81,11 @@ TEST(CliParse, StarAndP4RejectShardsAboveOne) {
   for (const std::string scenario : {"burst_absorption", "burst"}) {
     const std::string flag = "--scenario=" + scenario;
     const char* one[] = {"occamy_sim", flag.c_str(), "--shards=1"};
-    SimOptions one_opts;
-    EXPECT_FALSE(ParseArgs(3, one, one_opts).has_value()) << scenario;
+    Options one_opts;
+    EXPECT_FALSE(Parse(3, one, one_opts).has_value()) << scenario;
     const char* two[] = {"occamy_sim", "--shards=2", flag.c_str()};
-    SimOptions two_opts;
-    const auto err = ParseArgs(3, two, two_opts);
+    Options two_opts;
+    const auto err = Parse(3, two, two_opts);
     ASSERT_TRUE(err.has_value()) << scenario;
     EXPECT_NE(err->find("'" + scenario + "'"), std::string::npos) << *err;
   }
@@ -102,8 +106,8 @@ TEST(CliParse, StarAndP4RejectShardsAboveOne) {
 TEST(CliParse, AlphasTakeOneEntryOrOnePerClass) {
   for (const char* ok : {"--alphas=2", "--alphas=2,4"}) {
     const char* argv[] = {"occamy_sim", "--scenario=isolation", ok};
-    SimOptions opts;
-    EXPECT_FALSE(ParseArgs(3, argv, opts).has_value()) << ok;
+    Options opts;
+    EXPECT_FALSE(Parse(3, argv, opts).has_value()) << ok;
   }
   const struct {
     const char* scenario;
@@ -143,73 +147,146 @@ TEST(CliParse, WindowBatchFlag) {
   }
 }
 
+// Pins each subcommand's flags: each is accepted by exactly its
+// subcommands, is an unknown option to every other, and is listed in
+// exactly its subcommands' --help, whose lines fit in 79 columns.
+TEST(CliParse, EachSubcommandTakesExactlyItsFlags) {
+  const std::set<std::string> run = {
+      "scenario", "bm",     "json",   "trace",       "scale", "seed", "duration-ms",
+      "alphas",   "shards", "faults", "degradation", "list",  "help"};
+  const std::set<std::string> sweep = {
+      "scenarios",   "bms",         "seeds",         "base-seed",   "jobs",      "out",
+      "scale",       "duration-ms", "shards",        "faults",      "alphas",    "bg-loads",
+      "query-bytes", "buffer-bytes", "bg-flow-bytes", "burst-bytes", "loss-rates", "help"};
+  const std::set<std::string> figure = {"name",  "jobs",        "out",  "scale",
+                                        "seeds", "duration-ms", "list", "help"};
+  const struct {
+    const char* name;
+    Command command;
+    const std::set<std::string>& flags;
+  } subcommands[] = {{"run", Command::kRun, run},
+                     {"profile", Command::kProfile, run},
+                     {"sweep", Command::kSweep, sweep},
+                     {"figure", Command::kFigure, figure}};
+  // A valid value for every flag that takes one; the others are bare.
+  const std::map<std::string, std::string> values = {
+      {"scenario", "incast"},       {"bm", "dt"},           {"json", "out.json"},
+      {"trace", "trace.json"},      {"scale", "smoke"},     {"seed", "7"},
+      {"duration-ms", "5"},         {"alphas", "2"},        {"shards", "1"},
+      {"faults", "loss:rate=0.01"}, {"scenarios", "incast"}, {"bms", "dt"},
+      {"seeds", "2"},               {"base-seed", "3"},     {"jobs", "2"},
+      {"out", "out_dir"},           {"bg-loads", "0.5"},    {"query-bytes", "1000"},
+      {"buffer-bytes", "1000"},     {"bg-flow-bytes", "1000"}, {"burst-bytes", "1000"},
+      {"loss-rates", "0.1"},        {"name", "fig12"}};
+  std::set<std::string> all;
+  for (const auto& sub : subcommands) all.insert(sub.flags.begin(), sub.flags.end());
+  for (const auto& sub : subcommands) {
+    for (const std::string& flag : all) {
+      const auto value = values.find(flag);
+      const std::string arg = "--" + flag + (value == values.end() ? "" : "=" + value->second);
+      const char* argv[] = {"occamy_sim", sub.name, arg.c_str()};
+      Options opts;
+      const auto err = Parse(3, argv, opts);
+      const bool unknown = err && err->find("unknown option: --" + flag) != std::string::npos;
+      EXPECT_EQ(unknown, sub.flags.count(flag) == 0)
+          << sub.name << " " << arg << ": " << err.value_or("accepted");
+    }
+    std::set<std::string> listed;
+    std::istringstream usage(Usage(sub.command));
+    for (std::string line; std::getline(usage, line);) {
+      EXPECT_LE(line.size(), 79u) << line;
+      if (line.rfind("  --", 0) == 0) listed.insert(line.substr(4, line.find_first_of("= ", 4) - 4));
+    }
+    EXPECT_EQ(listed, sub.flags) << sub.name;
+  }
+}
+
 TEST(CliParse, TraceFlag) {
   const char* argv[] = {"occamy_sim", "--trace=/tmp/trace.json"};
-  SimOptions opts;
-  EXPECT_FALSE(ParseArgs(2, argv, opts).has_value());
+  Options opts;
+  EXPECT_FALSE(Parse(2, argv, opts).has_value());
   EXPECT_EQ(opts.trace_path, "/tmp/trace.json");
-  EXPECT_FALSE(opts.profile);  // profile is the subcommand, not a flag
+  EXPECT_EQ(opts.command, Command::kRun);  // profile is the subcommand, not a flag
 
   // An empty path is rejected like every other empty flag value.
   const char* empty[] = {"occamy_sim", "--trace="};
-  SimOptions empty_opts;
-  EXPECT_TRUE(ParseArgs(2, empty, empty_opts).has_value());
+  Options empty_opts;
+  EXPECT_TRUE(Parse(2, empty, empty_opts).has_value());
 }
 
 TEST(CliParse, RejectsMalformedInput) {
-  SimOptions opts;
+  Options opts;
   const char* bad_flag[] = {"occamy_sim", "--frobnicate=1"};
-  EXPECT_TRUE(ParseArgs(2, bad_flag, opts).has_value());
+  EXPECT_TRUE(Parse(2, bad_flag, opts).has_value());
   const char* bad_scale[] = {"occamy_sim", "--scale=medium"};
-  EXPECT_TRUE(ParseArgs(2, bad_scale, opts).has_value());
+  EXPECT_TRUE(Parse(2, bad_scale, opts).has_value());
   const char* bad_duration[] = {"occamy_sim", "--duration-ms=-3"};
-  EXPECT_TRUE(ParseArgs(2, bad_duration, opts).has_value());
+  EXPECT_TRUE(Parse(2, bad_duration, opts).has_value());
   const char* positional[] = {"occamy_sim", "incast"};
-  EXPECT_TRUE(ParseArgs(2, positional, opts).has_value());
+  EXPECT_TRUE(Parse(2, positional, opts).has_value());
+
+  // A bare flag takes no value, in every subcommand that takes the flag.
+  const std::vector<std::vector<const char*>> valued = {
+      {"occamy_sim", "--list=1"},
+      {"occamy_sim", "--help=x"},
+      {"occamy_sim", "--degradation=1"},
+      {"occamy_sim", "figure", "--list=1"},
+      {"occamy_sim", "sweep", "--help=x"},
+  };
+  for (const auto& argv : valued) {
+    const std::string arg = argv.back();
+    testing::internal::CaptureStderr();
+    const int code = Main(static_cast<int>(argv.size()), argv.data());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << arg;
+    EXPECT_NE(err.find(arg.substr(0, arg.find('=')) + " takes no value"), std::string::npos)
+        << err;
+  }
 }
 
 TEST(CliParse, ReportsDuplicateOptions) {
-  SimOptions opts;
+  Options opts;
   const char* argv[] = {"occamy_sim", "--seed=1", "--seed=2"};
-  const auto err = ParseArgs(3, argv, opts);
+  const auto err = Parse(3, argv, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("duplicate option --seed"), std::string::npos) << *err;
   // Repeated bare flags stay harmless.
   const char* lists[] = {"occamy_sim", "--list", "--list"};
-  EXPECT_FALSE(ParseArgs(3, lists, opts).has_value());
+  EXPECT_FALSE(Parse(3, lists, opts).has_value());
 }
 
 TEST(CliParse, ReportsEmptyListEntries) {
-  SimOptions opts;
+  Options opts;
   const char* doubled[] = {"occamy_sim", "--alphas=1,,2"};
-  auto err = ParseArgs(2, doubled, opts);
+  auto err = Parse(2, doubled, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("empty entry in --alphas"), std::string::npos) << *err;
   const char* trailing[] = {"occamy_sim", "--alphas=1,2,"};
-  err = ParseArgs(2, trailing, opts);
+  err = Parse(2, trailing, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("empty entry in --alphas"), std::string::npos) << *err;
   const char* bad_value[] = {"occamy_sim", "--alphas=1,zero"};
-  err = ParseArgs(2, bad_value, opts);
+  err = Parse(2, bad_value, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("invalid --alphas entry: zero"), std::string::npos) << *err;
 }
 
 TEST(CliParse, RejectsNonFiniteNumbers) {
-  SimOptions opts;
+  Options opts;
   const char* nan_alpha[] = {"occamy_sim", "--alphas=nan"};
-  EXPECT_TRUE(ParseArgs(2, nan_alpha, opts).has_value());
+  EXPECT_TRUE(Parse(2, nan_alpha, opts).has_value());
   const char* inf_alpha[] = {"occamy_sim", "--alphas=1,inf"};
-  EXPECT_TRUE(ParseArgs(2, inf_alpha, opts).has_value());
+  EXPECT_TRUE(Parse(2, inf_alpha, opts).has_value());
   const char* inf_duration[] = {"occamy_sim", "--duration-ms=inf"};
-  EXPECT_TRUE(ParseArgs(2, inf_duration, opts).has_value());
+  EXPECT_TRUE(Parse(2, inf_duration, opts).has_value());
 
-  SweepOptions sweep;
-  const char* inf_load[] = {"sweep", "--scenarios=incast", "--bms=dt", "--bg-loads=inf"};
-  EXPECT_TRUE(ParseSweepArgs(4, inf_load, sweep).has_value());
-  FigureOptions figure;
-  const char* nan_ms[] = {"figure", "--name=fig12", "--duration-ms=nan"};
-  EXPECT_TRUE(ParseFigureArgs(3, nan_ms, figure).has_value());
+  Options sweep;
+  const char* inf_load[] = {"occamy_sim", "sweep", "--scenarios=incast", "--bms=dt",
+                            "--bg-loads=inf"};
+  EXPECT_TRUE(Parse(5, inf_load, sweep).has_value());
+  Options figure;
+  const char* nan_ms[] = {"occamy_sim", "figure", "--name=fig12", "--duration-ms=nan"};
+  EXPECT_TRUE(Parse(4, nan_ms, figure).has_value());
 }
 
 // Inputs that overflowed simulated time or int64 state, or never finished,
@@ -257,8 +334,8 @@ TEST(CliParse, InputsAboveTheirCapsExit2) {
 TEST(CliParse, CapsAdmitValuesInUse) {
   for (const char* duration : {"--duration-ms=0.001", "--duration-ms=1000"}) {
     const char* argv[] = {"occamy_sim", "--scenario=choking", duration};
-    SimOptions opts;
-    EXPECT_FALSE(ParseArgs(3, argv, opts).has_value()) << duration;
+    Options opts;
+    EXPECT_FALSE(Parse(3, argv, opts).has_value()) << duration;
   }
   exp::PointSpec at_cap;
   at_cap.duration_ms = exp::kMaxDurationMs;
@@ -276,7 +353,8 @@ TEST(CliParse, CapsAdmitValuesInUse) {
 }
 
 TEST(SweepParse, FullCommandLine) {
-  const char* argv[] = {"sweep",
+  const char* argv[] = {"occamy_sim",
+                        "sweep",
                         "--scenarios=incast,websearch",
                         "--bms=dt,occamy,pushout",
                         "--seeds=2",
@@ -285,130 +363,136 @@ TEST(SweepParse, FullCommandLine) {
                         "--duration-ms=5",
                         "--out=/tmp/sweep",
                         "--bg-loads=0.5,0.9"};
-  SweepOptions opts;
-  const auto err = ParseSweepArgs(9, argv, opts);
+  Options opts;
+  const auto err = Parse(10, argv, opts);
   ASSERT_FALSE(err.has_value()) << *err;
-  EXPECT_EQ(opts.spec.scenarios, (std::vector<std::string>{"incast", "websearch"}));
-  EXPECT_EQ(opts.spec.bms, (std::vector<std::string>{"dt", "occamy", "pushout"}));
-  EXPECT_EQ(opts.spec.seeds, 2);
+  EXPECT_EQ(opts.command, Command::kSweep);
+  EXPECT_EQ(opts.sweep.scenarios, (std::vector<std::string>{"incast", "websearch"}));
+  EXPECT_EQ(opts.sweep.bms, (std::vector<std::string>{"dt", "occamy", "pushout"}));
+  EXPECT_EQ(opts.sweep.seeds, 2);
   EXPECT_EQ(opts.jobs, 4);
   EXPECT_EQ(opts.out_dir, "/tmp/sweep");
-  EXPECT_EQ(opts.spec.bg_loads, (std::vector<double>{0.5, 0.9}));
-  ASSERT_TRUE(opts.spec.scale.has_value());
+  EXPECT_EQ(opts.sweep.bg_loads, (std::vector<double>{0.5, 0.9}));
+  ASSERT_TRUE(opts.sweep.scale.has_value());
 }
 
 TEST(SweepParse, RejectsMissingRequiredDuplicatesAndEmptyEntries) {
-  SweepOptions opts;
-  const char* missing[] = {"sweep", "--bms=dt"};
-  auto err = ParseSweepArgs(2, missing, opts);
+  Options opts;
+  const char* missing[] = {"occamy_sim", "sweep", "--bms=dt"};
+  auto err = Parse(3, missing, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("--scenarios"), std::string::npos) << *err;
 
-  SweepOptions opts2;
-  const char* dup[] = {"sweep", "--scenarios=incast", "--bms=dt", "--jobs=2", "--jobs=3"};
-  err = ParseSweepArgs(5, dup, opts2);
+  Options opts2;
+  const char* dup[] = {"occamy_sim", "sweep",    "--scenarios=incast",
+                       "--bms=dt",   "--jobs=2", "--jobs=3"};
+  err = Parse(6, dup, opts2);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("duplicate option --jobs"), std::string::npos) << *err;
 
-  SweepOptions opts3;
-  const char* empty_entry[] = {"sweep", "--scenarios=incast,,websearch", "--bms=dt"};
-  err = ParseSweepArgs(3, empty_entry, opts3);
+  Options opts3;
+  const char* empty_entry[] = {"occamy_sim", "sweep", "--scenarios=incast,,websearch",
+                               "--bms=dt"};
+  err = Parse(4, empty_entry, opts3);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("empty entry in --scenarios"), std::string::npos) << *err;
 }
 
 TEST(FigureParse, NameRequiredAndValidated) {
-  FigureOptions opts;
-  const char* bare[] = {"figure"};
-  auto err = ParseFigureArgs(1, bare, opts);
+  Options opts;
+  const char* bare[] = {"occamy_sim", "figure"};
+  auto err = Parse(2, bare, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("--name"), std::string::npos) << *err;
 
-  FigureOptions opts2;
-  const char* good[] = {"figure", "--name=fig12", "--jobs=2", "--seeds=3"};
-  err = ParseFigureArgs(4, good, opts2);
+  Options opts2;
+  const char* good[] = {"occamy_sim", "figure", "--name=fig12", "--jobs=2", "--seeds=3"};
+  err = Parse(5, good, opts2);
   ASSERT_FALSE(err.has_value()) << *err;
-  EXPECT_EQ(opts2.name, "fig12");
+  EXPECT_EQ(opts2.figure, "fig12");
   EXPECT_EQ(opts2.jobs, 2);
-  EXPECT_EQ(opts2.seeds, 3);
+  EXPECT_EQ(opts2.sweep.seeds, 3);
 }
 
 TEST(CliRun, RejectsUnknownNames) {
-  SimOptions opts;
-  opts.bm = "no_such_scheme";
+  Options opts;
+  opts.point.bm = "no_such_scheme";
   EXPECT_FALSE(RunScenario(opts).ok);
-  opts.bm = "occamy";
-  opts.scenario = "no_such_scenario";
+  opts.point.bm = "occamy";
+  opts.point.scenario = "no_such_scenario";
   EXPECT_FALSE(RunScenario(opts).ok);
 }
 
 TEST(CliRun, IncastUnderEveryScheme) {
-  for (const std::string& scheme : SchemeNames()) {
-    SimOptions opts;
-    opts.scenario = "incast";
-    opts.bm = scheme;
-    opts.scale = "smoke";
-    opts.duration_ms = 20;
-    const SimResult result = RunScenario(opts);
+  for (const std::string& scheme : exp::SchemeNames()) {
+    Options opts;
+    opts.point.scenario = "incast";
+    opts.point.bm = scheme;
+    opts.point.scale = exp::BenchScale::kSmoke;
+    opts.point.duration_ms = 20;
+    const exp::PointResult result = RunScenario(opts);
     ASSERT_TRUE(result.ok) << scheme << ": " << result.error;
-    ASSERT_FALSE(result.json.empty()) << scheme;
-    EXPECT_EQ(result.json.front(), '{') << scheme;
-    EXPECT_EQ(result.json.back(), '}') << scheme;
-    EXPECT_TRUE(JsonHasString(result.json, "scenario", "incast")) << result.json;
-    EXPECT_TRUE(JsonHasString(result.json, "bm", scheme)) << result.json;
-    EXPECT_GT(JsonNumber(result.json, "delivered_bytes"), 0) << scheme;
-    EXPECT_GT(JsonNumber(result.json, "queries_completed"), 0) << scheme;
-    EXPECT_GT(JsonNumber(result.json, "peak_occupancy_bytes"), 0) << scheme;
-    EXPECT_GT(JsonNumber(result.json, "qct_p99_ms"), 0) << scheme;
+    const std::string json = result.metrics.ToJson();
+    ASSERT_FALSE(json.empty()) << scheme;
+    EXPECT_EQ(json.front(), '{') << scheme;
+    EXPECT_EQ(json.back(), '}') << scheme;
+    EXPECT_TRUE(JsonHasString(json, "scenario", "incast")) << json;
+    EXPECT_TRUE(JsonHasString(json, "bm", scheme)) << json;
+    EXPECT_GT(JsonNumber(json, "delivered_bytes"), 0) << scheme;
+    EXPECT_GT(JsonNumber(json, "queries_completed"), 0) << scheme;
+    EXPECT_GT(JsonNumber(json, "peak_occupancy_bytes"), 0) << scheme;
+    EXPECT_GT(JsonNumber(json, "qct_p99_ms"), 0) << scheme;
   }
 }
 
 TEST(CliRun, FabricScenarioProducesJson) {
-  SimOptions opts;
-  opts.scenario = "websearch";
-  opts.bm = "occamy";
-  opts.scale = "smoke";
-  opts.duration_ms = 5;
-  const SimResult result = RunScenario(opts);
+  Options opts;
+  opts.point.scenario = "websearch";
+  opts.point.bm = "occamy";
+  opts.point.scale = exp::BenchScale::kSmoke;
+  opts.point.duration_ms = 5;
+  const exp::PointResult result = RunScenario(opts);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_TRUE(JsonHasString(result.json, "platform", "fabric")) << result.json;
-  EXPECT_GT(JsonNumber(result.json, "delivered_bytes"), 0) << result.json;
+  const std::string json = result.metrics.ToJson();
+  EXPECT_TRUE(JsonHasString(json, "platform", "fabric")) << json;
+  EXPECT_GT(JsonNumber(json, "delivered_bytes"), 0) << json;
 }
 
 TEST(CliRun, ShardedFabricRunMatchesSingleShard) {
-  SimOptions opts;
-  opts.scenario = "websearch";
-  opts.bm = "occamy";
-  opts.scale = "smoke";
-  opts.duration_ms = 2;
-  opts.shards = 1;
-  const SimResult one = RunScenario(opts);
+  Options opts;
+  opts.point.scenario = "websearch";
+  opts.point.bm = "occamy";
+  opts.point.scale = exp::BenchScale::kSmoke;
+  opts.point.duration_ms = 2;
+  opts.point.shards = 1;
+  const exp::PointResult one = RunScenario(opts);
   ASSERT_TRUE(one.ok) << one.error;
-  opts.shards = 4;
-  const SimResult four = RunScenario(opts);
+  opts.point.shards = 4;
+  const exp::PointResult four = RunScenario(opts);
   ASSERT_TRUE(four.ok) << four.error;
   for (const char* key :
        {"delivered_bytes", "qct_p99_ms", "fct_p99_slowdown", "sim_events", "drops"}) {
-    EXPECT_EQ(JsonNumber(one.json, key), JsonNumber(four.json, key)) << key;
+    EXPECT_EQ(JsonNumber(one.metrics.ToJson(), key), JsonNumber(four.metrics.ToJson(), key)) << key;
   }
-  EXPECT_EQ(JsonNumber(one.json, "shards"), 1);
-  EXPECT_EQ(JsonNumber(four.json, "shards"), 4);
+  EXPECT_EQ(JsonNumber(one.metrics.ToJson(), "shards"), 1);
+  EXPECT_EQ(JsonNumber(four.metrics.ToJson(), "shards"), 4);
 }
 
 // The run reports the window planner's telemetry, and adaptive batching
 // finishes this workload in strictly fewer barrier rounds than the windows
 // it executes.
 TEST(CliRun, WindowBatchRunsMatchAndReduceBarrierRounds) {
-  SimOptions opts;
-  opts.scenario = "burst_absorption";
-  opts.bm = "occamy";
-  opts.scale = "smoke";
-  opts.duration_ms = 2;
-  const SimResult result = RunScenario(opts);
+  Options opts;
+  opts.point.scenario = "burst_absorption";
+  opts.point.bm = "occamy";
+  opts.point.scale = exp::BenchScale::kSmoke;
+  opts.point.duration_ms = 2;
+  const exp::PointResult result = RunScenario(opts);
   ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_LT(JsonNumber(result.json, "windows_run"),
-            JsonNumber(result.json, "windows_executed"));
-  EXPECT_GT(JsonNumber(result.json, "max_window_batch"), 1);
+  const std::string json = result.metrics.ToJson();
+  EXPECT_LT(JsonNumber(json, "windows_run"),
+            JsonNumber(json, "windows_executed"));
+  EXPECT_GT(JsonNumber(json, "max_window_batch"), 1);
 }
 
 // An OCCAMY_TRACE=OFF build carries no recorder, so asking it for a trace
@@ -442,15 +526,15 @@ TEST(CliRun, TraceNeedsTheRecorderCompiledIn) {
 // of the ring.
 TEST(CliRun, TracedChokingRunStaysInsideTheBenchmarkRing) {
   if (!obs::kTraceCompiled) GTEST_SKIP() << "OCCAMY_TRACE=OFF build";
-  SimOptions opts;
-  opts.scenario = "choking";
-  opts.bm = "occamy";
-  opts.scale = "default";
-  opts.duration_ms = 15;
-  opts.seed = 1001;
+  Options opts;
+  opts.point.scenario = "choking";
+  opts.point.bm = "occamy";
+  opts.point.scale = exp::BenchScale::kDefault;
+  opts.point.duration_ms = 15;
+  opts.point.seed = 1001;
   obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  recorder.Start(opts.shards);
-  const SimResult result = RunScenario(opts);
+  recorder.Start(opts.point.shards);
+  const exp::PointResult result = RunScenario(opts);
   recorder.Stop();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(recorder.dropped(), 0u);
@@ -478,38 +562,40 @@ void ExpectDegradationFields(const std::string& json) {
 // the healthy twin's (src/fault/recovery.h), and rerouting beats the
 // outage. The pair is slow under TSan, so every check on it lives here.
 TEST(CliRun, DegradationReportShowsRerouteHealing) {
-  SimOptions opts;
-  opts.scenario = "websearch";
-  opts.scale = "smoke";
-  opts.duration_ms = 8;
-  opts.shards = 2;
-  opts.faults = "link_down:t=2ms,dur=3ms,node=sw0,port=4,reroute=1";
+  Options opts;
+  opts.point.scenario = "websearch";
+  opts.point.scale = exp::BenchScale::kSmoke;
+  opts.point.duration_ms = 8;
+  opts.point.shards = 2;
+  opts.point.faults = "link_down:t=2ms,dur=3ms,node=sw0,port=4,reroute=1";
   opts.degradation = true;
-  const SimResult result = RunScenario(opts);
+  const exp::PointResult result = RunScenario(opts);
   ASSERT_TRUE(result.ok) << result.error;
-  ExpectDegradationFields(result.json);
-  EXPECT_EQ(JsonNumber(result.json, "fault_onset_ms"), 2) << result.json;
-  EXPECT_GE(JsonNumber(result.json, "first_delivery_after_fault_ms"), 2) << result.json;
-  EXPECT_EQ(JsonNumber(result.json, "recovered"), 1)
-      << "delivered rate never returned to 90% of the healthy twin: " << result.json;
-  EXPECT_GE(JsonNumber(result.json, "recovery_time_ms"), 0) << result.json;
+  const std::string json = result.metrics.ToJson();
+  ExpectDegradationFields(json);
+  EXPECT_EQ(JsonNumber(json, "fault_onset_ms"), 2) << json;
+  EXPECT_GE(JsonNumber(json, "first_delivery_after_fault_ms"), 2) << json;
+  EXPECT_EQ(JsonNumber(json, "recovered"), 1)
+      << "delivered rate never returned to 90% of the healthy twin: " << json;
+  EXPECT_GE(JsonNumber(json, "recovery_time_ms"), 0) << json;
   // Recovery well before the 3 ms link restore would have healed it.
-  EXPECT_LT(JsonNumber(result.json, "recovery_time_ms"), 3) << result.json;
-  EXPECT_GT(JsonNumber(result.json, "reroutes"), 0) << "route epochs must publish";
-  EXPECT_GT(JsonNumber(result.json, "link_down_drops"), 0) << result.json;
+  EXPECT_LT(JsonNumber(json, "recovery_time_ms"), 3) << json;
+  EXPECT_GT(JsonNumber(json, "reroutes"), 0) << "route epochs must publish";
+  EXPECT_GT(JsonNumber(json, "link_down_drops"), 0) << json;
 }
 
 TEST(CliRun, DegradationReportOnStarFreeze) {
-  SimOptions opts;
-  opts.scenario = "incast";
-  opts.scale = "smoke";
-  opts.duration_ms = 8;
-  opts.faults = "freeze:t=5ms,dur=2ms,node=sw0";
+  Options opts;
+  opts.point.scenario = "incast";
+  opts.point.scale = exp::BenchScale::kSmoke;
+  opts.point.duration_ms = 8;
+  opts.point.faults = "freeze:t=5ms,dur=2ms,node=sw0";
   opts.degradation = true;
-  const SimResult result = RunScenario(opts);
+  const exp::PointResult result = RunScenario(opts);
   ASSERT_TRUE(result.ok) << result.error;
-  ExpectDegradationFields(result.json);
-  EXPECT_GT(JsonNumber(result.json, "faults_injected"), 0) << result.json;
+  const std::string json = result.metrics.ToJson();
+  ExpectDegradationFields(json);
+  EXPECT_GT(JsonNumber(json, "faults_injected"), 0) << json;
 }
 
 // Library callers that bypass the parsers get the same check as a
@@ -529,9 +615,24 @@ TEST(CliRun, RunPointRejectsInputsAboveCaps) {
 }
 
 TEST(CliRun, ListsAreNonEmpty) {
-  EXPECT_GE(ScenarioNames().size(), 5u);
-  EXPECT_GE(SchemeNames().size(), 5u);
-  EXPECT_FALSE(UsageString().empty());
+  EXPECT_GE(exp::ScenarioNames().size(), 5u);
+  EXPECT_GE(exp::SchemeNames().size(), 5u);
+  EXPECT_FALSE(Usage(Command::kRun).empty());
+
+  // --list prints every list; figure --list prints the figures only.
+  const char* run[] = {"occamy_sim", "--list"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(Main(2, run), 0);
+  const std::string all = testing::internal::GetCapturedStdout();
+  const char* figure[] = {"occamy_sim", "figure", "--list"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(Main(3, figure), 0);
+  const std::string figures = testing::internal::GetCapturedStdout();
+  for (const char* list : {"Scenarios:", "BM schemes:", "Figures:"}) {
+    EXPECT_NE(all.find(list), std::string::npos) << all;
+    EXPECT_EQ(figures.find(list) == std::string::npos, std::string(list) != "Figures:")
+        << figures;
+  }
 }
 
 }  // namespace

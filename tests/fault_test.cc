@@ -314,18 +314,18 @@ TEST(FaultCli, BadFaultsIsUsageErrorExit2) {
   EXPECT_NE(err.find("t=1e30us"), std::string::npos) << err;
 }
 
-TEST(FaultCli, ParseArgsNamesOffendingToken) {
+TEST(FaultCli, ParseNamesOffendingToken) {
   const char* argv[] = {"occamy_sim", "--faults=link_down:t=2,node=sw0,port=1"};
-  cli::SimOptions opts;
-  const auto err = cli::ParseArgs(2, argv, opts);
+  cli::Options opts;
+  const auto err = cli::Parse(2, argv, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("'t=2'"), std::string::npos) << *err;
 }
 
 TEST(FaultCli, DegradationRequiresFaults) {
   const char* argv[] = {"occamy_sim", "--degradation"};
-  cli::SimOptions opts;
-  const auto err = cli::ParseArgs(2, argv, opts);
+  cli::Options opts;
+  const auto err = cli::Parse(2, argv, opts);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("--degradation"), std::string::npos) << *err;
 }
@@ -334,9 +334,9 @@ TEST(FaultCli, GoodFaultsAccepted) {
   const char* argv[] = {"occamy_sim",
                         "--faults=link_down:t=2ms,dur=1ms,node=sw0,port=3",
                         "--degradation"};
-  cli::SimOptions opts;
-  EXPECT_FALSE(cli::ParseArgs(3, argv, opts).has_value());
-  EXPECT_EQ(opts.faults, "link_down:t=2ms,dur=1ms,node=sw0,port=3");
+  cli::Options opts;
+  EXPECT_FALSE(cli::Parse(3, argv, opts).has_value());
+  EXPECT_EQ(opts.point.faults, "link_down:t=2ms,dur=1ms,node=sw0,port=3");
   EXPECT_TRUE(opts.degradation);
 }
 
